@@ -15,6 +15,7 @@ from itertools import product
 from typing import Any, Callable, Mapping, Sequence
 
 from .signature import OpId, Signature, SortId
+from .term_vm import Term
 
 
 class AlgebraError(ValueError):
@@ -22,6 +23,11 @@ class AlgebraError(ValueError):
 
 
 UNIT_ELEMENT = "*"
+
+# A compiled term: per symbol, last first, a variable slot or (index rows, dims).
+Step = int | tuple[list[int], tuple[int, ...]]
+Program = tuple[Step, ...]
+
 
 
 class Algebra:
@@ -56,7 +62,10 @@ class FiniteAlgebra(Algebra):
     """Finite carriers as ordered label tuples plus total operation tables.
 
     Labels are mapped to dense indices internally and each table is kept
-    as a flat result array in mixed-radix argument order.
+    as a flat array of result indices in mixed-radix argument order;
+    ``op`` maps the result index back to its label.  ``compile`` turns a
+    term into a machine program over those indices, which ``run_program``
+    executes without touching a label.
     """
 
     def __init__(
@@ -82,7 +91,7 @@ class FiniteAlgebra(Algebra):
         if extra_ops:
             raise AlgebraError(f"tables for unknown operations {sorted(extra_ops)}")
         norm: dict[OpId, dict[tuple[str, ...], str]] = {}
-        flat: dict[OpId, list[str]] = {}
+        flat: dict[OpId, list[int]] = {}
         for nm in signature.ops:
             if nm not in tables:
                 raise AlgebraError(f"no table for operation {nm!r}")
@@ -92,7 +101,7 @@ class FiniteAlgebra(Algebra):
             size = 1
             for d in dims:
                 size *= d
-            rows: list[str | None] = [None] * size
+            rows: list[int | None] = [None] * size
             entries: dict[tuple[str, ...], str] = {}
             for key, result in tables[nm].items():
                 key = tuple(key)
@@ -110,11 +119,12 @@ class FiniteAlgebra(Algebra):
                         ) from None
                 if rows[pos] is not None:
                     raise AlgebraError(f"duplicate table entry for {nm!r} at {key}")
-                if result not in index[res]:
+                try:
+                    rows[pos] = index[res][result]
+                except KeyError:
                     raise AlgebraError(
                         f"table result {result!r} for {nm!r} at {key} is not in the carrier of {res!r}"
-                    )
-                rows[pos] = result
+                    ) from None
                 entries[key] = result
             if len(entries) != size:
                 missing_args = next(
@@ -129,14 +139,17 @@ class FiniteAlgebra(Algebra):
         self.carriers = carr
         self.tables = norm
         self._index = index
+        self._steps: dict[OpId, Step] = {}  # per operation, its (index rows, dims)
         ops: dict[OpId, Callable[..., str]] = {}
         for nm in signature.ops:
             arity = signature.arity_of(nm)
             idxs = [index[a] for a in arity]
-            dims = [len(carr[a]) for a in arity]
+            dims = tuple(len(carr[a]) for a in arity)
             rows = flat[nm]
+            self._steps[nm] = (rows, dims)
 
-            def fn(*args, _rows=rows, _idxs=idxs, _dims=dims, _nm=nm, _k=len(arity)):
+            def fn(*args, _rows=rows, _idxs=idxs, _dims=dims, _nm=nm, _k=len(arity),
+                   _labels=carr[signature.sort_of(nm)]):
                 if len(args) != _k:
                     raise AlgebraError(f"{_nm!r} expects {_k} argument(s), got {len(args)}")
                 pos = 0
@@ -147,10 +160,23 @@ class FiniteAlgebra(Algebra):
                         raise AlgebraError(
                             f"{x!r} is not a carrier element for argument {i} of {_nm!r}"
                         ) from None
-                return _rows[pos]
+                return _labels[_rows[pos]]
 
             ops[nm] = fn
         super().__init__(signature, ops)
+
+    def compile(self, t: Term, slots: Mapping[str, int]) -> Program:
+        """The machine program of ``t`` over carrier indices.
+
+        One step per symbol, last symbol first: an operation's
+        ``(index rows, dims)``, or for a variable its slot in the index
+        tuple that ``run_program`` reads as the assignment.
+        """
+        steps = self._steps
+        try:
+            return tuple(steps[nm] if nm in steps else slots[nm] for nm in reversed(t.syms))
+        except KeyError as err:
+            raise AlgebraError(f"no slot for variable {err.args[0]!r}") from None
 
     def elements(self, sort: SortId) -> tuple[str, ...]:
         try:
@@ -175,6 +201,27 @@ class FiniteAlgebra(Algebra):
     def __repr__(self) -> str:
         sizes = {s: len(c) for s, c in self.carriers.items()}
         return f"FiniteAlgebra({sizes}, ops={list(self.signature.ops)})"
+
+
+def run_program(program: Program, env: Sequence[int]) -> int:
+    """Run a compiled term with ``env[slot]`` as each variable's carrier
+    index; the index of the term's value.
+
+    The sort-stack machine on indices: an operation pops its argument
+    indices, first argument on top, and pushes the row they select.
+    """
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for step in program:
+        if step.__class__ is int:
+            push(env[step])
+        else:
+            rows, dims = step
+            pos = 0
+            for d in dims:
+                pos = pos * d + pop()
+            push(rows[pos])
+    return stack[-1]
 
 
 def make_finite_algebra(

@@ -4,6 +4,11 @@ An equation holds in an algebra when both sides evaluate equally under
 every assignment of its variables.  Over finite algebras this is decided
 by exhaustive enumeration; only the variables that actually occur in the
 equation are enumerated, since the others cannot influence either side.
+
+``holds`` works on dense indices: each side is compiled once into a
+machine program over the algebra's index tables, the programs run on
+every index tuple in lexicographic order, and only the first
+counterexample is mapped back to carrier labels.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable, Optional
 
-from .algebra import Algebra, FiniteAlgebra
+from .algebra import Algebra, FiniteAlgebra, run_program
 from .free_algebra import evaluate
 from .signature import Signature, SortId, VarId, VarSpec, vsignature
 from .term_vm import Term
@@ -83,8 +88,7 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
 
     Assignments range over the variables occurring in the equation, in
     variable-declaration order, each over its carrier in carrier order; a
-    false verdict carries the lexicographically first failing assignment,
-    re-evaluated before being reported.
+    false verdict carries the lexicographically first failing assignment.
     """
     if vsignature(algebra.signature, varspec) != eq.lhs.signature:
         raise EquationError(
@@ -92,15 +96,13 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
         )
     occurring = free_vars(eq.lhs, varspec) | free_vars(eq.rhs, varspec)
     names = [v for v in varspec.vars if v in occurring]
+    slots = {v: i for i, v in enumerate(names)}
+    lhs = algebra.compile(eq.lhs, slots)
+    rhs = algebra.compile(eq.rhs, slots)
     domains = [algebra.elements(varspec.sort_of(v)) for v in names]
-    for combo in product(*domains):
-        assignment = dict(zip(names, combo))
-        if evaluate(algebra, assignment, eq.lhs) != evaluate(algebra, assignment, eq.rhs):
-            # re-check so a reported counterexample is never stale
-            assert evaluate(algebra, assignment, eq.lhs) != evaluate(
-                algebra, assignment, eq.rhs
-            )
-            return EqVerdict(False, assignment)
+    for combo in product(*(range(len(d)) for d in domains)):
+        if run_program(lhs, combo) != run_program(rhs, combo):
+            return EqVerdict(False, {v: d[i] for v, d, i in zip(names, domains, combo)})
     return EqVerdict(True)
 
 

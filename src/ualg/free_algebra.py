@@ -7,13 +7,21 @@ target algebra under an assignment of the variables is the structural
 fold that replaces every variable by its assigned element and every
 operation symbol by the target operation.  That evaluation is the
 per-sort map of the induced homomorphism out of the term algebra.
+
+Evaluation runs the term: one right-to-left pass over its symbols with a
+stack of carrier values, the sort-stack machine of ``term_vm`` carrying
+values.  It neither recurses nor decomposes.  Only when the pass fails
+is the term evaluated again in fold order (arguments left to right, each
+before its operation), so the error names the variable or operation the
+structural fold meets first: with several unbound variables, the
+leftmost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, AlgebraError, Hom, _as_fn
 from .signature import (
@@ -25,7 +33,7 @@ from .signature import (
     VarSpec,
     vsignature,
 )
-from .term_vm import Term, build_term, term_decompose, term_fold
+from .term_vm import Term, build_term, term_decompose
 
 Assignment = Mapping[VarId, Any]
 
@@ -69,17 +77,58 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
     A.op(nm, *(evaluate(A, a, x) for x in v))`` and
     ``evaluate(A, a, varterm(x)) == a[x]``.
     """
+    is_op = algebra.signature.is_op
+    nargs = t.signature.nargs
+    op = algebra.op
+    stack: list[Any] = []
+    try:
+        for nm in reversed(t.syms):
+            k = nargs[nm]
+            if k:
+                args = stack[: -k - 1 : -1]
+                del stack[-k:]
+                stack.append(op(nm, *args))
+            elif is_op(nm):
+                stack.append(op(nm))
+            else:
+                stack.append(assignment[nm])
+    except Exception:  # replayed below, outside this handler, in fold order
+        pass
+    else:
+        return stack[-1]
+    return _evaluate_in_fold_order(algebra, assignment, t)
+
+
+def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
+    """Evaluate left to right, each symbol after its arguments: the order
+    of the structural fold.  ``evaluate`` falls back on it when its pass
+    fails, so the error raised is the first one the fold would meet."""
     sig = algebra.signature
 
-    def step(nm: OpId, _v: tuple[Term, ...], rec: tuple[Any, ...]) -> Any:
+    def step(nm: OpId, values: Sequence[Any]) -> Any:
         if sig.is_op(nm):
-            return algebra.op(nm, *rec)
+            return algebra.op(nm, *values)
         try:
             return assignment[nm]
         except KeyError:
             raise MissingBindingError(f"no binding for variable {nm!r}") from None
 
-    return term_fold(step, t)
+    nargs = t.signature.nargs
+    frames: list[tuple[OpId, int, list[Any]]] = []  # (symbol, arity, argument values so far)
+    for nm in t.syms:
+        k = nargs[nm]
+        if k:
+            frames.append((nm, k, []))
+            continue
+        value = step(nm, ())
+        while frames:
+            head, k, values = frames[-1]
+            values.append(value)
+            if len(values) < k:
+                break
+            frames.pop()
+            value = step(head, values)
+    return value
 
 
 def universal_map(algebra: Algebra, varspec: VarSpec, assignment: Assignment) -> Hom:

@@ -3,7 +3,10 @@ blocks with equations, assignments, and homomorphism maps.
 
 All formats are plain UTF-8 JSON.  Array order is meaningful: the
 ``operations`` array of a signature defines operation indices, and the
-carrier arrays of an algebra define enumeration order.
+carrier arrays of an algebra define enumeration order.  Names, sorts and
+labels must be JSON strings and carriers, arities and table arguments
+arrays of them; equation names must be distinct.  Any other shape raises
+``FormatError``, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _expect_strings(obj: Any, key: str, where: str) -> list[str]:
+    value = _expect(obj, key, list, where)
+    if not all(isinstance(x, str) for x in value):
+        raise FormatError(f"{where}: {key!r} must be a list of strings")
+    return value
+
+
 def load_json(path: str | Path) -> Any:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -46,12 +56,12 @@ def dump_json(obj: Any, path: str | Path) -> None:
 # -- signatures ----------------------------------------------------------
 
 def signature_from_obj(obj: Any) -> Signature:
-    sorts = _expect(obj, "sorts", list, "signature")
+    sorts = _expect_strings(obj, "sorts", "signature")
     ops_obj = _expect(obj, "operations", list, "signature")
     ops = []
     for entry in ops_obj:
         name = _expect(entry, "name", str, "operation")
-        arity = _expect(entry, "arity", list, f"operation {name!r}")
+        arity = _expect_strings(entry, "arity", f"operation {name!r}")
         sort = _expect(entry, "sort", str, f"operation {name!r}")
         ops.append((name, arity, sort))
     return make_signature(sorts, ops)
@@ -76,6 +86,8 @@ def load_signature(path: str | Path) -> Signature:
 def algebra_from_obj(obj: Any) -> FiniteAlgebra:
     sig = signature_from_obj(_expect(obj, "signature", dict, "algebra"))
     carriers = _expect(obj, "carriers", dict, "algebra")
+    for sort in carriers:
+        _expect_strings(carriers, sort, "carriers")
     ops_obj = _expect(obj, "operations", dict, "algebra")
     tables = {}
     for nm, rows in ops_obj.items():
@@ -83,7 +95,7 @@ def algebra_from_obj(obj: Any) -> FiniteAlgebra:
             raise FormatError(f"operations[{nm!r}] must be a list of rows")
         table = {}
         for row in rows:
-            args = _expect(row, "args", list, f"table row of {nm!r}")
+            args = _expect_strings(row, "args", f"table row of {nm!r}")
             result = _expect(row, "result", str, f"table row of {nm!r}")
             table[tuple(args)] = result
         tables[nm] = table
@@ -120,7 +132,7 @@ def load_algebra(path: str | Path) -> FiniteAlgebra:
 def varspec_from_obj(sig: Signature, obj: Any) -> VarSpec:
     if obj is None:
         obj = {}
-    if not isinstance(obj, dict):
+    if not isinstance(obj, dict) or not all(isinstance(s, str) for s in obj.values()):
         raise FormatError("'variables' must be an object mapping names to sorts")
     return make_varspec(sig, list(obj.items()))
 
@@ -130,8 +142,12 @@ def eqspec_from_obj(sig: Signature, obj: Any) -> EqSpec:
     vsig = vsignature(sig, varspec)
     eqs_obj = _expect(obj, "equations", list, "equation file")
     equations = []
+    seen = set()
     for entry in eqs_obj:
         name = _expect(entry, "name", str, "equation")
+        if name in seen:
+            raise FormatError(f"duplicate equation name {name!r}")
+        seen.add(name)
         sort = _expect(entry, "sort", str, f"equation {name!r}")
         lhs = _expect(entry, "lhs", str, f"equation {name!r}")
         rhs = _expect(entry, "rhs", str, f"equation {name!r}")
@@ -185,8 +201,8 @@ def hom_maps_from_obj(obj: Any) -> dict[str, dict[str, str]]:
     maps = _expect(obj, "maps", dict, "hom map file")
     out = {}
     for sort, table in maps.items():
-        if not isinstance(table, dict):
-            raise FormatError(f"maps[{sort!r}] must be an object")
+        if not isinstance(table, dict) or not all(isinstance(y, str) for y in table.values()):
+            raise FormatError(f"maps[{sort!r}] must be an object mapping labels to labels")
         out[sort] = dict(table)
     return out
 

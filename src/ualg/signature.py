@@ -36,13 +36,11 @@ class Signature:
     arities: tuple[tuple[SortId, ...], ...]
     results: tuple[SortId, ...]
 
-    def __hash__(self) -> int:
-        # terms hash their signature on every decompose-cache probe
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.sorts, self.ops, self.arities, self.results))
-            self.__dict__["_hash"] = h
-        return h
+    @cached_property
+    def nargs(self) -> dict[OpId, int]:
+        """Number of arguments of each operation: how many values a machine
+        step pops."""
+        return {nm: len(self.arities[i]) for i, nm in enumerate(self.ops)}
 
     @cached_property
     def _decl(self) -> dict[OpId, tuple[tuple[SortId, ...], SortId]]:

@@ -9,12 +9,19 @@ stack is in the error state it stays there whatever executes next.
 
 Validated terms carry their result sort; construction through
 ``build_term`` preserves validity without re-running the machine.
+
+The same machine, run on values in place of sorts, is how a term is
+consumed: ``term_fold`` and ``depth`` make one right-to-left pass over
+the symbols with a list as the value stack.  A symbol pops the values of
+its arguments (the first argument on top) and pushes its own, so no pass
+recurses or decomposes, and a term's depth is bounded by memory alone,
+not by the interpreter's recursion limit.  ``term_decompose`` remains as
+the inverse of ``build_term``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .signature import OpId, Signature, SortId
@@ -180,18 +187,18 @@ def _segment_end(sig: Signature, syms: tuple[OpId, ...], start: int) -> int:
     the run's stack height drops by at most one per symbol, so the first
     index where exactly one pending sort remains closes the segment.
     """
+    nargs = sig.nargs
     pending = 1
     i = start
     n = len(syms)
     while pending:
         if i >= n:
             raise TermError(f"unterminated argument starting at symbol {start}")
-        pending += len(sig.arity_of(syms[i])) - 1
+        pending += nargs[syms[i]] - 1
         i += 1
     return i
 
 
-@lru_cache(maxsize=65536)
 def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
     """Split a term into its head symbol and argument terms.
 
@@ -216,16 +223,42 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
 
 
 def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[R, ...]], R], t: Term) -> R:
-    """Structural fold over a term.
+    """Structural fold over a term, by one run of the value machine.
 
-    Satisfies the unfolding law
+    ``step`` runs once per subterm, after its arguments, last subterm
+    first.  Each stack entry is the ``(start, end, value)`` of a finished
+    subterm, so ``step`` still receives its argument terms.  Satisfies the
+    unfolding law
     ``term_fold(step, build_term(sig, nm, v)) ==
     step(nm, v, tuple(term_fold(step, a) for a in v))``.
     """
-    nm, args = term_decompose(t)
-    return step(nm, args, tuple(term_fold(step, a) for a in args))
+    sig, syms = t.signature, t.syms
+    arity_of = sig.arity_of
+    stack: list[tuple[int, int, R]] = []
+    for i in range(len(syms) - 1, -1, -1):
+        nm = syms[i]
+        arity = arity_of(nm)
+        if arity:
+            k = len(arity)
+            entries = stack[: -k - 1 : -1]
+            del stack[-k:]
+            args = tuple([Term(sig, syms[a:b], s) for (a, b, _), s in zip(entries, arity)])
+            stack.append((i, entries[-1][1], step(nm, args, tuple([e[2] for e in entries]))))
+        else:
+            stack.append((i, i + 1, step(nm, (), ())))
+    return stack[-1][2]
 
 
 def depth(t: Term) -> int:
     """Height of the term tree; a bare constant has depth 1."""
-    return term_fold(lambda _nm, _v, rec: 1 + max(rec, default=0), t)
+    nargs = t.signature.nargs
+    stack: list[int] = []
+    for nm in reversed(t.syms):
+        k = nargs[nm]
+        if k:
+            d = max(stack[-k:]) + 1
+            del stack[-k:]
+            stack.append(d)
+        else:
+            stack.append(1)
+    return stack[-1]

@@ -74,6 +74,12 @@ def test_term_depth_invalid(capsys):
     assert (code, out) == (1, "stack underflow at symbol 1\n")
 
 
+def test_term_depth_deep_chain(capsys):
+    chain = "neg " * 5000 + "top"
+    code, out, _ = run(capsys, "term", "depth", "--sig", data("bool_signature.json"), chain)
+    assert (code, out) == (0, "5001\n")
+
+
 def test_term_decompose(capsys):
     code, out, _ = run(
         capsys, "term", "decompose", "--sig", data("monoid_signature.json"), "mul mul e e e"
@@ -129,6 +135,11 @@ def test_eval_bad_label(capsys):
     )
     assert code == 2
     assert "carrier" in err
+
+
+def test_eval_deep_chain(capsys):
+    code, out, _ = run(capsys, "eval", "--alg", data("bool_algebra.json"), "neg " * 5000 + "top")
+    assert (code, out) == (0, "true\n")
 
 
 def test_eval_invalid_term_is_an_input_error(capsys):
@@ -327,3 +338,59 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "term", "check", "--sig", "/nonexistent.json", "e")
     assert code == 2
     assert err != ""
+
+
+# -- malformed input files -------------------------------------------------------
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def assert_input_error(code, out, err, needle):
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and needle in err
+
+
+def test_nested_arity_is_an_input_error(capsys, tmp_path):
+    sig = write(tmp_path, "sig.json", {
+        "sorts": ["u"],
+        "operations": [
+            {"name": "f", "arity": [["u"]], "sort": "u"},
+            {"name": "c", "arity": [], "sort": "u"},
+        ],
+    })
+    assert_input_error(*run(capsys, "term", "check", "--sig", sig, "f c"), "'arity'")
+
+
+def test_list_valued_label_is_an_input_error(capsys, tmp_path):
+    alg = write(tmp_path, "alg.json", {
+        "signature": {"sorts": ["u"], "operations": [{"name": "e", "arity": [], "sort": "u"}]},
+        "carriers": {"u": [["a"], "b"]},
+        "operations": {"e": [{"args": [], "result": "b"}]},
+    })
+    assert_input_error(*run(capsys, "eval", "--alg", alg, "e"), "carriers: 'u'")
+
+
+def test_string_carrier_is_an_input_error(capsys, tmp_path):
+    alg = write(tmp_path, "alg.json", {
+        "signature": {"sorts": ["u"], "operations": [{"name": "e", "arity": [], "sort": "u"}]},
+        "carriers": {"u": "ab"},
+        "operations": {"e": [{"args": [], "result": "a"}]},
+    })
+    assert_input_error(*run(capsys, "eval", "--alg", alg, "e"), "carriers: 'u'")
+
+
+def test_duplicate_equation_names_are_an_input_error(capsys, tmp_path):
+    eqs = write(tmp_path, "eqs.json", {
+        "variables": {"x": "u"},
+        "equations": [
+            {"name": "lid", "sort": "u", "lhs": "mul e x", "rhs": "x"},
+            {"name": "lid", "sort": "u", "lhs": "mul x e", "rhs": "x"},
+        ],
+    })
+    assert_input_error(
+        *run(capsys, "check-eqs", "--alg", data("monoid_sub3.json"), "--eqs", eqs),
+        "duplicate equation name",
+    )

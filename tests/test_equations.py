@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ualg.algebra import make_finite_algebra, unit_algebra
+from ualg.algebra import FiniteAlgebra, make_finite_algebra, unit_algebra
 from ualg.equations import (
+    EqVerdict,
     EquationError,
     Equation,
     free_vars,
@@ -18,6 +19,7 @@ from ualg.equations import (
 from ualg.examples import (
     additive_mod_algebra,
     bool_algebra,
+    list_fixture,
     monoid_eqspec,
     monoid_signature,
     monoid_varspec,
@@ -25,6 +27,8 @@ from ualg.examples import (
 )
 from ualg.free_algebra import FreeAlgebra, evaluate
 from ualg.term_vm import parse_term
+
+from oracle import oracle_eval, random_term
 
 MONOID = monoid_signature()
 
@@ -189,3 +193,64 @@ def test_holds_sampled_none_when_no_counterexample():
         holds_sampled(additive_mod_algebra(3), eq("lid", "mul e x", "x"), monoid_varspec())
         is None
     )
+
+
+# -- holds against a brute-force oracle ------------------------------------------
+
+def oracle_holds(algebra, equation, varspec):
+    """First failing assignment in lexicographic carrier order, found with
+    the parse-tree evaluator rather than ``evaluate``."""
+    names = [v for v in varspec.vars if v in equation.lhs.syms or v in equation.rhs.syms]
+    for combo in product(*(algebra.elements(varspec.sort_of(v)) for v in names)):
+        alpha = dict(zip(names, combo))
+        if oracle_eval(algebra, alpha, equation.lhs) != oracle_eval(algebra, alpha, equation.rhs):
+            return EqVerdict(False, alpha)
+    return EqVerdict(True)
+
+
+def random_equations(rng, vsig_, sort, count, max_depth):
+    for i in range(count):
+        lhs = random_term(rng, vsig_, sort, max_depth)
+        rhs = lhs if i % 5 == 0 else random_term(rng, vsig_, sort, max_depth)
+        yield Equation(f"r{i}", sort, lhs, rhs)
+
+
+def test_holds_matches_oracle_on_random_monoid_equations():
+    rng = random.Random(11)
+    vs = monoid_varspec()
+    failing = 0
+    for n in (1, 2, 3, 5):
+        for algebra in (additive_mod_algebra(n), subtraction_mod_algebra(n)):
+            for equation in random_equations(rng, vsig(), "u", 25, 4):
+                verdict = holds(algebra, equation, vs)
+                assert verdict == oracle_holds(algebra, equation, vs), equation
+                failing += not verdict.holds
+    assert failing > 20  # counterexamples were compared, not just verdicts
+
+
+def test_holds_matches_oracle_on_two_sorted_lists():
+    fix = list_fixture(("a", "b"), max_len=3)
+    rng = random.Random(12)
+    for sort in ("list", "elem"):
+        for equation in random_equations(rng, fix.free.vsig, sort, 40, 4):
+            assert holds(fix.algebra, equation, fix.varspec) == oracle_holds(
+                fix.algebra, equation, fix.varspec
+            ), equation
+
+
+def test_holds_maps_indices_back_to_unsorted_labels():
+    # carrier order is not label order, so an index/label mix-up shows
+    labels = ("3", "0", "4", "1", "2")
+    tables = {
+        "mul": {(a, b): str((int(a) - int(b)) % 5) for a in labels for b in labels},
+        "e": {(): "0"},
+    }
+    algebra = FiniteAlgebra(MONOID, {"u": labels}, tables)
+    vs = monoid_varspec()
+    verdict = holds(algebra, eq("lid", "mul e x", "x"), vs)
+    assert verdict.counterexample == {"x": "3"}
+    verdict = holds(algebra, eq("assoc", "mul mul x y z", "mul x mul y z"), vs)
+    assert verdict.counterexample == {"x": "3", "y": "3", "z": "3"}
+    rng = random.Random(13)
+    for equation in random_equations(rng, vsig(), "u", 40, 4):
+        assert holds(algebra, equation, vs) == oracle_holds(algebra, equation, vs), equation

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ualg.algebra import UNIT_ELEMENT, unit_algebra
+from ualg.algebra import UNIT_ELEMENT, AlgebraError, unit_algebra
 from ualg.examples import (
     additive_mod_algebra,
     bool_algebra,
@@ -86,6 +86,34 @@ def test_evaluate_missing_binding():
     free = monoid_free()
     with pytest.raises(MissingBindingError, match="'x'"):
         evaluate(additive_mod_algebra(3), {}, free.varterm("x"))
+
+
+def test_evaluate_deep_chain():
+    vsig = bool_free().vsig
+    assert evaluate(bool_algebra(), {}, parse_term(vsig, "neg " * 5000 + "top")) == "true"
+    assert evaluate(bool_algebra(), {}, parse_term(vsig, "neg " * 4999 + "top")) == "false"
+
+
+def test_missing_binding_names_the_leftmost_variable():
+    free = monoid_free()
+    algebra = additive_mod_algebra(3)
+    with pytest.raises(MissingBindingError, match="'y'"):
+        evaluate(algebra, {}, parse_term(free.vsig, "mul y x"))
+    with pytest.raises(MissingBindingError, match="'x'"):
+        evaluate(algebra, {"y": "1"}, parse_term(free.vsig, "mul mul y x z"))
+
+
+def test_bad_label_names_the_operation_the_fold_meets_first():
+    # the fold applies neg to x before impl to y; the machine runs
+    # right to left, so the error path must replay the fold's order
+    free = bool_free()
+    algebra = bool_algebra()
+    t = parse_term(free.vsig, "conj neg x impl y top")
+    with pytest.raises(AlgebraError, match="argument 0 of 'neg'"):
+        evaluate(algebra, {"x": "bad", "y": "bad", "z": "true"}, t)
+    # a bad label met before an unbound variable is reported first
+    with pytest.raises(AlgebraError, match="argument 0 of 'neg'"):
+        evaluate(algebra, {"x": "bad"}, parse_term(free.vsig, "conj neg x y"))
 
 
 @given(st.integers(0, 10**9))

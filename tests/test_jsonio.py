@@ -134,3 +134,51 @@ def test_malformed_documents_rejected():
         algebra_from_obj({"signature": signature_to_obj(monoid_signature())})
     with pytest.raises(FormatError):
         eqspec_from_obj(monoid_signature(), {"variables": {"x": "u"}})
+
+
+# -- leaf types and duplicates ---------------------------------------------------
+
+def monoid_algebra_obj(carrier):
+    return {
+        "signature": signature_to_obj(monoid_signature()),
+        "carriers": {"u": carrier},
+        "operations": {
+            "mul": [{"args": ["0", "0"], "result": "0"}],
+            "e": [{"args": [], "result": "0"}],
+        },
+    }
+
+
+def test_nested_arity_rejected():
+    obj = {"sorts": ["u"], "operations": [{"name": "f", "arity": [["u"]], "sort": "u"}]}
+    with pytest.raises(FormatError, match="'arity' must be a list of strings"):
+        signature_from_obj(obj)
+
+
+def test_list_valued_carrier_label_rejected():
+    assert algebra_from_obj(monoid_algebra_obj(["0"])) == additive_mod_algebra(1)
+    with pytest.raises(FormatError, match="list of strings"):
+        algebra_from_obj(monoid_algebra_obj([["0"], "1"]))
+
+
+def test_string_carrier_rejected():
+    # a string is not read as the list of its characters
+    with pytest.raises(FormatError, match="carriers: 'u' must be a list"):
+        algebra_from_obj(monoid_algebra_obj("0"))
+
+
+def test_non_string_variable_sort_rejected():
+    with pytest.raises(FormatError, match="'variables'"):
+        eqspec_from_obj(monoid_signature(), {"variables": {"x": ["u"]}, "equations": []})
+
+
+def test_non_string_map_image_rejected():
+    with pytest.raises(FormatError, match="maps\\['u'\\]"):
+        hom_maps_from_obj({"maps": {"u": {"0": ["0"]}}})
+
+
+def test_duplicate_equation_names_rejected():
+    obj = eqspec_to_obj(monoid_eqspec())
+    obj["equations"].append(dict(obj["equations"][0], rhs="mul x e"))
+    with pytest.raises(FormatError, match="duplicate equation name 'lid'"):
+        eqspec_from_obj(monoid_signature(), obj)

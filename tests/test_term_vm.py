@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ualg.examples import (
     additive_mod_algebra,
+    bool_algebra,
     bool_signature,
     list_signature,
     monoid_signature,
@@ -231,6 +232,30 @@ def test_unfolding_law_sampled_to_depth_five(seed):
         t = build_term(MONOID, nm, args)
         step = lambda nm, v, rec: z3.op(nm, *rec)
         assert term_fold(step, t) == step(nm, args, tuple(term_fold(step, a) for a in args))
+
+
+def test_term_fold_hands_step_its_argument_terms():
+    t = parse_term(MONOID, "mul mul e e e")
+    seen = []
+
+    def step(nm, v, rec):
+        seen.append((nm, tuple(a.text() for a in v)))
+        return len(seen)
+
+    term_fold(step, t)
+    # right to left: the last argument finishes first, the head last
+    assert seen == [("e", ()), ("e", ()), ("e", ()), ("mul", ("e", "e")), ("mul", ("mul e e", "e"))]
+
+
+def test_deep_chain_needs_no_recursion():
+    # far beyond the interpreter's recursion limit
+    t = parse_term(BOOL, "neg " * 5000 + "top")
+    assert depth(t) == 5001
+    assert term_fold(lambda nm, v, rec: 1 + sum(rec), t) == 5001
+    algebra = bool_algebra()
+    assert term_fold(lambda nm, v, rec: algebra.op(nm, *rec), t) == "true"
+    nm, (arg,) = term_decompose(t)
+    assert (nm, len(arg.syms)) == ("neg", 5000)
 
 
 @given(st.integers(0, 10**9))
