@@ -29,13 +29,13 @@ def main() -> None:
     dump_json(signature_to_obj(ex.bool_signature()), DATA / "bool_signature.json")
     dump_json(algebra_to_obj(ex.bool_algebra()), DATA / "bool_algebra.json")
     free = ex.bool_free()
-    from ualg.equations import Equation, make_eqspec
+    from ualg.equations import EqSpec, Equation
     from ualg.term_vm import parse_term
 
-    eqs = make_eqspec(
+    eqs = EqSpec(
         ex.bool_signature(),
         ex.bool_varspec(),
-        [
+        (
             Equation(
                 "dummett",
                 "u",
@@ -48,7 +48,7 @@ def main() -> None:
                 parse_term(free.vsig, "disj x neg x"),
                 parse_term(free.vsig, "top"),
             ),
-        ],
+        ),
     )
     dump_json(eqspec_to_obj(eqs), DATA / "bool_equations.json")
 

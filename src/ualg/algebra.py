@@ -224,15 +224,6 @@ def run_program(program: Program, env: Sequence[int]) -> int:
     return stack[-1]
 
 
-def make_finite_algebra(
-    signature: Signature,
-    carriers: Mapping[SortId, Sequence[str]],
-    tables: Mapping[OpId, Mapping[Sequence[str], str]],
-) -> FiniteAlgebra:
-    """Table-driven finite algebra; rejects non-total or ill-sorted tables."""
-    return FiniteAlgebra(signature, carriers, tables)
-
-
 def unit_algebra(sig: Signature) -> FiniteAlgebra:
     """The one-point algebra: singleton carriers, every operation forced."""
     carriers = {s: (UNIT_ELEMENT,) for s in sig.sorts}

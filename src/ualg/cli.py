@@ -29,88 +29,57 @@ from .jsonio import (
     load_hom_maps,
     load_signature,
     resolve_assignment,
+    resolve_hom_maps,
     varspec_from_obj,
 )
 from .signature import make_varspec, vsignature
 from .term_vm import (
     TermError,
+    UnknownSymbolError,
     depth,
-    explain_oplist,
     parse_term,
     term_decompose,
     term_from_syms,
 )
 
 
-def _check_symbols(sig, syms):
-    for nm in syms:
-        if not sig.is_op(nm):
-            raise TermError(f"unknown symbol {nm!r}")
-
-
-def cmd_term_check(args) -> int:
-    sig = load_signature(args.sig)
-    syms = args.term.split()
-    _check_symbols(sig, syms)
-    rep = explain_oplist(sig, syms)
-    if rep.stack is None:
-        print(f"{rep.reason} at symbol {rep.failed_at}")
+def _show_check(args, t) -> int:
+    if args.sort is not None and t.sort != args.sort:
+        print(f"sort mismatch: got {t.sort}, expected {args.sort}")
         return 1
-    if len(rep.stack) != 1:
-        print("residual stack [" + ", ".join(rep.stack) + "]")
-        return 1
-    sort = rep.stack[0]
-    if args.sort is not None and sort != args.sort:
-        print(f"sort mismatch: got {sort}, expected {args.sort}")
-        return 1
-    print(f"sort: {sort}")
+    print(f"sort: {t.sort}")
     return 0
 
 
-def cmd_term_sort(args) -> int:
-    sig = load_signature(args.sig)
-    syms = args.term.split()
-    _check_symbols(sig, syms)
-    rep = explain_oplist(sig, syms)
-    if rep.stack is None:
-        print(f"{rep.reason} at symbol {rep.failed_at}")
-        return 1
-    if len(rep.stack) != 1:
-        print("residual stack [" + ", ".join(rep.stack) + "]")
-        return 1
-    print(rep.stack[0])
-    return 0
-
-
-def _parse_or_report(sig, text):
-    syms = text.split()
-    _check_symbols(sig, syms)
-    try:
-        return term_from_syms(sig, syms), 0
-    except TermError as err:
-        print(err)
-        return None, 1
-
-
-def cmd_term_depth(args) -> int:
-    sig = load_signature(args.sig)
-    t, status = _parse_or_report(sig, args.term)
-    if t is None:
-        return status
-    print(depth(t))
-    return 0
-
-
-def cmd_term_decompose(args) -> int:
-    sig = load_signature(args.sig)
-    t, status = _parse_or_report(sig, args.term)
-    if t is None:
-        return status
+def _show_decompose(args, t) -> None:
     nm, subterms = term_decompose(t)
     print(f"princop: {nm}")
     for i, sub in enumerate(subterms, start=1):
         print(f"arg {i}: {sub.text()}")
-    return 0
+
+
+# What each ``term`` subcommand prints for a valid term; a show returns
+# its exit code, or None for 0.
+TERM_SHOWS = {
+    "check": _show_check,
+    "sort": lambda args, t: print(t.sort),
+    "depth": lambda args, t: print(depth(t)),
+    "decompose": _show_decompose,
+}
+
+
+def cmd_term(args) -> int:
+    """Validate the term once; an ill-formed one prints its diagnostic
+    and exits 1, an unknown symbol is an input error."""
+    sig = load_signature(args.sig)
+    try:
+        t = term_from_syms(sig, args.term.split())
+    except UnknownSymbolError:
+        raise
+    except TermError as err:
+        print(err)
+        return 1
+    return TERM_SHOWS[args.term_command](args, t) or 0
 
 
 def _parse_assign_flag(flag: str | None) -> dict[str, str]:
@@ -146,26 +115,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_check_eqs(args) -> int:
-    algebra = load_algebra(args.alg)
-    spec = load_eqspec(args.eqs, algebra.signature)
-    all_hold = True
+def _report_equations(algebra, spec) -> int:
+    """One HOLDS/FAILS line per equation; 0 when all hold, else 1."""
+    status = 0
     for eq in spec.equations:
         verdict = holds(algebra, eq, spec.varspec)
         if verdict.holds:
             print(f"{eq.name}: HOLDS")
         else:
-            all_hold = False
+            status = 1
             cex = verdict.counterexample
             rendered = ", ".join(f"{v}={cex[v]}" for v in spec.varspec.vars if v in cex)
             print(f"{eq.name}: FAILS ({rendered})")
-    return 0 if all_hold else 1
+    return status
+
+
+def cmd_check_eqs(args) -> int:
+    algebra = load_algebra(args.alg)
+    return _report_equations(algebra, load_eqspec(args.eqs, algebra.signature))
 
 
 def cmd_check_hom(args) -> int:
     src = load_algebra(args.src)
     dst = load_algebra(args.dst)
-    maps = load_hom_maps(args.map)
+    maps = resolve_hom_maps(src, dst, load_hom_maps(args.map))
     verdict = check_hom(maps, src, dst)
     if verdict.ok:
         print("OK")
@@ -196,24 +169,11 @@ def _example_list() -> None:
     print(f"arity of cons: {arity} -> {fix.signature.sort_of('cons')}")
 
 
-def _print_eq_report(label: str, algebra, spec) -> None:
-    print(label)
-    for eq in spec.equations:
-        verdict = holds(algebra, eq, spec.varspec)
-        if verdict.holds:
-            print(f"{eq.name}: HOLDS")
-        else:
-            cex = verdict.counterexample
-            rendered = ", ".join(f"{v}={cex[v]}" for v in spec.varspec.vars if v in cex)
-            print(f"{eq.name}: FAILS ({rendered})")
-
-
 def _example_monoid() -> None:
     spec, algebra, _ = ex.monoid_fixture(3)
-    _print_eq_report("monoid equations on (Z mod 3, +, 0)", algebra, spec)
-    _print_eq_report(
-        "monoid equations on (Z mod 3, -, 0)", ex.subtraction_mod_algebra(3), spec
-    )
+    for name, alg in (("+", algebra), ("-", ex.subtraction_mod_algebra(3))):
+        print(f"monoid equations on (Z mod 3, {name}, 0)")
+        _report_equations(alg, spec)
 
 
 def _example_bool() -> None:
@@ -248,18 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     term = sub.add_parser("term", help="validate and inspect terms")
     term_sub = term.add_subparsers(dest="term_command", required=True)
-    for name, handler, extra_sort in (
-        ("check", cmd_term_check, True),
-        ("sort", cmd_term_sort, False),
-        ("depth", cmd_term_depth, False),
-        ("decompose", cmd_term_decompose, False),
-    ):
+    for name in TERM_SHOWS:
         p = term_sub.add_parser(name)
         p.add_argument("--sig", required=True, help="signature JSON file")
-        if extra_sort:
+        if name == "check":
             p.add_argument("--sort", help="expected sort")
         p.add_argument("term", help="whitespace-separated symbol sequence")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_term)
 
     p = sub.add_parser("eval", help="evaluate a term in a finite algebra")
     p.add_argument("--alg", required=True, help="algebra JSON file")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from .algebra import Algebra, FiniteAlgebra, run_program
 from .free_algebra import evaluate
@@ -66,10 +66,6 @@ class EqSpec:
                 raise EquationError(
                     f"equation {eq.name!r} is not over this signature and variable set"
                 )
-
-
-def make_eqspec(sig: Signature, varspec: VarSpec, equations: Iterable[Equation]) -> EqSpec:
-    return EqSpec(sig, varspec, tuple(equations))
 
 
 def free_vars(t: Term, varspec: VarSpec) -> set[VarId]:

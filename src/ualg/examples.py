@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraError, FiniteAlgebra, make_finite_algebra
-from .equations import EqReport, EqSpec, Equation, is_eqalgebra, make_eqspec
+from .algebra import AlgebraError, FiniteAlgebra
+from .equations import EqReport, EqSpec, Equation, is_eqalgebra
 from .free_algebra import FreeAlgebra, evaluate
 from .signature import (
     Signature,
@@ -65,7 +65,7 @@ def list_signature_and_algebra(
                 LIST_OVERFLOW if len(t) == max_len else _list_label((x,) + t)
             )
     tables = {"nil": {(): _list_label(())}, "cons": cons_table}
-    return sig, make_finite_algebra(sig, carriers, tables)
+    return sig, FiniteAlgebra(sig, carriers, tables)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _mod_algebra(n: int, combine) -> FiniteAlgebra:
     labels = tuple(str(i) for i in range(n))
     mul = {(a, b): str(combine(int(a), int(b)) % n) for a in labels for b in labels}
     tables = {"mul": mul, "e": {(): "0"}}
-    return make_finite_algebra(sig, {"u": labels}, tables)
+    return FiniteAlgebra(sig, {"u": labels}, tables)
 
 
 def additive_mod_algebra(n: int) -> FiniteAlgebra:
@@ -138,14 +138,14 @@ def monoid_eqspec() -> EqSpec:
     eq = lambda name, lhs, rhs: Equation(
         name, "u", parse_term(free.vsig, lhs), parse_term(free.vsig, rhs)
     )
-    return make_eqspec(
+    return EqSpec(
         sig,
         varspec,
-        [
+        (
             eq("lid", "mul e x", "x"),
             eq("rid", "mul x e", "x"),
             eq("assoc", "mul mul x y z", "mul x mul y z"),
-        ],
+        ),
     )
 
 
@@ -189,7 +189,7 @@ def bool_algebra() -> FiniteAlgebra:
             args: to_label[fn(*(from_label[x] for x in args))]
             for args in product(labels, repeat=k)
         }
-    return make_finite_algebra(sig, {"u": labels}, tables)
+    return FiniteAlgebra(sig, {"u": labels}, tables)
 
 
 def bool_varspec() -> VarSpec:

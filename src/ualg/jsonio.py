@@ -16,8 +16,8 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Mapping
 
-from .algebra import FiniteAlgebra, make_finite_algebra
-from .equations import EqSpec, Equation, make_eqspec
+from .algebra import FiniteAlgebra
+from .equations import EqSpec, Equation
 from .signature import Signature, VarSpec, make_signature, make_varspec, vsignature
 from .term_vm import parse_term
 
@@ -99,7 +99,7 @@ def algebra_from_obj(obj: Any) -> FiniteAlgebra:
             result = _expect(row, "result", str, f"table row of {nm!r}")
             table[tuple(args)] = result
         tables[nm] = table
-    return make_finite_algebra(sig, carriers, tables)
+    return FiniteAlgebra(sig, carriers, tables)
 
 
 def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
@@ -152,7 +152,7 @@ def eqspec_from_obj(sig: Signature, obj: Any) -> EqSpec:
         lhs = _expect(entry, "lhs", str, f"equation {name!r}")
         rhs = _expect(entry, "rhs", str, f"equation {name!r}")
         equations.append(Equation(name, sort, parse_term(vsig, lhs), parse_term(vsig, rhs)))
-    return make_eqspec(sig, varspec, equations)
+    return EqSpec(sig, varspec, tuple(equations))
 
 
 def eqspec_to_obj(spec: EqSpec) -> dict:
@@ -209,3 +209,18 @@ def hom_maps_from_obj(obj: Any) -> dict[str, dict[str, str]]:
 
 def load_hom_maps(path: str | Path) -> dict[str, dict[str, str]]:
     return hom_maps_from_obj(load_json(path))
+
+
+def resolve_hom_maps(
+    src: FiniteAlgebra, dst: FiniteAlgebra, maps: Mapping[str, Mapping[str, str]]
+) -> Mapping[str, Mapping[str, str]]:
+    """Check the label maps of the signature's sorts: every key must be in
+    the source carrier and every image in the target carrier of its sort."""
+    for sort in src.signature.sorts:
+        keys, images = set(src.elements(sort)), set(dst.elements(sort))
+        for x, y in maps.get(sort, {}).items():
+            if x not in keys:
+                raise FormatError(f"maps[{sort!r}]: {x!r} is not in the source carrier")
+            if y not in images:
+                raise FormatError(f"maps[{sort!r}]: image {y!r} of {x!r} is not in the target carrier")
+    return maps

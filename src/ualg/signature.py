@@ -43,7 +43,9 @@ class Signature:
         return {nm: len(self.arities[i]) for i, nm in enumerate(self.ops)}
 
     @cached_property
-    def _decl(self) -> dict[OpId, tuple[tuple[SortId, ...], SortId]]:
+    def decl(self) -> dict[OpId, tuple[tuple[SortId, ...], SortId]]:
+        """The (arity, result sort) of each operation: what a machine step
+        pops and pushes."""
         return {nm: (self.arities[i], self.results[i]) for i, nm in enumerate(self.ops)}
 
     @cached_property
@@ -54,17 +56,17 @@ class Signature:
         return s in self._sort_set
 
     def is_op(self, nm: OpId) -> bool:
-        return nm in self._decl
+        return nm in self.decl
 
     def arity_of(self, nm: OpId) -> tuple[SortId, ...]:
         try:
-            return self._decl[nm][0]
+            return self.decl[nm][0]
         except KeyError:
             raise SignatureError(f"unknown operation {nm!r}") from None
 
     def sort_of(self, nm: OpId) -> SortId:
         try:
-            return self._decl[nm][1]
+            return self.decl[nm][1]
         except KeyError:
             raise SignatureError(f"unknown operation {nm!r}") from None
 
@@ -77,11 +79,6 @@ class Signature:
     @cached_property
     def _op_index(self) -> dict[OpId, int]:
         return {nm: i for i, nm in enumerate(self.ops)}
-
-    def declaration(self, nm: OpId) -> tuple[tuple[SortId, ...], SortId]:
-        """The (arity, result sort) pair declared for ``nm``."""
-        self.arity_of(nm)
-        return self._decl[nm]
 
     def __repr__(self) -> str:
         return f"Signature(sorts={list(self.sorts)}, ops={list(self.ops)})"

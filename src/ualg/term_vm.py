@@ -4,8 +4,16 @@ A sequence of operation symbols is read as instructions executed from the
 last symbol to the first: executing a symbol pops its argument sorts off
 the top of a stack of sorts and pushes its result sort.  A sequence is a
 term exactly when the run never underflows or meets a wrong sort and
-finishes with a single sort on the stack.  Failure is absorbing: once the
-stack is in the error state it stays there whatever executes next.
+finishes with a single sort on the stack.
+
+``oplistexec`` is that machine, and the only one that checks sorts: one
+pass, last symbol first, over a list used as the stack.  It returns an
+``ExecReport`` holding either the final stack or the execution-order
+position and the reason of the first failure (an unknown symbol, a stack
+underflow or a sort mismatch); a run stops at its first failure, so the
+failure absorbs whatever would execute after it.  ``ExecReport.error`` is
+the one place where a diagnostic is rendered, and ``term_from_syms``
+runs the machine once per sequence.
 
 Validated terms carry their result sort; construction through
 ``build_term`` preserves validity without re-running the machine.
@@ -22,106 +30,77 @@ the inverse of ``build_term``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .signature import OpId, Signature, SortId
 
 R = TypeVar("R")
-
-# A sort stack is a tuple with the top at index 0; None is the absorbed
-# error state.
-SortStack = Optional[tuple[SortId, ...]]
 
 
 class TermError(ValueError):
     """Raised when a symbol sequence is not a well-formed term."""
 
 
-def prefix_remove(
-    prefix: Sequence[SortId], stack: Sequence[SortId]
-) -> Optional[tuple[SortId, ...]]:
-    """Remainder of ``stack`` after removing ``prefix`` element-wise from
-    the top; None when the stack is too short or the sorts disagree."""
-    n = len(prefix)
-    if len(stack) < n:
-        return None
-    if tuple(stack[:n]) != tuple(prefix):
-        return None
-    return tuple(stack[n:])
+class UnknownSymbolError(TermError):
+    """Raised when a symbol sequence names an operation the signature lacks."""
 
 
-def opexec(sig: Signature, nm: OpId, stack: SortStack) -> SortStack:
-    """One machine step: pop the arity of ``nm``, push its result sort."""
-    if stack is None:
+class ExecReport(NamedTuple):
+    """Outcome of one machine run.
+
+    ``stack`` is the final sort stack, top first, or None when the run
+    failed; then ``failed_at`` is the position of the failing symbol in
+    execution order (0 for the last symbol of the sequence) and
+    ``reason`` says why.
+    """
+
+    stack: Optional[tuple[SortId, ...]]
+    failed_at: Optional[int] = None
+    reason: Optional[str] = None
+
+    @property
+    def sort(self) -> Optional[SortId]:
+        """The single sort left by a run that encodes a term, else None."""
+        stack = self.stack
+        return stack[0] if stack is not None and len(stack) == 1 else None
+
+    def error(self) -> Optional[str]:
+        """Diagnostic for a run that does not encode a term; None when it does."""
+        if self.stack is None:
+            return f"{self.reason} at symbol {self.failed_at}"
+        if len(self.stack) != 1:
+            return "residual stack [" + ", ".join(self.stack) + "]"
         return None
-    rest = prefix_remove(sig.arity_of(nm), stack)
-    if rest is None:
-        return None
-    return (sig.sort_of(nm),) + rest
 
 
-def oplistexec(sig: Signature, syms: Sequence[OpId], stack: SortStack = ()) -> SortStack:
-    """Run the whole sequence, last symbol first, from ``stack``.
+def oplistexec(sig: Signature, syms: Sequence[OpId], stack: Sequence[SortId] = ()) -> ExecReport:
+    """Run the whole sequence, last symbol first, from ``stack`` (top first).
 
     Splitting a sequence splits the run: executing ``l1 + l2`` from ``s``
-    equals executing ``l1`` from the result of ``l2`` on ``s``.
+    equals executing ``l1`` from the stack that ``l2`` leaves on ``s``,
+    with a failure inside ``l1`` counted ``len(l2)`` positions later.
     """
-    for nm in reversed(syms):
-        stack = opexec(sig, nm, stack)
-        if stack is None:
-            return None
-    return stack
+    decl = sig.decl
+    st = list(reversed(stack))  # top last
+    push, pop = st.append, st.pop
+    for k, nm in enumerate(reversed(syms)):
+        try:
+            arity, res = decl[nm]
+        except KeyError:
+            return ExecReport(None, k, "unknown symbol")
+        if len(st) < len(arity):
+            return ExecReport(None, k, "stack underflow")
+        for want in arity:
+            if pop() != want:
+                return ExecReport(None, k, "sort mismatch")
+        push(res)
+    return ExecReport(tuple(reversed(st)))
 
 
 def infer_sort(sig: Signature, syms: Sequence[OpId]) -> Optional[SortId]:
     """The sort of the term encoded by ``syms``, or None when the run
     fails or leaves anything but a single sort."""
-    stack = oplistexec(sig, syms)
-    if stack is not None and len(stack) == 1:
-        return stack[0]
-    return None
-
-
-def is_term(sig: Signature, sort: SortId, syms: Sequence[OpId]) -> bool:
-    return infer_sort(sig, syms) == sort
-
-
-@dataclass(frozen=True)
-class ExecReport:
-    """Outcome of a run with the failure position recovered.
-
-    ``failed_at`` counts symbols from the end of the sequence, i.e. in
-    execution order, which the error-absorbing run itself forgets.
-    """
-
-    stack: SortStack
-    failed_at: int | None = None
-    reason: str | None = None
-
-
-def explain_oplist(sig: Signature, syms: Sequence[OpId]) -> ExecReport:
-    """Like ``oplistexec`` but reports where and why a run failed."""
-    stack: tuple[SortId, ...] = ()
-    for k, nm in enumerate(reversed(syms)):
-        arity = sig.arity_of(nm)
-        n = len(arity)
-        if len(stack) < n:
-            return ExecReport(None, k, "stack underflow")
-        if stack[:n] != arity:
-            return ExecReport(None, k, "sort mismatch")
-        stack = (sig.sort_of(nm),) + stack[n:]
-    return ExecReport(stack)
-
-
-def failure_message(sig: Signature, syms: Sequence[OpId]) -> Optional[str]:
-    """Human-readable diagnostic for a sequence that is not a term, or
-    None when it is one."""
-    rep = explain_oplist(sig, syms)
-    if rep.stack is None:
-        return f"{rep.reason} at symbol {rep.failed_at}"
-    if len(rep.stack) != 1:
-        return "residual stack [" + ", ".join(rep.stack) + "]"
-    return None
+    return oplistexec(sig, syms).sort
 
 
 @dataclass(frozen=True)
@@ -143,14 +122,19 @@ class Term:
 
 
 def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
-    """Validate a raw symbol sequence and package it as a term."""
+    """Validate a raw symbol sequence and package it as a term.
+
+    A sequence with an unknown symbol is rejected for the leftmost one,
+    whatever the run met first.
+    """
     syms = tuple(syms)
-    for nm in syms:
-        if not sig.is_op(nm):
-            raise TermError(f"unknown symbol {nm!r}")
-    sort = infer_sort(sig, syms)
+    rep = oplistexec(sig, syms)
+    sort = rep.sort
     if sort is None:
-        raise TermError(failure_message(sig, syms))
+        for nm in syms:
+            if not sig.is_op(nm):
+                raise UnknownSymbolError(f"unknown symbol {nm!r}")
+        raise TermError(rep.error())
     return Term(sig, syms, sort)
 
 

@@ -4,7 +4,9 @@ The parser here reads a symbol sequence top-down, left to right, by
 recursive descent on arities: the opposite traversal order and a
 different data structure (a parse tree, no sort stack) from the
 right-to-left machine under test.  It was written first and its outputs
-are what the tests freeze as expected values.
+are what the tests freeze as expected values.  Nothing here runs the
+machine: ``Term`` and ``build_term`` only package the terms that
+``random_term`` draws.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from typing import Optional
 
 from ualg.signature import Signature, SortId
-from ualg.term_vm import Term, build_term, oplistexec
+from ualg.term_vm import Term, build_term
 
 
 def descend(sig: Signature, syms: tuple[str, ...], i: int) -> Optional[tuple[SortId, int]]:
@@ -77,10 +79,10 @@ def oracle_eval(algebra, assignment, t: Term):
 
 
 def brute_shortest_term_prefix(sig: Signature, syms, start: int, want: SortId) -> Optional[int]:
-    """Smallest end such that syms[start:end] executes to exactly [want],
-    found by re-running the machine on every candidate prefix."""
+    """Smallest end such that syms[start:end] is a term of sort ``want``,
+    found by parsing every candidate prefix with the descent parser."""
     for end in range(start + 1, len(syms) + 1):
-        if oplistexec(sig, syms[start:end]) == (want,):
+        if oracle_infer_sort(sig, syms[start:end]) == want:
             return end
     return None
 

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from ualg.algebra import (
     Algebra,
     AlgebraError,
+    FiniteAlgebra,
     UNIT_ELEMENT,
     check_hom,
     compose_hom,
     hom_to_unit,
-    make_finite_algebra,
     unit_algebra,
 )
 from ualg.examples import additive_mod_algebra, bool_algebra, monoid_signature
@@ -57,7 +57,7 @@ def test_finite_algebra_z3():
 
 def test_finite_algebra_forced_by_singletons():
     sig = MONOID
-    alg = make_finite_algebra(sig, {"u": ["p"]}, {"mul": {("p", "p"): "p"}, "e": {(): "p"}})
+    alg = FiniteAlgebra(sig, {"u": ["p"]}, {"mul": {("p", "p"): "p"}, "e": {(): "p"}})
     assert alg.op("mul", "p", "p") == "p"
     assert alg == unit_algebra(sig) or alg.carriers["u"] == ("p",)
 
@@ -65,7 +65,7 @@ def test_finite_algebra_forced_by_singletons():
 def test_finite_algebra_rejects_non_total_table():
     sig = MONOID
     with pytest.raises(AlgebraError, match="not total"):
-        make_finite_algebra(
+        FiniteAlgebra(
             sig,
             {"u": ["0", "1"]},
             {"mul": {("0", "0"): "0"}, "e": {(): "0"}},
@@ -74,27 +74,27 @@ def test_finite_algebra_rejects_non_total_table():
 
 def test_finite_algebra_rejects_alien_result():
     with pytest.raises(AlgebraError, match="not in the carrier"):
-        make_finite_algebra(MONOID, {"u": ["0"]}, {"mul": {("0", "0"): "9"}, "e": {(): "0"}})
+        FiniteAlgebra(MONOID, {"u": ["0"]}, {"mul": {("0", "0"): "9"}, "e": {(): "0"}})
 
 
 def test_finite_algebra_rejects_unknown_op_and_missing_table():
     with pytest.raises(AlgebraError, match="unknown operations"):
-        make_finite_algebra(
+        FiniteAlgebra(
             MONOID,
             {"u": ["0"]},
             {"mul": {("0", "0"): "0"}, "e": {(): "0"}, "extra": {(): "0"}},
         )
     with pytest.raises(AlgebraError, match="no table"):
-        make_finite_algebra(MONOID, {"u": ["0"]}, {"mul": {("0", "0"): "0"}})
+        FiniteAlgebra(MONOID, {"u": ["0"]}, {"mul": {("0", "0"): "0"}})
 
 
 def test_finite_algebra_rejects_bad_arguments():
     with pytest.raises(AlgebraError, match="carrier"):
-        make_finite_algebra(MONOID, {"u": ["0"]}, {"mul": {("0", "x"): "0"}, "e": {(): "0"}})
+        FiniteAlgebra(MONOID, {"u": ["0"]}, {"mul": {("0", "x"): "0"}, "e": {(): "0"}})
     with pytest.raises(AlgebraError, match="no carrier"):
-        make_finite_algebra(MONOID, {}, {"mul": {}, "e": {}})
+        FiniteAlgebra(MONOID, {}, {"mul": {}, "e": {}})
     with pytest.raises(AlgebraError, match="duplicate labels"):
-        make_finite_algebra(MONOID, {"u": ["0", "0"]}, {"mul": {("0", "0"): "0"}, "e": {(): "0"}})
+        FiniteAlgebra(MONOID, {"u": ["0", "0"]}, {"mul": {("0", "0"): "0"}, "e": {(): "0"}})
 
 
 def test_unit_algebra_shapes():

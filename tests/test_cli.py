@@ -1,12 +1,19 @@
 """Golden-file tests for the command line interface: byte-exact output
 and the 0/1/2 exit code contract."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ualg.cli import main
+from ualg.jsonio import load_signature
+
+from oracle import oracle_infer_sort
 
 
 def data(name):
@@ -80,6 +87,13 @@ def test_term_depth_deep_chain(capsys):
     assert (code, out) == (0, "5001\n")
 
 
+def test_term_check_left_nested_deep_term(capsys):
+    # the sort stack grows with the term, unlike a unary chain
+    term = "mul " * 20000 + "e " * 20001
+    code, out, _ = run(capsys, "term", "check", "--sig", data("monoid_signature.json"), term)
+    assert (code, out) == (0, "sort: u\n")
+
+
 def test_term_decompose(capsys):
     code, out, _ = run(
         capsys, "term", "decompose", "--sig", data("monoid_signature.json"), "mul mul e e e"
@@ -90,6 +104,37 @@ def test_term_decompose(capsys):
 def test_term_decompose_nullary(capsys):
     code, out, _ = run(capsys, "term", "decompose", "--sig", data("monoid_signature.json"), "e")
     assert (code, out) == (0, "princop: e\n")
+
+
+UNKNOWN = "foo"
+FUZZ_SIGS = ("monoid_signature.json", "bool_signature.json", "list_signature.json")
+
+
+@st.composite
+def symbol_strings(draw):
+    name = draw(st.sampled_from(FUZZ_SIGS))
+    sig = load_signature(data(name))
+    syms = draw(st.lists(st.sampled_from(sig.ops + (UNKNOWN,)), max_size=12))
+    return name, sig, syms
+
+
+@pytest.mark.parametrize("command", ["check", "sort", "depth", "decompose"])
+@given(case=symbol_strings())
+@settings(max_examples=150, deadline=None)
+def test_term_subcommands_exit_contract(command, case):
+    name, sig, syms = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["term", command, "--sig", data(name), " ".join(syms)])
+    if UNKNOWN in syms:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"error: unknown symbol {UNKNOWN!r}\n"
+        return
+    assert err.getvalue() == ""
+    sort = oracle_infer_sort(sig, syms)
+    assert code == (1 if sort is None else 0)
+    if command == "sort" and sort is not None:
+        assert out.getvalue() == sort + "\n"
 
 
 # -- eval -------------------------------------------------------------------
@@ -225,6 +270,46 @@ def test_check_hom_counterexample(capsys, tmp_path):
         "--map", str(path),
     )
     assert (code, out) == (1, "counterexample: mul(1, 2)\n")
+
+
+def test_check_hom_image_outside_target_carrier(capsys, tmp_path):
+    # rejected before any operation is checked, whichever operation the
+    # bad image would first reach
+    path = tmp_path / "bad_image.json"
+    path.write_text(json.dumps({"maps": {"u": {"false": "nope", "true": "true"}}}))
+    code, out, err = run(
+        capsys,
+        "check-hom",
+        "--src", data("bool_algebra.json"),
+        "--dst", data("bool_algebra.json"),
+        "--map", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: maps['u']: image 'nope' of 'false' is not in the target carrier\n"
+    path.write_text(json.dumps({"maps": {"u": {"0": "0", "1": "1", "2": "0", "3": "nope"}}}))
+    code, out, err = run(
+        capsys,
+        "check-hom",
+        "--src", data("monoid_z4.json"),
+        "--dst", data("monoid_z2.json"),
+        "--map", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: maps['u']: image 'nope' of '3' is not in the target carrier\n"
+
+
+def test_check_hom_key_outside_source_carrier(capsys, tmp_path):
+    path = tmp_path / "bad_key.json"
+    path.write_text(json.dumps({"maps": {"u": {"0": "0", "1": "1", "2": "0", "3": "1", "7": "0"}}}))
+    code, out, err = run(
+        capsys,
+        "check-hom",
+        "--src", data("monoid_z4.json"),
+        "--dst", data("monoid_z2.json"),
+        "--map", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: maps['u']: '7' is not in the source carrier\n"
 
 
 def test_check_hom_incomplete_map(capsys, tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ualg.algebra import FiniteAlgebra, make_finite_algebra, unit_algebra
+from ualg.algebra import FiniteAlgebra, unit_algebra
 from ualg.equations import (
+    EqSpec,
     EqVerdict,
     EquationError,
     Equation,
@@ -14,7 +15,6 @@ from ualg.equations import (
     holds,
     holds_sampled,
     is_eqalgebra,
-    make_eqspec,
 )
 from ualg.examples import (
     additive_mod_algebra,
@@ -58,7 +58,7 @@ def test_equation_rejects_sort_mismatch():
 def test_eqspec_rejects_foreign_terms():
     other = parse_term(MONOID, "e")  # over the bare signature, not the extended one
     with pytest.raises(EquationError):
-        make_eqspec(MONOID, monoid_varspec(), [Equation("bad", "u", other, other)])
+        EqSpec(MONOID, monoid_varspec(), (Equation("bad", "u", other, other),))
 
 
 def test_holds_left_identity_z3():
@@ -168,7 +168,7 @@ def test_is_eqalgebra_bool_conjunction_monoid():
         "mul": {(a, b): ("true" if a == b == "true" else "false") for a in labels for b in labels},
         "e": {(): "true"},
     }
-    algebra = make_finite_algebra(MONOID, {"u": labels}, tables)
+    algebra = FiniteAlgebra(MONOID, {"u": labels}, tables)
     report = is_eqalgebra(algebra, monoid_eqspec())
     assert report.ok
 

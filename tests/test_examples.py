@@ -118,7 +118,7 @@ def test_ground_implication():
 
 def test_bool_is_a_monoid_under_conjunction():
     # with (conj, top) as (mul, e); checked through the monoid equations
-    from ualg.algebra import make_finite_algebra
+    from ualg.algebra import FiniteAlgebra
     from ualg.examples import monoid_signature
 
     alg = bool_algebra()
@@ -126,7 +126,7 @@ def test_bool_is_a_monoid_under_conjunction():
         "mul": {key: alg.tables["conj"][key] for key in alg.tables["conj"]},
         "e": {(): "true"},
     }
-    monoid_bool = make_finite_algebra(
+    monoid_bool = FiniteAlgebra(
         monoid_signature(), {"u": ("false", "true")}, tables
     )
     assert is_eqalgebra(monoid_bool, monoid_eqspec()).ok

@@ -11,20 +11,18 @@ from ualg.examples import (
     list_signature,
     monoid_signature,
 )
-from ualg.signature import make_varspec, vsignature
+from ualg.free_algebra import evaluate
+from ualg.signature import make_signature, make_varspec, vsignature
 from ualg.term_vm import (
+    ExecReport,
     Term,
     TermError,
+    UnknownSymbolError,
     build_term,
     depth,
-    explain_oplist,
-    failure_message,
     infer_sort,
-    is_term,
-    opexec,
     oplistexec,
     parse_term,
-    prefix_remove,
     term_decompose,
     term_fold,
     term_from_syms,
@@ -43,76 +41,108 @@ def list_vsig():
 
 # -- machine steps -------------------------------------------------------
 
+def one_symbol_run(arity, stack):
+    # a run of one symbol f : arity -> w from the given stack (top first)
+    sig = make_signature(("u", "v", "w"), [("f", arity, "w")])
+    return oplistexec(sig, ["f"], tuple(stack))
+
+
 def test_prefix_remove_examples():
-    assert prefix_remove(["u", "u"], ["u", "u", "u"]) == ("u",)
-    assert prefix_remove([], ["u", "v"]) == ("u", "v")
-    assert prefix_remove([], []) == ()
-    assert prefix_remove(["u", "u"], ["u"]) is None
-    assert prefix_remove(["v"], ["u"]) is None
-
-
-@given(st.lists(st.sampled_from("uvw")), st.lists(st.sampled_from("uvw")))
-def test_prefix_remove_of_own_prefix(prefix, rest):
-    assert prefix_remove(prefix, tuple(prefix) + tuple(rest)) == tuple(rest)
+    # the symbol pops its arity off the top of the stack, or fails
+    assert one_symbol_run(["u", "u"], ["u", "u", "u"]) == ExecReport(("w", "u"))
+    assert one_symbol_run([], ["u", "v"]) == ExecReport(("w", "u", "v"))
+    assert one_symbol_run([], []) == ExecReport(("w",))
+    assert one_symbol_run(["u", "u"], ["u"]) == ExecReport(None, 0, "stack underflow")
+    assert one_symbol_run(["v"], ["u"]) == ExecReport(None, 0, "sort mismatch")
 
 
 def test_opexec_examples():
-    assert opexec(MONOID, "e", ()) == ("u",)
-    assert opexec(MONOID, "mul", ("u", "u", "u")) == ("u", "u")
-    assert opexec(MONOID, "mul", None) is None
-    assert opexec(MONOID, "mul", ("u",)) is None
+    # one symbol pops its arity and pushes its result sort, or fails
+    assert oplistexec(MONOID, ["e"]) == ExecReport(("u",))
+    assert oplistexec(MONOID, ["mul"], ("u", "u", "u")) == ExecReport(("u", "u"))
+    assert oplistexec(MONOID, ["mul"], ("u",)) == ExecReport(None, 0, "stack underflow")
+    assert oplistexec(MONOID, ["mul"], ()) == ExecReport(None, 0, "stack underflow")
+    vsig = list_vsig()
+    assert oplistexec(vsig, ["cons"], ("elem", "list", "elem")) == ExecReport(("list", "elem"))
+    assert oplistexec(vsig, ["cons"], ("list", "list")).reason == "sort mismatch"
+    assert oplistexec(vsig, ["nil"], ("elem", "list")) == ExecReport(("list", "elem", "list"))
+
+
+@given(st.lists(st.sampled_from("uvw")), st.lists(st.sampled_from("uvw")))
+def test_single_symbol_run_pops_its_arity(arity, rest):
+    sig = make_signature(("u", "v", "w"), [("f", arity, "u")])
+    assert oplistexec(sig, ["f"], tuple(arity) + tuple(rest)) == ExecReport(("u",) + tuple(rest))
 
 
 def test_oplistexec_examples():
-    assert oplistexec(MONOID, []) == ()
-    assert oplistexec(MONOID, ["mul", "e", "e"]) == ("u",)
-    assert oplistexec(MONOID, ["mul"]) is None
-    assert oplistexec(MONOID, ["e", "e"]) == ("u", "u")
+    assert oplistexec(MONOID, []) == ExecReport(())
+    assert oplistexec(MONOID, ["mul", "e", "e"]) == ExecReport(("u",))
+    assert oplistexec(MONOID, ["mul"]).stack is None
+    assert oplistexec(MONOID, ["e", "e"]) == ExecReport(("u", "u"))
+    assert oplistexec(MONOID, ["e", "q", "e"]) == ExecReport(None, 1, "unknown symbol")
 
 
 def test_infer_sort_examples():
     assert infer_sort(MONOID, ["mul", "e", "e"]) == "u"
     assert infer_sort(MONOID, ["e", "e"]) is None
     assert infer_sort(MONOID, ["e"]) == "u"
-    assert is_term(MONOID, "u", ["e"])
-    assert not is_term(MONOID, "u", ["e", "e"])
+    assert infer_sort(MONOID, ["mul"]) is None
+    assert infer_sort(MONOID, ["q"]) is None
 
 
-@given(st.lists(st.sampled_from(MONOID.ops), max_size=8), st.lists(st.sampled_from(MONOID.ops), max_size=8))
+@given(st.lists(st.sampled_from(MONOID.ops + ("q",)), max_size=8),
+       st.lists(st.sampled_from(MONOID.ops + ("q",)), max_size=8))
 def test_stack_compositionality(l1, l2):
     # executing a concatenation equals executing the left part from the
-    # stack the right part produced
-    assert oplistexec(MONOID, l1 + l2) == oplistexec(MONOID, l1, oplistexec(MONOID, l2))
+    # stack the right part produced; a failure in the left part is counted
+    # after the right part's symbols
+    whole = oplistexec(MONOID, l1 + l2)
+    right = oplistexec(MONOID, l2)
+    if right.stack is None:
+        assert whole == right
+    else:
+        left = oplistexec(MONOID, l1, right.stack)
+        if left.stack is None:
+            assert whole == ExecReport(None, len(l2) + left.failed_at, left.reason)
+        else:
+            assert whole == left
 
 
 @given(st.lists(st.sampled_from(BOOL.ops), max_size=10), st.integers(0, 10))
 def test_error_absorption(syms, cut):
+    # a failed run of a suffix fails the whole sequence at the same symbol
     cut = min(cut, len(syms))
-    if oplistexec(BOOL, syms[cut:]) is None:
-        assert oplistexec(BOOL, syms) is None
+    rep = oplistexec(BOOL, syms[cut:])
+    if rep.stack is None:
+        assert oplistexec(BOOL, syms) == rep
 
 
 # -- diagnostics ---------------------------------------------------------
 
 def test_explain_underflow_position():
-    rep = explain_oplist(MONOID, ["mul"])
+    rep = oplistexec(MONOID, ["mul"])
     assert rep.stack is None and rep.failed_at == 0 and rep.reason == "stack underflow"
     # counted from the end: in "mul e" the e executes first, mul second
-    rep = explain_oplist(MONOID, ["mul", "e"])
+    rep = oplistexec(MONOID, ["mul", "e"])
     assert rep.failed_at == 1 and rep.reason == "stack underflow"
 
 
 def test_explain_sort_mismatch_position():
     sig = list_signature()
-    rep = explain_oplist(sig, ["cons", "nil", "nil"])
+    rep = oplistexec(sig, ["cons", "nil", "nil"])
     assert rep.stack is None and rep.reason == "sort mismatch" and rep.failed_at == 2
 
 
 def test_failure_messages():
-    assert failure_message(MONOID, ["mul"]) == "stack underflow at symbol 0"
-    assert failure_message(MONOID, ["e", "e"]) == "residual stack [u, u]"
-    assert failure_message(MONOID, []) == "residual stack []"
-    assert failure_message(MONOID, ["mul", "e", "e"]) is None
+    assert oplistexec(MONOID, ["mul"]).error() == "stack underflow at symbol 0"
+    assert oplistexec(MONOID, ["e", "e"]).error() == "residual stack [u, u]"
+    assert oplistexec(MONOID, []).error() == "residual stack []"
+    assert oplistexec(MONOID, ["mul", "e", "e"]).error() is None
+    # the residual stack is listed top first
+    assert oplistexec(list_vsig(), ["nil", "a"]).error() == "residual stack [list, elem]"
+    with pytest.raises(TermError) as err:
+        term_from_syms(list_vsig(), ["a", "nil"])
+    assert str(err.value) == "residual stack [elem, list]"
 
 
 # -- terms ---------------------------------------------------------------
@@ -128,6 +158,12 @@ def test_parse_and_text_round_trip():
 def test_parse_rejects_unknown_symbol():
     with pytest.raises(TermError, match="unknown symbol"):
         parse_term(MONOID, "mul e q")
+    # the leftmost unknown symbol is named, though the run fails earlier
+    # on "mul" and would reach "foo" last
+    with pytest.raises(UnknownSymbolError, match="unknown symbol 'foo'"):
+        parse_term(MONOID, "foo mul")
+    with pytest.raises(UnknownSymbolError, match="unknown symbol 'p'"):
+        parse_term(MONOID, "mul p e q")
 
 
 def test_parse_rejects_non_terms():
@@ -256,6 +292,17 @@ def test_deep_chain_needs_no_recursion():
     assert term_fold(lambda nm, v, rec: algebra.op(nm, *rec), t) == "true"
     nm, (arg,) = term_decompose(t)
     assert (nm, len(arg.syms)) == ("neg", 5000)
+
+
+def test_left_nested_deep_term():
+    # the sort stack grows to 20001 entries: linear in the length
+    z3 = additive_mod_algebra(3)
+    t = term_from_syms(MONOID, ["mul"] * 20000 + ["e"] * 20001)
+    assert t.sort == "u"
+    assert depth(t) == 20001
+    nm, (left, right) = term_decompose(t)
+    assert (nm, len(left.syms), right.text()) == ("mul", 39999, "e")
+    assert evaluate(z3, {}, t) == "0"
 
 
 @given(st.integers(0, 10**9))
