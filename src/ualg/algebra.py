@@ -5,13 +5,23 @@ callables over arbitrary carrier values, and a finite refinement with
 explicit ordered label carriers and total operation tables, which is what
 every exhaustive check (homomorphism law, equation model checking)
 enumerates.
+
+Exhaustive checks run compiled terms on columns of carrier indices.
+``FiniteAlgebra.compile`` turns a term into a machine program;
+``run_columns`` runs it on a chunk of assignments at once, with one list
+of indices per variable slot and list comprehensions for each step; and
+``first_difference`` walks the product of the slot carriers in
+lexicographic chunks, small at first and growing to a fixed cap, and
+returns the first index tuple on which two programs differ.
+``check_hom`` decides the homomorphism law with two such programs per
+operation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Any, Callable, Mapping, Sequence
 
 from .signature import OpId, Signature, SortId
@@ -63,9 +73,10 @@ class FiniteAlgebra(Algebra):
 
     Labels are mapped to dense indices internally and each table is kept
     as a flat array of result indices in mixed-radix argument order;
-    ``op`` maps the result index back to its label.  ``compile`` turns a
-    term into a machine program over those indices, which ``run_program``
-    executes without touching a label.
+    ``op`` maps the result index back to its label, and ``tables``
+    rebuilds the label view on demand.  ``compile`` turns a
+    term into a machine program over those indices, which ``run_columns``
+    executes on columns of assignments without touching a label.
     """
 
     def __init__(
@@ -90,7 +101,6 @@ class FiniteAlgebra(Algebra):
         extra_ops = set(tables) - set(signature.ops)
         if extra_ops:
             raise AlgebraError(f"tables for unknown operations {sorted(extra_ops)}")
-        norm: dict[OpId, dict[tuple[str, ...], str]] = {}
         flat: dict[OpId, list[int]] = {}
         for nm in signature.ops:
             if nm not in tables:
@@ -102,7 +112,6 @@ class FiniteAlgebra(Algebra):
             for d in dims:
                 size *= d
             rows: list[int | None] = [None] * size
-            entries: dict[tuple[str, ...], str] = {}
             for key, result in tables[nm].items():
                 key = tuple(key)
                 if len(key) != len(arity):
@@ -125,19 +134,14 @@ class FiniteAlgebra(Algebra):
                     raise AlgebraError(
                         f"table result {result!r} for {nm!r} at {key} is not in the carrier of {res!r}"
                     ) from None
-                entries[key] = result
-            if len(entries) != size:
+            if None in rows:
                 missing_args = next(
-                    args
-                    for args in product(*(carr[a] for a in arity))
-                    if args not in entries
+                    args for args, r in zip(product(*(carr[a] for a in arity)), rows) if r is None
                 )
                 raise AlgebraError(f"table for {nm!r} is not total: missing entry for {missing_args}")
-            norm[nm] = entries
             flat[nm] = rows  # type: ignore[assignment]
 
         self.carriers = carr
-        self.tables = norm
         self._index = index
         self._steps: dict[OpId, Step] = {}  # per operation, its (index rows, dims)
         ops: dict[OpId, Callable[..., str]] = {}
@@ -169,14 +173,31 @@ class FiniteAlgebra(Algebra):
         """The machine program of ``t`` over carrier indices.
 
         One step per symbol, last symbol first: an operation's
-        ``(index rows, dims)``, or for a variable its slot in the index
-        tuple that ``run_program`` reads as the assignment.
+        ``(index rows, dims)``, or for a variable its slot, the position
+        of its column among those that ``run_columns`` reads.  Programs
+        are compared chunk by chunk over the assignment product by
+        ``first_difference``.
         """
-        steps = self._steps
+        lookup = {**slots, **self._steps}
         try:
-            return tuple(steps[nm] if nm in steps else slots[nm] for nm in reversed(t.syms))
+            return tuple(map(lookup.__getitem__, reversed(t.syms)))
         except KeyError as err:
             raise AlgebraError(f"no slot for variable {err.args[0]!r}") from None
+
+    @property
+    def tables(self) -> dict[OpId, dict[tuple[str, ...], str]]:
+        """Each table as labels, argument tuple to result in lexicographic
+        argument order, read off the index rows."""
+        sig, carr = self.signature, self.carriers
+        return {
+            nm: dict(
+                zip(
+                    product(*(carr[a] for a in sig.arity_of(nm))),
+                    map(carr[sig.sort_of(nm)].__getitem__, self._steps[nm][0]),
+                )
+            )
+            for nm in sig.ops
+        }
 
     def elements(self, sort: SortId) -> tuple[str, ...]:
         try:
@@ -193,7 +214,7 @@ class FiniteAlgebra(Algebra):
         return (
             self.signature == other.signature
             and self.carriers == other.carriers
-            and self.tables == other.tables
+            and self._steps == other._steps
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -203,25 +224,68 @@ class FiniteAlgebra(Algebra):
         return f"FiniteAlgebra({sizes}, ops={list(self.signature.ops)})"
 
 
-def run_program(program: Program, env: Sequence[int]) -> int:
-    """Run a compiled term with ``env[slot]`` as each variable's carrier
-    index; the index of the term's value.
+def run_columns(program: Program, cols: Sequence[list[int]], size: int) -> list[int]:
+    """Run a compiled term on ``size`` assignments at once; the index of
+    its value under each.
 
-    The sort-stack machine on indices: an operation pops its argument
-    indices, first argument on top, and pushes the row they select.
+    ``cols[slot]`` lists each assignment's carrier index for the variable
+    in that slot.  The sort-stack machine on columns: an operation pops
+    its argument columns, first argument on top, and pushes the column of
+    rows they select.
     """
-    stack: list[int] = []
+    stack: list[list[int]] = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
-            push(env[step])
+            push(cols[step])
+            continue
+        rows, dims = step
+        k = len(dims)
+        if k == 2:
+            d = dims[1]
+            a, b = pop(), pop()
+            push([rows[x * d + y] for x, y in zip(a, b)])
+        elif k == 0:
+            push([rows[0]] * size)
         else:
-            rows, dims = step
-            pos = 0
-            for d in dims:
-                pos = pos * d + pop()
-            push(rows[pos])
+            pos = pop()
+            for d in dims[1:]:
+                pos = [p * d + y for p, y in zip(pos, pop())]
+            push([rows[p] for p in pos])
     return stack[-1]
+
+
+# Chunks of the assignment product: the first is small, so that an early
+# counterexample costs little, and each next one is larger, up to a cap
+# that bounds the memory of one chunk's columns.
+_FIRST_CHUNK = 2
+_MAX_CHUNK = 1024
+
+
+def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[int, ...] | None:
+    """The lexicographically first index tuple of ``product(range(n) for n
+    in sizes)`` on which two compiled terms differ, or None when they agree
+    on all of them.
+
+    The product is walked in chunks; both programs run on the slot
+    columns of a chunk, and only a chunk whose value columns differ is
+    scanned for its first differing position.
+    """
+    tuples = product(*map(range, sizes))
+    chunk = _FIRST_CHUNK
+    while True:
+        block = list(islice(tuples, chunk))
+        size = len(block)
+        if not size:
+            return None
+        cols = [list(c) for c in zip(*block)]
+        left = run_columns(lhs, cols, size)
+        right = run_columns(rhs, cols, size)
+        if left != right:
+            return next(t for t, x, y in zip(block, left, right) if x != y)
+        if size < chunk:
+            return None
+        chunk = min(4 * chunk, _MAX_CHUNK)
 
 
 def unit_algebra(sig: Signature) -> FiniteAlgebra:
@@ -276,7 +340,7 @@ class HomVerdict:
     counterexample: tuple[OpId, tuple[Any, ...]] | None = None
 
 
-def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: Algebra) -> HomVerdict:
+def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> HomVerdict:
     """Exhaustively verify the homomorphism law for a candidate map.
 
     For every operation and every tuple of source elements, the map of
@@ -284,27 +348,48 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: Algebra) -> HomVerdi
     arguments.  A false verdict carries the first counterexample in
     operation order, then lexicographic argument order over the source
     carriers.
+
+    Both algebras must be finite.  Each sort map is applied once to every
+    source element, giving an array of target indices, so a missing image
+    or one outside the target carrier raises ``AlgebraError`` before any
+    operation is checked.  The law for an operation ``f`` of arity
+    ``a_1 .. a_k`` and result sort ``r`` is then two programs over slots
+    ``x_1 .. x_k``, compared by ``first_difference``: ``h_r(f_src(x_1, ..,
+    x_k))`` and ``f_dst(h_a1(x_1), .., h_ak(x_k))``, where each ``h_s`` is
+    a unary step on its index array.
     """
     if isinstance(maps, Hom):
         maps = maps.maps
     if not isinstance(src, FiniteAlgebra):
         raise AlgebraError("the source algebra must be finite to enumerate arguments")
+    if not isinstance(dst, FiniteAlgebra):
+        raise AlgebraError("the target algebra must be finite to compare images by index")
     sig = src.signature
     if dst.signature != sig:
         raise AlgebraError("source and target are over different signatures")
-    send = {}
+    send: dict[SortId, Step] = {}
     for s in sig.sorts:
         if s not in maps:
             raise AlgebraError(f"no map for sort {s!r}")
-        send[s] = _as_fn(maps[s])
+        fn, index = _as_fn(maps[s]), dst._index[s]
+        images = []
+        for x in src.elements(s):
+            y = fn(x)
+            try:
+                images.append(index[y])
+            except (KeyError, TypeError):
+                raise AlgebraError(
+                    f"image {y!r} of {x!r} is not in the target carrier of sort {s!r}"
+                ) from None
+        send[s] = (images, (len(images),))
     for nm in sig.ops:
         arity = sig.arity_of(nm)
-        res = sig.sort_of(nm)
-        for args in product(*(src.elements(a) for a in arity)):
-            lhs = send[res](src.op(nm, *args))
-            rhs = dst.op(nm, *(send[a](x) for a, x in zip(arity, args)))
-            if lhs != rhs:
-                return HomVerdict(False, (nm, args))
+        slots = range(len(arity) - 1, -1, -1)  # programs run the last symbol first
+        lhs = (*slots, src._steps[nm], send[sig.sort_of(nm)])
+        rhs = (*(step for i in slots for step in (i, send[arity[i]])), dst._steps[nm])
+        found = first_difference(lhs, rhs, [len(src.elements(a)) for a in arity])
+        if found is not None:
+            return HomVerdict(False, (nm, tuple(src.elements(a)[i] for a, i in zip(arity, found))))
     return HomVerdict(True)
 
 

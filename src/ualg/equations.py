@@ -6,21 +6,22 @@ by exhaustive enumeration; only the variables that actually occur in the
 equation are enumerated, since the others cannot influence either side.
 
 ``holds`` works on dense indices: each side is compiled once into a
-machine program over the algebra's index tables, the programs run on
-every index tuple in lexicographic order, and only the first
-counterexample is mapped back to carrier labels.
+machine program over the algebra's index tables, and
+``algebra.first_difference`` runs both programs on columns of index
+tuples, chunk by chunk in lexicographic order, stopping at the first
+chunk where the two value columns differ.  Only the first differing
+tuple is mapped back to carrier labels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Any, Optional
 
-from .algebra import Algebra, FiniteAlgebra, run_program
+from .algebra import Algebra, FiniteAlgebra, first_difference
 from .free_algebra import evaluate
-from .signature import Signature, SortId, VarId, VarSpec, vsignature
+from .signature import Signature, SortId, VarId, VarSpec, is_vsignature, vsignature
 from .term_vm import Term
 
 
@@ -86,20 +87,20 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     variable-declaration order, each over its carrier in carrier order; a
     false verdict carries the lexicographically first failing assignment.
     """
-    if vsignature(algebra.signature, varspec) != eq.lhs.signature:
+    if not is_vsignature(eq.lhs.signature, algebra.signature, varspec):
         raise EquationError(
             f"equation {eq.name!r} is not over this algebra's signature and variable set"
         )
-    occurring = free_vars(eq.lhs, varspec) | free_vars(eq.rhs, varspec)
+    occurring = set(eq.lhs.syms).union(eq.rhs.syms)
     names = [v for v in varspec.vars if v in occurring]
     slots = {v: i for i, v in enumerate(names)}
-    lhs = algebra.compile(eq.lhs, slots)
-    rhs = algebra.compile(eq.rhs, slots)
     domains = [algebra.elements(varspec.sort_of(v)) for v in names]
-    for combo in product(*(range(len(d)) for d in domains)):
-        if run_program(lhs, combo) != run_program(rhs, combo):
-            return EqVerdict(False, {v: d[i] for v, d, i in zip(names, domains, combo)})
-    return EqVerdict(True)
+    found = first_difference(
+        algebra.compile(eq.lhs, slots), algebra.compile(eq.rhs, slots), [len(d) for d in domains]
+    )
+    if found is None:
+        return EqVerdict(True)
+    return EqVerdict(False, {v: d[i] for v, d, i in zip(names, domains, found)})
 
 
 @dataclass(frozen=True)

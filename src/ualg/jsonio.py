@@ -12,7 +12,6 @@ arrays of them; equation names must be distinct.  Any other shape raises
 from __future__ import annotations
 
 import json
-from itertools import product
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -103,24 +102,15 @@ def algebra_from_obj(obj: Any) -> FiniteAlgebra:
 
 
 def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
-    sig = algebra.signature
+    sig, tables = algebra.signature, algebra.tables
     return {
         "signature": signature_to_obj(sig),
         "carriers": {s: list(algebra.carriers[s]) for s in sig.sorts},
         "operations": {
-            nm: [
-                {"args": list(args), "result": algebra.tables[nm][args]}
-                for args in sorted_rows(algebra, nm)
-            ]
+            nm: [{"args": list(args), "result": result} for args, result in tables[nm].items()]
             for nm in sig.ops
         },
     }
-
-
-def sorted_rows(algebra: FiniteAlgebra, nm: str):
-    """Table rows in lexicographic carrier order, the enumeration order."""
-    arity = algebra.signature.arity_of(nm)
-    return product(*(algebra.carriers[a] for a in arity))
 
 
 def load_algebra(path: str | Path) -> FiniteAlgebra:
@@ -214,13 +204,24 @@ def load_hom_maps(path: str | Path) -> dict[str, dict[str, str]]:
 def resolve_hom_maps(
     src: FiniteAlgebra, dst: FiniteAlgebra, maps: Mapping[str, Mapping[str, str]]
 ) -> Mapping[str, Mapping[str, str]]:
-    """Check the label maps of the signature's sorts: every key must be in
-    the source carrier and every image in the target carrier of its sort."""
-    for sort in src.signature.sorts:
-        keys, images = set(src.elements(sort)), set(dst.elements(sort))
-        for x, y in maps.get(sort, {}).items():
+    """Check the label maps against the signature's sorts: there must be
+    one map per sort and no other, and each must send exactly the labels
+    of its source carrier into its target carrier."""
+    sorts = src.signature.sorts
+    for sort in maps:
+        if sort not in sorts:
+            raise FormatError(f"maps[{sort!r}]: {sort!r} is not a sort of the signature")
+    for sort in sorts:
+        if sort not in maps:
+            raise FormatError(f"no map for sort {sort!r}")
+        table, labels = maps[sort], src.elements(sort)
+        keys, images = set(labels), set(dst.elements(sort))
+        for x, y in table.items():
             if x not in keys:
                 raise FormatError(f"maps[{sort!r}]: {x!r} is not in the source carrier")
             if y not in images:
                 raise FormatError(f"maps[{sort!r}]: image {y!r} of {x!r} is not in the target carrier")
+        for x in labels:
+            if x not in table:
+                raise FormatError(f"maps[{sort!r}]: no image for {x!r}")
     return maps

@@ -202,6 +202,12 @@ def make_varspec(
     return VarSpec(tuple(names), tuple(s for _, s in pairs))
 
 
+def _check_var_clash(sig: Signature, vs: VarSpec) -> None:
+    clash = [v for v in vs.vars if sig.is_op(v)]
+    if clash:
+        raise SignatureError(f"variable names collide with operations: {clash}")
+
+
 def vsignature(sig: Signature, vs: VarSpec) -> Signature:
     """Extend ``sig`` with one nullary operation per variable.
 
@@ -209,12 +215,23 @@ def vsignature(sig: Signature, vs: VarSpec) -> Signature:
     collide with operation names, which keeps the two halves of the
     extended symbol set disjoint and recoverable.
     """
-    clash = [v for v in vs.vars if sig.is_op(v)]
-    if clash:
-        raise SignatureError(f"variable names collide with operations: {clash}")
+    _check_var_clash(sig, vs)
     return Signature(
         sig.sorts,
         sig.ops + vs.vars,
         sig.arities + ((),) * len(vs.vars),
         sig.results + vs.sorts,
+    )
+
+
+def is_vsignature(vsig: Signature, sig: Signature, vs: VarSpec) -> bool:
+    """Whether ``vsig == vsignature(sig, vs)``, decided without building
+    the extended signature; raises the same ``SignatureError`` on a name
+    clash."""
+    _check_var_clash(sig, vs)
+    return (
+        vsig.sorts == sig.sorts
+        and vsig.ops == sig.ops + vs.vars
+        and vsig.arities == sig.arities + ((),) * len(vs.vars)
+        and vsig.results == sig.results + vs.sorts
     )

@@ -11,6 +11,7 @@ machine: ``Term`` and ``build_term`` only package the terms that
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
@@ -121,3 +122,27 @@ def random_term(rng: random.Random, sig: Signature, sort: SortId, max_depth: int
         return build_term(sig, nm, args)
 
     return go(sort, max_depth)
+
+
+def oracle_hom_counterexample(maps, src, dst):
+    """First (operation, argument labels) that breaks the homomorphism law,
+    or None; operations in signature order, then argument tuples in
+    lexicographic carrier order.
+
+    Works on labels, one pair at a time, through ``FiniteAlgebra.op`` and
+    ``elements`` only: no index arrays and no compiled programs.  A sort
+    map is a dict or a callable.
+    """
+    sig = src.signature
+
+    def send(sort, x):
+        m = maps[sort]
+        return m(x) if callable(m) else m[x]
+
+    for nm, arity, result in zip(sig.ops, sig.arities, sig.results):
+        for args in itertools.product(*(src.elements(a) for a in arity)):
+            lhs = send(result, src.op(nm, *args))
+            rhs = dst.op(nm, *(send(a, x) for a, x in zip(arity, args)))
+            if lhs != rhs:
+                return nm, args
+    return None

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,8 +15,17 @@ from ualg.algebra import (
     hom_to_unit,
     unit_algebra,
 )
-from ualg.examples import additive_mod_algebra, bool_algebra, monoid_signature
+from ualg.examples import (
+    LIST_OVERFLOW,
+    additive_mod_algebra,
+    bool_algebra,
+    list_fixture,
+    monoid_signature,
+    subtraction_mod_algebra,
+)
 from ualg.signature import make_signature
+
+from oracle import oracle_hom_counterexample
 
 MONOID = monoid_signature()
 
@@ -144,6 +156,103 @@ def test_check_hom_requires_finite_source():
         check_hom({"u": lambda x: x}, abstract, z2)
 
 
+def test_check_hom_requires_finite_target():
+    z2 = additive_mod_algebra(2)
+    abstract = Algebra(MONOID, {"mul": lambda a, b: a, "e": lambda: "0"})
+    with pytest.raises(AlgebraError, match="target algebra must be finite"):
+        check_hom(identity_maps(z2), z2, abstract)
+
+
+def test_check_hom_rejects_bad_images_before_checking():
+    z4, z2 = additive_mod_algebra(4), additive_mod_algebra(2)
+    # the image of 3 is reached only after mul's counterexample at (0, 0)
+    bad = {"u": {"0": "1", "1": "1", "2": "0", "3": "7"}}
+    with pytest.raises(AlgebraError, match="image '7' of '3' is not in the target carrier"):
+        check_hom(bad, z4, z2)
+    with pytest.raises(AlgebraError, match="not in the target carrier"):
+        check_hom({"u": lambda x: int(x) % 2}, z4, z2)
+    with pytest.raises(AlgebraError, match="no image"):
+        check_hom({"u": {"0": "1", "1": "1"}}, z4, z2)
+
+
+# -- check_hom against the label-level oracle ----------------------------------
+
+def assert_agrees_with_oracle(maps, src, dst):
+    verdict = check_hom(maps, src, dst)
+    want = oracle_hom_counterexample(maps, src, dst)
+    assert verdict.ok == (want is None)
+    assert verdict.counterexample == want
+    return verdict
+
+
+def perturbed(rng, maps, src, dst, wrong):
+    """``maps`` with ``wrong`` images, chosen at random, changed to another
+    label of the target carrier."""
+    out = {s: dict(m) for s, m in maps.items()}
+    choices = [(s, x) for s in src.signature.sorts for x in src.elements(s) if len(dst.elements(s)) > 1]
+    for s, x in rng.sample(choices, wrong):
+        out[s][x] = rng.choice([y for y in dst.elements(s) if y != out[s][x]])
+    return out
+
+
+def test_check_hom_matches_oracle_on_mod_maps():
+    rng = random.Random(21)
+    failing = 0
+    for k in range(1, 7):
+        src, dst = additive_mod_algebra(2 * k), additive_mod_algebra(k)
+        for _ in range(12):
+            c = rng.randrange(k)
+            maps = {"u": {str(i): str(c * i % k) for i in range(2 * k)}}
+            assert assert_agrees_with_oracle(maps, src, dst).ok
+            if k == 1:
+                continue  # Z mod 1 has one element: no image can be wrong
+            for wrong in (1, 2):
+                failing += not assert_agrees_with_oracle(perturbed(rng, maps, src, dst, wrong), src, dst).ok
+    assert failing > 100  # counterexamples were compared, not just verdicts
+
+
+def elementwise_list_maps(src, elem_map):
+    """The map of list algebras that applies ``elem_map`` to every element
+    of a list and sends the overflow sink to itself."""
+    def image(label):
+        if label == LIST_OVERFLOW:
+            return label
+        items = label[1:-1].split(",") if label != "[]" else []
+        return "[" + ",".join(elem_map[x] for x in items) + "]"
+
+    return {"elem": dict(elem_map), "list": {x: image(x) for x in src.elements("list")}}
+
+
+def test_check_hom_matches_oracle_on_two_sorted_lists():
+    src = list_fixture(("a", "b"), max_len=3).algebra
+    one = list_fixture(("a",), max_len=3).algebra
+    swap = elementwise_list_maps(src, {"a": "b", "b": "a"})
+    length = elementwise_list_maps(src, {"a": "a", "b": "a"})
+    assert assert_agrees_with_oracle(swap, src, src).ok
+    assert assert_agrees_with_oracle(length, src, one).ok
+    rng = random.Random(22)
+    failing = 0
+    for maps, dst in ((swap, src), (length, one)):
+        for wrong in (1, 2):
+            for _ in range(15):
+                failing += not assert_agrees_with_oracle(perturbed(rng, maps, src, dst, wrong), src, dst).ok
+    assert failing > 30
+
+
+def test_check_hom_matches_oracle_on_callable_maps():
+    from ualg.algebra import Hom
+
+    z8, z4, z2 = (additive_mod_algebra(n) for n in (8, 4, 2))
+    f = Hom(z8, z4, mod_maps(8, 4))
+    g = Hom(z4, z2, mod_maps(4, 2))
+    bad = Hom(z4, z2, {"u": {"0": "0", "1": "0", "2": "1", "3": "1"}})
+    assert assert_agrees_with_oracle(compose_hom(g, f).maps, z8, z2).ok
+    assert not assert_agrees_with_oracle(compose_hom(bad, f).maps, z8, z2).ok
+    for alg in (bool_algebra(), z4, list_fixture(("a", "b"), max_len=2).algebra):
+        h = hom_to_unit(alg)
+        assert assert_agrees_with_oracle(h.maps, alg, h.target).ok
+
+
 def test_compose_hom_identities():
     from ualg.algebra import Hom
 
@@ -226,3 +335,14 @@ def test_every_map_into_unit_is_the_canonical_one():
 def test_finite_algebra_equality_is_structural():
     assert additive_mod_algebra(3) == additive_mod_algebra(3)
     assert additive_mod_algebra(3) != additive_mod_algebra(4)
+    assert additive_mod_algebra(3) != subtraction_mod_algebra(3)
+
+
+def test_finite_algebra_tables_are_the_label_view():
+    for alg in (bool_algebra(), subtraction_mod_algebra(4), list_fixture(("a", "b"), max_len=2).algebra):
+        tables = alg.tables
+        assert FiniteAlgebra(alg.signature, alg.carriers, tables) == alg
+        for nm, table in tables.items():
+            assert len(table) == len(list(product(*(alg.elements(a) for a in alg.signature.arity_of(nm)))))
+            for args, result in table.items():
+                assert alg.op(nm, *args) == result

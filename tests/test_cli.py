@@ -312,6 +312,37 @@ def test_check_hom_key_outside_source_carrier(capsys, tmp_path):
     assert err == "error: maps['u']: '7' is not in the source carrier\n"
 
 
+def test_check_hom_map_for_unknown_sort(capsys, tmp_path):
+    good = json.loads(open(data("hom_z4_to_z2.json")).read())["maps"]["u"]
+    path = tmp_path / "extra_sort.json"
+    path.write_text(json.dumps({"maps": {"u": good, "zzz": {"a": "b"}}}))
+    code, out, err = run(
+        capsys,
+        "check-hom",
+        "--src", data("monoid_z4.json"),
+        "--dst", data("monoid_z2.json"),
+        "--map", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: maps['zzz']: 'zzz' is not a sort of the signature\n"
+
+
+def test_check_hom_map_missing_source_elements(capsys, tmp_path):
+    # mul(0, 0) breaks the law, but the map is rejected before any
+    # operation is checked because 2 and 3 have no image
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps({"maps": {"u": {"0": "1", "1": "1"}}}))
+    code, out, err = run(
+        capsys,
+        "check-hom",
+        "--src", data("monoid_z4.json"),
+        "--dst", data("monoid_z2.json"),
+        "--map", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: maps['u']: no image for '2'\n"
+
+
 def test_check_hom_incomplete_map(capsys, tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"maps": {"u": {"0": "0"}}}))

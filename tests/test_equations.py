@@ -26,6 +26,7 @@ from ualg.examples import (
     subtraction_mod_algebra,
 )
 from ualg.free_algebra import FreeAlgebra, evaluate
+from ualg.signature import make_signature, make_varspec, vsignature
 from ualg.term_vm import parse_term
 
 from oracle import oracle_eval, random_term
@@ -254,3 +255,60 @@ def test_holds_maps_indices_back_to_unsorted_labels():
     rng = random.Random(13)
     for equation in random_equations(rng, vsig(), "u", 40, 4):
         assert holds(algebra, equation, vs) == oracle_holds(algebra, equation, vs), equation
+
+
+# -- chunk boundaries and edge cases of holds -----------------------------------
+
+def assert_finds_every_single_difference(carriers, arg_sorts):
+    """``f x y z = g x y z`` where the tables of the ternary ``f`` and
+    ``g`` agree except at one argument triple: for each triple in turn,
+    ``holds`` must return exactly that triple, whatever chunks the product
+    is walked in."""
+    out = arg_sorts[0]
+    sig = make_signature(list(carriers), [("f", arg_sorts, out), ("g", arg_sorts, out)])
+    vs = make_varspec(sig, zip(("x", "y", "z"), arg_sorts))
+    vsig_ = vsignature(sig, vs)
+    equation = Equation("fg", out, parse_term(vsig_, "f x y z"), parse_term(vsig_, "g x y z"))
+    res = carriers[out]
+    base = {
+        args: res[sum(i * carriers[s].index(x) for i, (s, x) in enumerate(zip(arg_sorts, args), 1)) % len(res)]
+        for args in product(*(carriers[s] for s in arg_sorts))
+    }
+    for odd in base:
+        g = dict(base)
+        g[odd] = res[(res.index(base[odd]) + 1) % len(res)]
+        algebra = FiniteAlgebra(sig, carriers, {"f": base, "g": g})
+        assert holds(algebra, equation, vs) == EqVerdict(False, dict(zip(("x", "y", "z"), odd)))
+    assert holds(FiniteAlgebra(sig, carriers, {"f": base, "g": base}), equation, vs).holds
+
+
+def test_holds_finds_every_single_difference_in_a_ternary_product():
+    # 216 triples over one 6-element carrier in unsorted label order
+    assert_finds_every_single_difference({"u": ("c3", "c0", "c5", "c1", "c4", "c2")}, ("u", "u", "u"))
+    # and over carriers of sizes 3, 2 and 4, where the mixed radix differs
+    # per argument
+    assert_finds_every_single_difference(
+        {"a": ("a0", "a1", "a2"), "b": ("b0", "b1"), "c": ("c0", "c1", "c2", "c3")}, ("a", "b", "c")
+    )
+
+
+def test_holds_variable_free_equations():
+    vs = monoid_varspec()
+    assert holds(additive_mod_algebra(3), eq("unit", "e", "e"), vs) == EqVerdict(True)
+    labels = ("0", "1")
+    tables = {"mul": {(a, b): str((int(a) + int(b)) % 2) for a in labels for b in labels}, "e": {(): "1"}}
+    algebra = FiniteAlgebra(MONOID, {"u": labels}, tables)
+    assert holds(algebra, eq("idem", "e", "mul e e"), vs) == EqVerdict(False, {})
+
+
+def test_holds_vacuously_over_an_empty_carrier():
+    sig = make_signature(["u", "w"], [("e", [], "u"), ("p", ["w"], "u"), ("q", ["u"], "u")])
+    vs = make_varspec(sig, [("x", "u"), ("v", "w")])
+    vsig_ = vsignature(sig, vs)
+    algebra = FiniteAlgebra(
+        sig, {"u": ("0", "1"), "w": ()}, {"e": {(): "0"}, "p": {}, "q": {("0",): "1", ("1",): "0"}}
+    )
+    vacuous = Equation("vac", "u", parse_term(vsig_, "q p v"), parse_term(vsig_, "q x"))
+    assert holds(algebra, vacuous, vs) == EqVerdict(True)
+    failing = Equation("inv", "u", parse_term(vsig_, "q x"), parse_term(vsig_, "x"))
+    assert holds(algebra, failing, vs) == EqVerdict(False, {"x": "0"})

@@ -7,6 +7,7 @@ from ualg.signature import (
     make_signature,
     make_signature_simple,
     make_signature_single_sorted,
+    is_vsignature,
     make_varspec,
     vsignature,
 )
@@ -188,6 +189,26 @@ def test_vsignature_rejects_collision():
     sig = monoid_signature()
     with pytest.raises(SignatureError):
         vsignature(sig, make_varspec(sig, {"mul": "u"}))
+
+
+def test_is_vsignature_agrees_with_building_it():
+    lists = list_signature()
+    base = [monoid_signature(), bool_signature(), lists]
+    specs = [
+        (sig, make_varspec(sig, decls))
+        for sig in base
+        for decls in ([], [("x", sig.sorts[0])], [("x", sig.sorts[0]), ("y", sig.sorts[-1])],
+                      [("y", sig.sorts[-1]), ("x", sig.sorts[0])])
+    ]
+    built = [vsignature(sig, vs) for sig, vs in specs]
+    for sig, vs in specs:
+        for vsig in built + base:
+            assert is_vsignature(vsig, sig, vs) == (vsig == vsignature(sig, vs))
+    # the variable sorts alone tell two extensions of the list signature apart
+    assert not is_vsignature(vsignature(lists, make_varspec(lists, {"x": "elem"})), lists, make_varspec(lists, {"x": "list"}))
+    sig = monoid_signature()
+    with pytest.raises(SignatureError, match="collide"):
+        is_vsignature(sig, sig, make_varspec(sig, {"mul": "u"}))
 
 
 def test_vsignature_enables_variable_only_terms():
