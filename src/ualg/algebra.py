@@ -143,6 +143,7 @@ class FiniteAlgebra(Algebra):
 
         self.carriers = carr
         self._index = index
+        self._indexed_signature = signature  # see free_algebra._runs_on_indices
         self._steps: dict[OpId, Step] = {}  # per operation, its (index rows, dims)
         ops: dict[OpId, Callable[..., str]] = {}
         for nm in signature.ops:

@@ -8,13 +8,20 @@ fold that replaces every variable by its assigned element and every
 operation symbol by the target operation.  That evaluation is the
 per-sort map of the induced homomorphism out of the term algebra.
 
-Evaluation runs the term: one right-to-left pass over its symbols with a
-stack of carrier values, the sort-stack machine of ``term_vm`` carrying
-values.  It neither recurses nor decomposes.  Only when the pass fails
-is the term evaluated again in fold order (arguments left to right, each
-before its operation), so the error names the variable or operation the
-structural fold meets first: with several unbound variables, the
-leftmost.
+Evaluation runs the term: one right-to-left pass over its symbols, the
+sort-stack machine of ``term_vm`` carrying values.  It neither recurses
+nor decomposes.  In a ``FiniteAlgebra`` the stack holds carrier indices:
+a variable pushes the index of its label, an operation pops its argument
+indices and pushes the entry of its index rows they select, and only the
+final index is mapped to a label.  Any other algebra gets a stack of
+values and calls ``op`` per operation.  Only when the pass fails is the
+term evaluated again in fold order (arguments left to right, each before
+its operation, through ``op``), so the error names the variable or
+operation the structural fold meets first: with several unbound
+variables, the leftmost.
+
+Enumeration builds each term from terms it has already built, so it
+concatenates their symbols without checking them again.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Algebra, AlgebraError, Hom, _as_fn
+from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom, _as_fn
 from .signature import (
     OpId,
     Signature,
@@ -33,7 +40,7 @@ from .signature import (
     VarSpec,
     vsignature,
 )
-from .term_vm import Term, build_term, term_decompose
+from .term_vm import Term, _term, build_term, term_decompose
 
 Assignment = Mapping[VarId, Any]
 
@@ -65,7 +72,7 @@ class FreeAlgebra(Algebra):
         """The one-symbol term for a declared variable."""
         if not self.varspec.is_var(v):
             raise SignatureError(f"unknown variable {v!r}")
-        return Term(self.vsig, (v,), self.varspec.sort_of(v))
+        return _term(self.vsig, (v,), self.varspec.sort_of(v))
 
 
 def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
@@ -76,27 +83,96 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
     ``evaluate(A, a, build_term(vsig, nm, v)) ==
     A.op(nm, *(evaluate(A, a, x) for x in v))`` and
     ``evaluate(A, a, varterm(x)) == a[x]``.
+
+    A ``FiniteAlgebra`` runs the term on carrier indices, through its
+    index rows; any other algebra on values, through ``op``.  When that
+    pass fails, the term is evaluated again in fold order, which raises
+    the error.
     """
+    try:
+        if isinstance(algebra, FiniteAlgebra) and _runs_on_indices(algebra, t.signature):
+            value = _run_on_indices(algebra, assignment, t)
+        else:
+            value = _run_on_values(algebra, assignment, t)
+    except Exception:  # replayed below, outside this handler, in fold order
+        pass
+    else:
+        return value
+    return _evaluate_in_fold_order(algebra, assignment, t)
+
+
+def _runs_on_indices(algebra: FiniteAlgebra, sig: Signature) -> bool:
+    """Whether terms over ``sig`` give the same values on the algebra's
+    index rows as through its ``op``: ``sig`` declares the algebra's
+    operations first, in the same order and alike, and nothing after them
+    but constants, the variables.  The algebra keeps the last signature
+    that passed, so a loop over terms of one signature pays one identity
+    test per term."""
+    if sig is algebra._indexed_signature:
+        return True
+    base = algebra.signature
+    n = len(base.ops)
+    if (
+        sig.ops[:n] == base.ops
+        and sig.arities[:n] == base.arities
+        and sig.results[:n] == base.results
+        and not any(sig.arities[n:])
+    ):
+        algebra._indexed_signature = sig
+        return True
+    return False
+
+
+def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> Any:
+    """One right-to-left pass on a stack of carrier indices: a variable
+    pushes the index of its label, an operation pops its argument
+    indices (the first on top) and pushes the row they select.  Only the
+    final index is mapped back to a label."""
+    steps, index = algebra._steps, algebra._index
+    decl = t.signature.decl
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for nm in reversed(t.syms):
+        step = steps.get(nm)
+        if step is None:
+            push(index[decl[nm][1]][assignment[nm]])
+            continue
+        rows, dims = step
+        k = len(dims)
+        if k == 2:
+            push(rows[pop() * dims[1] + pop()])
+        elif k == 1:
+            push(rows[pop()])
+        elif k == 0:
+            push(rows[0])
+        else:
+            pos = pop()
+            for d in dims[1:]:
+                pos = pos * d + pop()
+            push(rows[pos])
+    top = t.syms[0]
+    if top in steps:
+        return algebra.carriers[decl[top][1]][stack[-1]]
+    return assignment[top]  # a lone variable evaluates to its binding as given
+
+
+def _run_on_values(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
+    """One right-to-left pass on a stack of carrier values."""
     is_op = algebra.signature.is_op
     nargs = t.signature.nargs
     op = algebra.op
     stack: list[Any] = []
-    try:
-        for nm in reversed(t.syms):
-            k = nargs[nm]
-            if k:
-                args = stack[: -k - 1 : -1]
-                del stack[-k:]
-                stack.append(op(nm, *args))
-            elif is_op(nm):
-                stack.append(op(nm))
-            else:
-                stack.append(assignment[nm])
-    except Exception:  # replayed below, outside this handler, in fold order
-        pass
-    else:
-        return stack[-1]
-    return _evaluate_in_fold_order(algebra, assignment, t)
+    for nm in reversed(t.syms):
+        k = nargs[nm]
+        if k:
+            args = stack[: -k - 1 : -1]
+            del stack[-k:]
+            stack.append(op(nm, *args))
+        elif is_op(nm):
+            stack.append(op(nm))
+        else:
+            stack.append(assignment[nm])
+    return stack[-1]
 
 
 def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
@@ -208,26 +284,27 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
     """
     if not sig.is_sort(sort):
         raise SignatureError(f"unknown sort {sort!r}")
-    # (term, exact depth) pools per sort, for argument selection
-    pools: dict[SortId, list[tuple[Term, int]]] = {s: [] for s in sig.sorts}
+    # per sort, the symbol tuples and exact depths of the terms so far,
+    # for argument selection
+    pools: dict[SortId, tuple[list[tuple[OpId, ...]], list[int]]] = {s: ([], []) for s in sig.sorts}
 
     def level(d: int) -> Iterator[tuple[Term, SortId]]:
-        for i, nm in enumerate(sig.ops):
-            arity = sig.arities[i]
-            res = sig.results[i]
+        for nm, arity, res in zip(sig.ops, sig.arities, sig.results):
             if d == 1:
                 if not arity:
-                    yield Term(sig, (nm,), res), res
+                    yield _term(sig, (nm,), res), res
                 continue
-            if not arity:
+            if not arity or not all(pools[a][0] for a in arity):
                 continue
-            choices = [pools[a] for a in arity]
-            if any(not c for c in choices):
-                continue
-            for combo in product(*choices):
-                if max(dep for _, dep in combo) != d - 1:
-                    continue
-                yield build_term(sig, nm, tuple(t for t, _ in combo)), res
+            # argument terms come from the pools, so each concatenation is
+            # a term of ``res`` and needs no check; one argument at least
+            # must have depth d - 1
+            head = (nm,)
+            combos = product(*(pools[a][0] for a in arity))
+            depths = product(*(pools[a][1] for a in arity))
+            for combo, deps in zip(combos, depths):
+                if d - 1 in deps:
+                    yield _term(sig, sum(combo, head), res), res
 
     for d in range(1, max_depth + 1):
         if d == max_depth:
@@ -237,7 +314,9 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
         else:
             produced = list(level(d))
             for t, res in produced:
-                pools[res].append((t, d))
+                syms, depths = pools[res]
+                syms.append(t.syms)
+                depths.append(d)
             for t, res in produced:
                 if res == sort:
                     yield t

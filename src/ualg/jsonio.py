@@ -6,7 +6,8 @@ All formats are plain UTF-8 JSON.  Array order is meaningful: the
 carrier arrays of an algebra define enumeration order.  Names, sorts and
 labels must be JSON strings and carriers, arities and table arguments
 arrays of them; equation names must be distinct.  Any other shape raises
-``FormatError``, which the CLI reports with exit code 2.
+``FormatError``, which the CLI reports with exit code 2, and so does a
+document nested too deeply for the JSON parser.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ def _expect_strings(obj: Any, key: str, where: str) -> list[str]:
 
 def load_json(path: str | Path) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def dump_json(obj: Any, path: str | Path) -> None:

@@ -16,7 +16,14 @@ the one place where a diagnostic is rendered, and ``term_from_syms``
 runs the machine once per sequence.
 
 Validated terms carry their result sort; construction through
-``build_term`` preserves validity without re-running the machine.
+``build_term`` preserves validity without re-running the machine.  A
+``Term`` is a slotted, immutable value: equal and hash equal over
+(signature, symbols, sort).  ``Term(...)`` is the public constructor;
+the private ``_term`` builds the same object at about half the cost
+and is used only where the machine has checked the symbols or
+construction keeps them a term: ``term_from_syms``, ``build_term``,
+``term_decompose``, ``term_fold``, ``free_algebra.enumerate_terms`` and
+``FreeAlgebra.varterm``.
 
 The same machine, run on values in place of sorts, is how a term is
 consumed: ``term_fold`` and ``depth`` make one right-to-left pass over
@@ -24,15 +31,16 @@ the symbols with a list as the value stack.  A symbol pops the values of
 its arguments (the first argument on top) and pushes its own, so no pass
 recurses or decomposes, and a term's depth is bounded by memory alone,
 not by the interpreter's recursion limit.  ``term_decompose`` remains as
-the inverse of ``build_term``.
+the inverse of ``build_term``: one left-to-right pass over the symbols
+after the head, counting the sorts each argument still has to produce,
+finds every argument boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
-from .signature import OpId, Signature, SortId
+from .signature import OpId, Signature, SignatureError, SortId
 
 R = TypeVar("R")
 
@@ -103,13 +111,49 @@ def infer_sort(sig: Signature, syms: Sequence[OpId]) -> Optional[SortId]:
     return oplistexec(sig, syms).sort
 
 
-@dataclass(frozen=True)
-class Term:
-    """A symbol sequence together with its machine-verified result sort."""
+class _TermSlots:
+    """The three fields of a term, as writable slots: the storage layout
+    that ``Term`` and ``_OpenTerm`` share."""
 
-    signature: Signature
-    syms: tuple[OpId, ...]
-    sort: SortId
+    __slots__ = ("signature", "syms", "sort")
+
+
+class Term(_TermSlots):
+    """A symbol sequence together with its machine-verified result sort.
+
+    Immutable: assigning or deleting a field raises ``AttributeError``.
+    Two terms are equal, and hash equal, when their signatures, symbol
+    tuples and sorts are equal.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, signature: Signature, syms: tuple[OpId, ...], sort: SortId):
+        _set = object.__setattr__
+        _set(self, "signature", signature)
+        _set(self, "syms", syms)
+        _set(self, "sort", sort)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (
+            self.syms == other.syms
+            and self.sort == other.sort
+            and (self.signature is other.signature or self.signature == other.signature)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.syms, self.sort))
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor: the slots refuse assignment
+        return Term, (self.signature, self.syms, self.sort)
 
     def text(self) -> str:
         return " ".join(self.syms)
@@ -119,6 +163,32 @@ class Term:
 
     def __repr__(self) -> str:
         return f"Term({self.text()!r} : {self.sort})"
+
+
+class _OpenTerm(_TermSlots):
+    """A term under construction: the same slots, writable."""
+
+    __slots__ = ()
+
+
+_new = object.__new__
+
+
+def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
+    """The trusted constructor: fills the slots of an ``_OpenTerm`` and
+    retypes it as a ``Term``, at about half the cost of ``Term(...)``.
+
+    Only for a tuple ``syms`` that the machine has checked to be a term of
+    ``sort`` over ``signature``, or that construction keeps one: the
+    callers are ``term_from_syms``, ``build_term``, ``term_decompose``,
+    ``term_fold``, ``enumerate_terms`` and ``FreeAlgebra.varterm``.
+    """
+    t = _new(_OpenTerm)
+    t.signature = signature
+    t.syms = syms
+    t.sort = sort
+    t.__class__ = Term
+    return t
 
 
 def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
@@ -135,12 +205,19 @@ def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
             if not sig.is_op(nm):
                 raise UnknownSymbolError(f"unknown symbol {nm!r}")
         raise TermError(rep.error())
-    return Term(sig, syms, sort)
+    return _term(sig, syms, sort)
 
 
 def parse_term(sig: Signature, text: str) -> Term:
     """Parse the whitespace-separated text form; inverse of ``Term.text``."""
     return term_from_syms(sig, text.split())
+
+
+def _declaration(sig: Signature, nm: OpId) -> tuple[tuple[SortId, ...], SortId]:
+    try:
+        return sig.decl[nm]
+    except KeyError:
+        raise SignatureError(f"unknown operation {nm!r}") from None
 
 
 def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
@@ -149,38 +226,17 @@ def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
     The result is ``nm`` followed by the argument sequences in order; it
     is a valid term by construction and is not re-validated.
     """
-    arity = sig.arity_of(nm)
+    arity, res = _declaration(sig, nm)
     if len(args) != len(arity):
         raise TermError(f"{nm!r} expects {len(arity)} argument(s), got {len(args)}")
+    syms = [nm]
     for i, (a, want) in enumerate(zip(args, arity)):
-        if a.signature != sig:
+        if a.signature is not sig and a.signature != sig:
             raise TermError(f"argument {i} of {nm!r} belongs to a different signature")
         if a.sort != want:
             raise TermError(f"argument {i} of {nm!r} has sort {a.sort!r}, expected {want!r}")
-    syms = [nm]
-    for a in args:
-        syms.extend(a.syms)
-    return Term(sig, tuple(syms), sig.sort_of(nm))
-
-
-def _segment_end(sig: Signature, syms: tuple[OpId, ...], start: int) -> int:
-    """End of the shortest prefix of ``syms[start:]`` that executes to a
-    single sort.
-
-    Tracks how many produced sorts are still pending as the prefix grows;
-    the run's stack height drops by at most one per symbol, so the first
-    index where exactly one pending sort remains closes the segment.
-    """
-    nargs = sig.nargs
-    pending = 1
-    i = start
-    n = len(syms)
-    while pending:
-        if i >= n:
-            raise TermError(f"unterminated argument starting at symbol {start}")
-        pending += nargs[syms[i]] - 1
-        i += 1
-    return i
+        syms += a.syms
+    return _term(sig, tuple(syms), res)
 
 
 def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
@@ -188,21 +244,31 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
 
     Inverse of ``build_term``: the arguments are the consecutive segments
     after the head, each the shortest prefix of what remains that
-    executes to the corresponding arity sort.
+    executes to a single sort, which must be the corresponding arity
+    sort.  One pass over the symbols after the head finds every segment:
+    ``pending`` counts the sorts the current segment still has to
+    produce, and as a run's stack drops by at most one per symbol, the
+    segment closes where it first reaches zero.
     """
-    sig = t.signature
-    nm = t.syms[0]
+    sig, syms = t.signature, t.syms
+    decl, nargs = sig.decl, sig.nargs
+    nm = syms[0]
+    n = len(syms)
     args = []
     i = 1
-    for want in sig.arity_of(nm):
-        j = _segment_end(sig, t.syms, i)
-        seg = t.syms[i:j]
-        if sig.sort_of(seg[0]) != want:
+    for want in _declaration(sig, nm)[0]:
+        start, pending = i, 1
+        while pending:
+            if i >= n:
+                raise TermError(f"unterminated argument starting at symbol {start}")
+            pending += nargs[syms[i]] - 1
+            i += 1
+        seg = syms[start:i]
+        if decl[seg[0]][1] != want:
             raise TermError(f"argument segment {seg!r} has wrong sort for {nm!r}")
-        args.append(Term(sig, seg, want))
-        i = j
-    if i != len(t.syms):
-        raise TermError(f"{len(t.syms) - i} trailing symbol(s) after the arguments of {nm!r}")
+        args.append(_term(sig, seg, want))
+    if i != n:
+        raise TermError(f"{n - i} trailing symbol(s) after the arguments of {nm!r}")
     return nm, tuple(args)
 
 
@@ -210,27 +276,40 @@ def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[R, ...]], R], t: Ter
     """Structural fold over a term, by one run of the value machine.
 
     ``step`` runs once per subterm, after its arguments, last subterm
-    first.  Each stack entry is the ``(start, end, value)`` of a finished
-    subterm, so ``step`` still receives its argument terms.  Satisfies the
-    unfolding law
+    first.  Each stack entry is the ``(end, value)`` of a finished
+    subterm; a subterm's first argument starts right after its head and
+    each next one where the previous ends, so ``step`` still receives
+    its argument terms.  Satisfies the unfolding law
     ``term_fold(step, build_term(sig, nm, v)) ==
     step(nm, v, tuple(term_fold(step, a) for a in v))``.
     """
     sig, syms = t.signature, t.syms
-    arity_of = sig.arity_of
-    stack: list[tuple[int, int, R]] = []
+    decl = sig.decl
+    stack: list[tuple[int, R]] = []
+    push, pop = stack.append, stack.pop
     for i in range(len(syms) - 1, -1, -1):
         nm = syms[i]
-        arity = arity_of(nm)
-        if arity:
-            k = len(arity)
+        arity = decl[nm][0]
+        k = len(arity)
+        if k == 0:
+            push((i + 1, step(nm, (), ())))
+        elif k == 1:
+            end, v = pop()
+            push((end, step(nm, (_term(sig, syms[i + 1 : end], arity[0]),), (v,))))
+        elif k == 2:
+            mid, v = pop()
+            end, w = pop()
+            args = (_term(sig, syms[i + 1 : mid], arity[0]), _term(sig, syms[mid:end], arity[1]))
+            push((end, step(nm, args, (v, w))))
+        else:
             entries = stack[: -k - 1 : -1]
             del stack[-k:]
-            args = tuple([Term(sig, syms[a:b], s) for (a, b, _), s in zip(entries, arity)])
-            stack.append((i, entries[-1][1], step(nm, args, tuple([e[2] for e in entries]))))
-        else:
-            stack.append((i, i + 1, step(nm, (), ())))
-    return stack[-1][2]
+            args, start = [], i + 1
+            for (end, _), s in zip(entries, arity):
+                args.append(_term(sig, syms[start:end], s))
+                start = end
+            push((end, step(nm, tuple(args), tuple([e[1] for e in entries]))))
+    return stack[-1][1]
 
 
 def depth(t: Term) -> int:

@@ -146,3 +146,45 @@ def oracle_hom_counterexample(maps, src, dst):
             if lhs != rhs:
                 return nm, args
     return None
+
+
+def oracle_enumerate(sig: Signature, sort: SortId, max_depth: int) -> list[tuple[str, ...]]:
+    """Symbol tuples of every term of ``sort`` with depth at most
+    ``max_depth``, in the documented enumeration order: by depth, then
+    operation order, then argument combinations with the leftmost
+    argument varying slowest, each argument drawn from the terms of its
+    sort ordered by depth and then by this same order.
+
+    Built from that description alone, with nested recursion over the
+    argument positions: no ``itertools.product`` and no library term
+    construction.
+    """
+    # exact[d][s]: the terms of sort s and exact depth d, in order
+    exact: dict[int, dict[SortId, list[tuple[str, ...]]]] = {}
+    out: list[tuple[str, ...]] = []
+    for d in range(1, max_depth + 1):
+        exact[d] = {s: [] for s in sig.sorts}
+        for nm in sig.ops:
+            arity = sig.arity_of(nm)
+            if d == 1:
+                if not arity:
+                    exact[1][sig.sort_of(nm)].append((nm,))
+                continue
+            if not arity:
+                continue
+            # (symbols, depth) of every term of depth < d per argument sort
+            below = [[(t, e) for e in range(1, d) for t in exact[e][a]] for a in arity]
+
+            def combos(i: int):
+                if i == len(below):
+                    yield (), 0
+                    return
+                for t, e in below[i]:
+                    for rest, m in combos(i + 1):
+                        yield t + rest, max(e, m)
+
+            for syms, m in combos(0):
+                if m == d - 1:
+                    exact[d][sig.sort_of(nm)].append((nm,) + syms)
+        out.extend(exact[d][sort])
+    return out

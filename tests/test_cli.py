@@ -469,6 +469,19 @@ def assert_input_error(code, out, err, needle):
     assert err.startswith("error:") and needle in err
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    # deeper than the JSON parser's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    deep = str(path)
+    for argv in (
+        ("term", "check", "--sig", deep, "x"),
+        ("eval", "--alg", deep, "e"),
+        ("check-eqs", "--alg", data("monoid_sub3.json"), "--eqs", deep),
+    ):
+        assert_input_error(*run(capsys, *argv), "nested too deeply")
+
+
 def test_nested_arity_is_an_input_error(capsys, tmp_path):
     sig = write(tmp_path, "sig.json", {
         "sorts": ["u"],

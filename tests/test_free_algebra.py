@@ -1,15 +1,18 @@
 import random
+from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ualg.algebra import UNIT_ELEMENT, AlgebraError, unit_algebra
+from ualg.algebra import UNIT_ELEMENT, Algebra, AlgebraError, FiniteAlgebra, unit_algebra
 from ualg.examples import (
     additive_mod_algebra,
     bool_algebra,
     bool_free,
     bool_signature,
+    list_fixture,
     list_signature,
     monoid_signature,
     monoid_varspec,
@@ -17,15 +20,16 @@ from ualg.examples import (
 from ualg.free_algebra import (
     FreeAlgebra,
     MissingBindingError,
+    _runs_on_indices,
     check_universality,
     enumerate_terms,
     evaluate,
     universal_map,
 )
-from ualg.signature import SignatureError, make_varspec
-from ualg.term_vm import depth, parse_term, term_decompose
+from ualg.signature import SignatureError, make_signature, make_varspec, vsignature
+from ualg.term_vm import depth, parse_term, term_decompose, term_from_syms
 
-from oracle import oracle_eval, random_term
+from oracle import oracle_enumerate, oracle_eval, random_term
 
 MONOID = monoid_signature()
 BOOL = bool_signature()
@@ -293,3 +297,157 @@ def test_enumerate_terms_all_valid():
 def test_enumerate_rejects_unknown_sort():
     with pytest.raises(SignatureError):
         list(enumerate_terms(MONOID, "v", 2))
+
+
+def ternary_signature():
+    return make_signature(
+        ["u", "v"],
+        [("c", [], "u"), ("k", [], "v"), ("g", ["u"], "u"), ("f", ["u", "v", "u"], "u")],
+    )
+
+
+def ternary_vsig():
+    sig = ternary_signature()
+    return vsignature(sig, make_varspec(sig, {"x": "u", "y": "u", "w": "v"}))
+
+
+def ternary_algebra():
+    """Two sorts of three and two elements, a constant of each, a unary
+    operation and a ternary one whose table tells every argument
+    position apart, so the mixed radix (3, 2, 3) matters."""
+    us, vs = ("0", "1", "2"), ("p", "q")
+    tables = {
+        "c": {(): "2"},
+        "k": {(): "q"},
+        "g": {(a,): str((int(a) + 1) % 3) for a in us},
+        "f": {
+            (a, b, c): str((int(a) + (2 if b == "q" else 0) + int(a) * int(c) + 2) % 3)
+            for a, b, c in product(us, vs, us)
+        },
+    }
+    return FiniteAlgebra(ternary_signature(), {"u": us, "v": vs}, tables)
+
+
+def on_values(algebra):
+    """The same operations as a plain ``Algebra``, which ``evaluate`` runs
+    on values through ``op`` rather than on index rows."""
+    return Algebra(algebra.signature, {nm: partial(algebra.op, nm) for nm in algebra.signature.ops})
+
+
+def outcome(algebra, assignment, t):
+    try:
+        value = evaluate(algebra, assignment, t)
+    except Exception as err:
+        return "raised", type(err), str(err)
+    return "value", type(value), value
+
+
+def assert_paths_agree(algebra, vsig, assignments, terms):
+    assert _runs_on_indices(algebra, vsig)
+    generic = on_values(algebra)
+    for assignment in assignments:
+        for t in terms:
+            assert outcome(algebra, assignment, t) == outcome(generic, assignment, t), (t, assignment)
+
+
+def test_index_evaluation_matches_value_evaluation_on_bool():
+    vsig = bool_free().vsig
+    terms = list(enumerate_terms(vsig, "u", 3))
+    terms.append(parse_term(vsig, "neg " * 5000 + "x"))
+    assignments = [dict(zip("xyz", v)) for v in product(("false", "true"), repeat=3)]
+    assert_paths_agree(bool_algebra(), vsig, assignments, terms)
+
+
+def test_index_evaluation_matches_value_evaluation_on_lists():
+    fix = list_fixture()  # two sorts; cons past four elements hits the overflow sink
+    vsig = fix.free.vsig
+    terms = list(enumerate_terms(vsig, "list", 6)) + list(enumerate_terms(vsig, "elem", 1))
+    assert_paths_agree(fix.algebra, vsig, [fix.assignment, {"a": "b", "b": "b"}], terms)
+
+
+def test_index_evaluation_matches_value_evaluation_with_a_ternary_operation():
+    vsig = ternary_vsig()
+    terms = list(enumerate_terms(vsig, "u", 3)) + list(enumerate_terms(vsig, "v", 2))
+    assert any(t.syms[:2] == ("f", "f") for t in terms)
+    assignments = [{"x": a, "y": b, "w": c} for a, b, c in product("012", "01", "pq")]
+    assert_paths_agree(ternary_algebra(), vsig, assignments, terms)
+
+
+def test_index_evaluation_errors_match_value_evaluation():
+    bool_vsig = bool_free().vsig
+    cases = [
+        # missing bindings: the leftmost variable is named
+        (additive_mod_algebra(3), monoid_free().vsig, {}, "mul y x"),
+        (additive_mod_algebra(3), monoid_free().vsig, {"y": "1"}, "mul mul y x z"),
+        (ternary_algebra(), ternary_vsig(), {}, "f y w x"),
+        # labels outside the carrier
+        (bool_algebra(), bool_vsig, {"x": "bad", "y": "bad", "z": "true"}, "conj neg x impl y top"),
+        (bool_algebra(), bool_vsig, {"x": "bad"}, "conj neg x y"),
+        (ternary_algebra(), ternary_vsig(), {"x": "0", "y": "7", "w": "p"}, "f x k g y"),
+        (ternary_algebra(), ternary_vsig(), {"x": "0", "w": "0"}, "f x w c"),
+        (ternary_algebra(), ternary_vsig(), {"x": ["0"], "w": "p"}, "f x w c"),
+    ]
+    for algebra, vsig, assignment, text in cases:
+        t = parse_term(vsig, text)
+        got = outcome(algebra, assignment, t)
+        assert got[0] == "raised" and got == outcome(on_values(algebra), assignment, t), text
+    with pytest.raises(MissingBindingError, match="'y'"):
+        evaluate(ternary_algebra(), {}, parse_term(ternary_vsig(), "f y w x"))
+    with pytest.raises(AlgebraError, match="argument 0 of 'g'"):
+        evaluate(ternary_algebra(), {"x": "0", "y": "7", "w": "p"}, parse_term(ternary_vsig(), "f x k g y"))
+
+
+class Label(str):
+    """A binding equal to a carrier label but not a ``str``."""
+
+
+def test_a_lone_variable_evaluates_to_its_binding_as_given():
+    vsig = bool_free().vsig
+    x = parse_term(vsig, "x")
+    for binding in ["bad", Label("true")]:
+        got = outcome(bool_algebra(), {"x": binding}, x)
+        assert got == outcome(on_values(bool_algebra()), {"x": binding}, x) == ("value", type(binding), binding)
+
+
+def test_evaluation_over_a_foreign_signature_runs_on_values():
+    # a signature that does not declare the algebra's operations as the
+    # algebra does is not run on its index rows, where its terms would
+    # pop other arguments; the value path calls op, and the fold-order
+    # pass reads a symbol the algebra lacks as a variable
+    bools = bool_algebra()
+    decls = [(nm, bools.signature.arity_of(nm), "u") for nm in bools.signature.ops]
+    clashing = make_signature(["u"], [(nm, (["u", "u"] if nm == "neg" else a), s) for nm, a, s in decls])
+    renamed = make_signature(["u"], [(("foo" if nm == "conj" else nm), a, s) for nm, a, s in decls])
+    extended = make_signature(["u"], decls + [("x", [], "u"), ("y", [], "u"), ("h", ["u"], "u")])
+    resorted = make_signature(
+        ["elem", "list"], [("nil", [], "elem"), ("cons", ["elem", "list"], "list"), ("l", [], "list")]
+    )
+    cases = [
+        (bools, clashing, "neg top top", {}, ("raised", AlgebraError, "'neg' expects 1 argument(s), got 2")),
+        (bools, renamed, "impl foo top top bot", {"foo": "true"}, ("value", str, "false")),
+        (bools, extended, "conj h x y", {"h": "true", "x": "false", "y": "true"}, ("value", str, "true")),
+        (list_fixture().algebra, resorted, "cons nil l", {"l": "[]"},
+         ("raised", AlgebraError, "'[]' is not a carrier element for argument 0 of 'cons'")),
+    ]
+    for algebra, sig, text, assignment, expected in cases:
+        assert not _runs_on_indices(algebra, sig)
+        t = parse_term(sig, text)
+        assert outcome(algebra, assignment, t) == outcome(on_values(algebra), assignment, t) == expected
+
+
+@pytest.mark.parametrize(
+    "sig, sort, max_depth",
+    [
+        (bool_free().vsig, "u", 3),
+        (list_fixture().free.vsig, "list", 4),
+        (list_fixture().free.vsig, "elem", 2),
+        (ternary_vsig(), "u", 3),
+        (ternary_vsig(), "v", 3),
+    ],
+)
+def test_enumeration_order_matches_the_documented_order(sig, sort, max_depth):
+    terms = list(enumerate_terms(sig, sort, max_depth))
+    assert [t.syms for t in terms] == oracle_enumerate(sig, sort, max_depth)
+    # enumeration does not re-check what it concatenates: the machine must agree
+    for t in terms:
+        assert t == term_from_syms(sig, t.syms)

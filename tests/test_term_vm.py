@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -32,6 +34,8 @@ from oracle import brute_shortest_term_prefix, oracle_infer_sort, random_term
 
 MONOID = monoid_signature()
 BOOL = bool_signature()
+# two sorts and a ternary operation, for the k-ary paths
+TERNARY = make_signature(["u", "v"], [("c", [], "u"), ("k", [], "v"), ("h", ["u", "v", "u"], "u")])
 
 
 def list_vsig():
@@ -155,6 +159,39 @@ def test_parse_and_text_round_trip():
     assert parse_term(MONOID, t.text()) == t
 
 
+def test_term_value_semantics():
+    one, other = monoid_signature(), monoid_signature()
+    assert one is not other and one == other
+    t = parse_term(one, "mul e e")
+    u = build_term(other, "mul", [parse_term(other, "e")] * 2)
+    assert t == u and hash(t) == hash(u)
+    assert t == Term(other, ("mul", "e", "e"), "u")
+    assert t != Term(one, ("mul", "e", "e"), "v")
+    assert t != parse_term(one, "e")
+    assert t != ("mul", "e", "e")
+    assert t != Term(BOOL, ("mul", "e", "e"), "u")
+    assert len({t, u, parse_term(one, "e")}) == 2
+    assert copy.copy(t) == t and copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_term_is_immutable():
+    t = parse_term(MONOID, "mul e e")
+    for name, value in [("syms", ("e",)), ("sort", "v"), ("signature", BOOL), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert (t.syms, t.sort, t.signature) == (("mul", "e", "e"), "u", MONOID)
+
+
+def test_term_text_forms():
+    t = term_from_syms(list_vsig(), ["cons", "a", "nil"])
+    assert str(t) == t.text() == "cons a nil"
+    assert repr(t) == "Term('cons a nil' : list)"
+    assert repr(Term(MONOID, ("e",), "u")) == "Term('e' : u)"
+
+
 def test_parse_rejects_unknown_symbol():
     with pytest.raises(TermError, match="unknown symbol"):
         parse_term(MONOID, "mul e q")
@@ -210,9 +247,24 @@ def test_decompose_examples():
     assert [a.text() for a in args] == ["mul e e", "e"]
 
 
+def test_decompose_rejects_sequences_that_are_not_terms():
+    # Term(...) does not run the machine, so decompose keeps its checks
+    vsig = list_vsig()
+    with pytest.raises(TermError, match="unterminated argument starting at symbol 2"):
+        term_decompose(Term(MONOID, ("mul", "e"), "u"))
+    with pytest.raises(TermError, match="unterminated argument starting at symbol 1"):
+        term_decompose(Term(MONOID, ("mul", "mul", "e"), "u"))
+    with pytest.raises(TermError, match="has wrong sort for 'cons'"):
+        term_decompose(Term(vsig, ("cons", "nil", "nil"), "list"))
+    with pytest.raises(TermError, match="2 trailing symbol"):
+        term_decompose(Term(MONOID, ("mul", "e", "e", "e", "e"), "u"))
+    with pytest.raises(TermError, match="1 trailing symbol"):
+        term_decompose(Term(MONOID, ("e", "e"), "u"))
+
+
 def test_decompose_boundaries_match_literal_shortest_prefix():
     rng = random.Random(7)
-    for sig in (MONOID, BOOL, list_vsig()):
+    for sig in (MONOID, BOOL, list_vsig(), TERNARY):
         for sort in sig.sorts:
             for _ in range(60):
                 t = random_term(rng, sig, sort, 5)
@@ -257,7 +309,7 @@ def test_unfolding_law_sampled_to_depth_five(seed):
         "depth": lambda nm, v, rec: 1 + max(rec, default=0),
         "size": lambda nm, v, rec: 1 + sum(rec),
     }
-    for sig in (MONOID, BOOL, list_vsig()):
+    for sig in (MONOID, BOOL, list_vsig(), TERNARY):
         for nm in sig.ops:
             args = tuple(random_term(rng, sig, s, 4) for s in sig.arity_of(nm))
             t = build_term(sig, nm, args)
@@ -281,6 +333,23 @@ def test_term_fold_hands_step_its_argument_terms():
     term_fold(step, t)
     # right to left: the last argument finishes first, the head last
     assert seen == [("e", ()), ("e", ()), ("e", ()), ("mul", ("e", "e")), ("mul", ("mul e e", "e"))]
+
+    seen.clear()
+    term_fold(step, parse_term(TERNARY, "h h c k c k c"))
+    assert seen == [("c", ()), ("k", ()), ("c", ()), ("k", ()), ("c", ()), ("h", ("c", "k", "c")),
+                    ("h", ("h c k c", "k", "c"))]
+
+
+def test_term_fold_rebuilds_each_subterm_from_its_argument_terms():
+    # each step gets its argument terms, sorts included, and their values
+    for sig, text in [(list_vsig(), "cons a cons b nil"), (TERNARY, "h h c k c k h c k c")]:
+        t = parse_term(sig, text)
+
+        def rebuild(nm, args, values):
+            assert values == args
+            return build_term(sig, nm, args)
+
+        assert term_fold(rebuild, t) == t
 
 
 def test_deep_chain_needs_no_recursion():
