@@ -53,6 +53,7 @@ class Algebra:
             raise AlgebraError(f"no interpretation for operation(s) {missing}")
         self.signature = signature
         self._ops = dict(ops)
+        self._term_signature = signature  # the last one evaluate accepted
 
     def op(self, nm: OpId, *args: Any) -> Any:
         try:
@@ -143,7 +144,6 @@ class FiniteAlgebra(Algebra):
 
         self.carriers = carr
         self._index = index
-        self._indexed_signature = signature  # see free_algebra._runs_on_indices
         self._steps: dict[OpId, Step] = {}  # per operation, its (index rows, dims)
         ops: dict[OpId, Callable[..., str]] = {}
         for nm in signature.ops:

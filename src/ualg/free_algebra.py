@@ -8,17 +8,21 @@ fold that replaces every variable by its assigned element and every
 operation symbol by the target operation.  That evaluation is the
 per-sort map of the induced homomorphism out of the term algebra.
 
-Evaluation runs the term: one right-to-left pass over its symbols, the
-sort-stack machine of ``term_vm`` carrying values.  It neither recurses
-nor decomposes.  In a ``FiniteAlgebra`` the stack holds carrier indices:
-a variable pushes the index of its label, an operation pops its argument
-indices and pushes the entry of its index rows they select, and only the
-final index is mapped to a label.  Any other algebra gets a stack of
-values and calls ``op`` per operation.  Only when the pass fails is the
-term evaluated again in fold order (arguments left to right, each before
-its operation, through ``op``), so the error names the variable or
-operation the structural fold meets first: with several unbound
-variables, the leftmost.
+Evaluation takes a term only over the algebra's signature extended by
+constants, the variables; any other term is an ``AlgebraError``.  It
+neither recurses nor decomposes, and it has one pass per kind of
+algebra.  A ``FiniteAlgebra`` runs the term right to left on the
+sort-stack machine of ``term_vm`` carrying carrier indices: a variable
+pushes the index of its label, an operation pops its argument indices
+and pushes the entry of its index rows they select, and only the final
+index is mapped to a label.  Any other algebra evaluates in fold order:
+arguments left to right, each before its operation, through ``op``.
+When the index pass meets a missing binding or a label outside a
+carrier, the term is evaluated again in fold order, so every error is
+the first one the structural fold meets.  With several unbound
+variables that is the leftmost.  A bad label fails only when its
+operation is applied, after the later arguments are visited, so
+``conj x y`` under ``{"x": "bad"}`` reports the missing ``y``.
 
 Enumeration builds each term from terms it has already built, so it
 concatenates their symbols without checking them again.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom, _as_fn
 from .signature import (
@@ -38,6 +42,7 @@ from .signature import (
     SortId,
     VarId,
     VarSpec,
+    extends_by_constants,
     vsignature,
 )
 from .term_vm import Term, _term, build_term, term_decompose
@@ -78,49 +83,32 @@ class FreeAlgebra(Algebra):
 def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
     """Evaluate a term in ``algebra`` under ``assignment``.
 
-    Base operation symbols are interpreted by the algebra; any other
-    symbol is looked up as a variable.  Satisfies
-    ``evaluate(A, a, build_term(vsig, nm, v)) ==
+    The term must be over the algebra's signature extended by constants,
+    the variables (``extends_by_constants``); any other term raises
+    ``AlgebraError``.  Operation symbols are interpreted by the algebra
+    and the constants past them are looked up in ``assignment``.
+    Satisfies ``evaluate(A, a, build_term(vsig, nm, v)) ==
     A.op(nm, *(evaluate(A, a, x) for x in v))`` and
     ``evaluate(A, a, varterm(x)) == a[x]``.
 
     A ``FiniteAlgebra`` runs the term on carrier indices, through its
-    index rows; any other algebra on values, through ``op``.  When that
-    pass fails, the term is evaluated again in fold order, which raises
-    the error.
+    index rows; when that pass meets a missing binding or a label outside
+    a carrier, the term is evaluated again in fold order, which raises
+    the error.  Any other algebra evaluates in fold order only.
     """
-    try:
-        if isinstance(algebra, FiniteAlgebra) and _runs_on_indices(algebra, t.signature):
-            value = _run_on_indices(algebra, assignment, t)
-        else:
-            value = _run_on_values(algebra, assignment, t)
-    except Exception:  # replayed below, outside this handler, in fold order
-        pass
-    else:
-        return value
+    sig = t.signature
+    if sig is not algebra._term_signature:
+        if not extends_by_constants(sig, algebra.signature):
+            raise AlgebraError(
+                "the term is not over the algebra's signature extended by variables"
+            )
+        algebra._term_signature = sig
+    if isinstance(algebra, FiniteAlgebra):
+        try:
+            return _run_on_indices(algebra, assignment, t)
+        except (KeyError, TypeError):  # replayed below, outside this handler
+            pass
     return _evaluate_in_fold_order(algebra, assignment, t)
-
-
-def _runs_on_indices(algebra: FiniteAlgebra, sig: Signature) -> bool:
-    """Whether terms over ``sig`` give the same values on the algebra's
-    index rows as through its ``op``: ``sig`` declares the algebra's
-    operations first, in the same order and alike, and nothing after them
-    but constants, the variables.  The algebra keeps the last signature
-    that passed, so a loop over terms of one signature pays one identity
-    test per term."""
-    if sig is algebra._indexed_signature:
-        return True
-    base = algebra.signature
-    n = len(base.ops)
-    if (
-        sig.ops[:n] == base.ops
-        and sig.arities[:n] == base.arities
-        and sig.results[:n] == base.results
-        and not any(sig.arities[n:])
-    ):
-        algebra._indexed_signature = sig
-        return True
-    return False
 
 
 def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> Any:
@@ -156,39 +144,11 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
     return assignment[top]  # a lone variable evaluates to its binding as given
 
 
-def _run_on_values(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
-    """One right-to-left pass on a stack of carrier values."""
-    is_op = algebra.signature.is_op
-    nargs = t.signature.nargs
-    op = algebra.op
-    stack: list[Any] = []
-    for nm in reversed(t.syms):
-        k = nargs[nm]
-        if k:
-            args = stack[: -k - 1 : -1]
-            del stack[-k:]
-            stack.append(op(nm, *args))
-        elif is_op(nm):
-            stack.append(op(nm))
-        else:
-            stack.append(assignment[nm])
-    return stack[-1]
-
-
 def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
     """Evaluate left to right, each symbol after its arguments: the order
-    of the structural fold.  ``evaluate`` falls back on it when its pass
-    fails, so the error raised is the first one the fold would meet."""
-    sig = algebra.signature
-
-    def step(nm: OpId, values: Sequence[Any]) -> Any:
-        if sig.is_op(nm):
-            return algebra.op(nm, *values)
-        try:
-            return assignment[nm]
-        except KeyError:
-            raise MissingBindingError(f"no binding for variable {nm!r}") from None
-
+    of the structural fold, so the error raised is the first one the fold
+    meets."""
+    decl, op = algebra.signature.decl, algebra.op
     nargs = t.signature.nargs
     frames: list[tuple[OpId, int, list[Any]]] = []  # (symbol, arity, argument values so far)
     for nm in t.syms:
@@ -196,14 +156,20 @@ def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -
         if k:
             frames.append((nm, k, []))
             continue
-        value = step(nm, ())
+        if nm in decl:
+            value = op(nm)
+        else:
+            try:
+                value = assignment[nm]
+            except KeyError:
+                raise MissingBindingError(f"no binding for variable {nm!r}") from None
         while frames:
             head, k, values = frames[-1]
             values.append(value)
             if len(values) < k:
                 break
             frames.pop()
-            value = step(head, values)
+            value = op(head, *values)
     return value
 
 

@@ -224,6 +224,21 @@ def vsignature(sig: Signature, vs: VarSpec) -> Signature:
     )
 
 
+def extends_by_constants(vsig: Signature, sig: Signature) -> bool:
+    """Whether ``vsig`` is ``sig`` extended by nullary symbols only, as
+    ``vsignature`` extends it by variables: the same sorts, then the
+    operations of ``sig`` in the same order with the same arities and
+    results, then nothing but constants."""
+    n = len(sig.ops)
+    return (
+        vsig.sorts == sig.sorts
+        and vsig.ops[:n] == sig.ops
+        and vsig.arities[:n] == sig.arities
+        and vsig.results[:n] == sig.results
+        and not any(vsig.arities[n:])
+    )
+
+
 def is_vsignature(vsig: Signature, sig: Signature, vs: VarSpec) -> bool:
     """Whether ``vsig == vsignature(sig, vs)``, decided without building
     the extended signature; raises the same ``SignatureError`` on a name

@@ -3,6 +3,7 @@ and the 0/1/2 exit code contract."""
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ualg.cli import main
-from ualg.jsonio import load_signature
+from ualg.jsonio import load_algebra, load_signature
+from ualg.signature import make_varspec, vsignature
+from ualg.term_vm import parse_term
 
-from oracle import oracle_infer_sort
+from oracle import oracle_eval, oracle_infer_sort, random_term
 
 
 def data(name):
@@ -205,6 +208,53 @@ def test_eval_assignment_file(capsys, tmp_path):
         "conj x impl z neg y",
     )
     assert (code, out) == (0, "true\n")
+
+
+BOOL_ALGEBRA = load_algebra(data("bool_algebra.json"))
+BOOL_VARS = ("x", "y", "z")  # the variable block of bool_equations.json
+BOOL_VSIG = vsignature(BOOL_ALGEBRA.signature, make_varspec(BOOL_ALGEBRA.signature, dict.fromkeys(BOOL_VARS, "u")))
+
+
+@st.composite
+def eval_inputs(draw):
+    # symbols at random, or a well-formed term so that many runs reach a value
+    if draw(st.booleans()):
+        syms = draw(st.lists(st.sampled_from(BOOL_VSIG.ops + (UNKNOWN,)), max_size=12))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        syms = list(random_term(rng, BOOL_VSIG, "u", draw(st.integers(1, 5))).syms)
+    labels = BOOL_ALGEBRA.elements("u") + ("bad",)
+    assignment = draw(st.dictionaries(st.sampled_from(BOOL_VARS), st.sampled_from(labels)))
+    return syms, assignment
+
+
+@given(case=eval_inputs())
+@settings(max_examples=300, deadline=None)
+def test_eval_exit_contract(case):
+    syms, assignment = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([
+            "eval",
+            "--alg", data("bool_algebra.json"),
+            "--vars", data("bool_equations.json"),
+            "--assign", ",".join(f"{v}={label}" for v, label in assignment.items()),
+            " ".join(syms),
+        ])
+    assert code in (0, 1, 2)
+    valid = (
+        UNKNOWN not in syms
+        and oracle_infer_sort(BOOL_VSIG, syms) is not None
+        and "bad" not in assignment.values()
+        and all(nm in assignment for nm in syms if nm in BOOL_VARS)
+    )
+    if code == 2:
+        assert not valid and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert valid and (code, err.getvalue()) == (0, "")
+    expected = oracle_eval(BOOL_ALGEBRA, assignment, parse_term(BOOL_VSIG, " ".join(syms)))
+    assert out.getvalue() == f"{expected}\n"
 
 
 # -- check-eqs ----------------------------------------------------------------

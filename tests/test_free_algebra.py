@@ -20,7 +20,6 @@ from ualg.examples import (
 from ualg.free_algebra import (
     FreeAlgebra,
     MissingBindingError,
-    _runs_on_indices,
     check_universality,
     enumerate_terms,
     evaluate,
@@ -342,12 +341,16 @@ def outcome(algebra, assignment, t):
     return "value", type(value), value
 
 
+FOREIGN = "the term is not over the algebra's signature extended by variables"
+
+
 def assert_paths_agree(algebra, vsig, assignments, terms):
-    assert _runs_on_indices(algebra, vsig)
     generic = on_values(algebra)
     for assignment in assignments:
         for t in terms:
-            assert outcome(algebra, assignment, t) == outcome(generic, assignment, t), (t, assignment)
+            assert t.signature is vsig
+            got = outcome(algebra, assignment, t)
+            assert got[2] != FOREIGN and got == outcome(generic, assignment, t), (t, assignment)
 
 
 def test_index_evaluation_matches_value_evaluation_on_bool():
@@ -383,9 +386,15 @@ def test_index_evaluation_errors_match_value_evaluation():
         # labels outside the carrier
         (bool_algebra(), bool_vsig, {"x": "bad", "y": "bad", "z": "true"}, "conj neg x impl y top"),
         (bool_algebra(), bool_vsig, {"x": "bad"}, "conj neg x y"),
+        # a bad label fails only when its operation is applied, after the
+        # later arguments are visited
+        (bool_algebra(), bool_vsig, {"x": "bad"}, "conj x y"),
+        (bool_algebra(), bool_vsig, {"x": "bad", "y": "true"}, "conj x y"),
         (ternary_algebra(), ternary_vsig(), {"x": "0", "y": "7", "w": "p"}, "f x k g y"),
         (ternary_algebra(), ternary_vsig(), {"x": "0", "w": "0"}, "f x w c"),
         (ternary_algebra(), ternary_vsig(), {"x": ["0"], "w": "p"}, "f x w c"),
+        # the index pass meets the unhashable label first, the fold the unbound x
+        (ternary_algebra(), ternary_vsig(), {"w": ["p"]}, "f x w c"),
     ]
     for algebra, vsig, assignment, text in cases:
         t = parse_term(vsig, text)
@@ -395,6 +404,10 @@ def test_index_evaluation_errors_match_value_evaluation():
         evaluate(ternary_algebra(), {}, parse_term(ternary_vsig(), "f y w x"))
     with pytest.raises(AlgebraError, match="argument 0 of 'g'"):
         evaluate(ternary_algebra(), {"x": "0", "y": "7", "w": "p"}, parse_term(ternary_vsig(), "f x k g y"))
+    with pytest.raises(MissingBindingError, match="'y'"):
+        evaluate(bool_algebra(), {"x": "bad"}, parse_term(bool_vsig, "conj x y"))
+    with pytest.raises(AlgebraError, match="argument 0 of 'conj'"):
+        evaluate(bool_algebra(), {"x": "bad", "y": "true"}, parse_term(bool_vsig, "conj x y"))
 
 
 class Label(str):
@@ -409,11 +422,11 @@ def test_a_lone_variable_evaluates_to_its_binding_as_given():
         assert got == outcome(on_values(bool_algebra()), {"x": binding}, x) == ("value", type(binding), binding)
 
 
-def test_evaluation_over_a_foreign_signature_runs_on_values():
-    # a signature that does not declare the algebra's operations as the
-    # algebra does is not run on its index rows, where its terms would
-    # pop other arguments; the value path calls op, and the fold-order
-    # pass reads a symbol the algebra lacks as a variable
+def test_evaluation_over_a_foreign_signature_is_rejected():
+    # a term over a signature that is not the algebra's extended by
+    # constants would pop other arguments on the index rows, or read a
+    # symbol the algebra lacks as a variable; evaluate refuses it on
+    # either kind of algebra
     bools = bool_algebra()
     decls = [(nm, bools.signature.arity_of(nm), "u") for nm in bools.signature.ops]
     clashing = make_signature(["u"], [(nm, (["u", "u"] if nm == "neg" else a), s) for nm, a, s in decls])
@@ -422,17 +435,33 @@ def test_evaluation_over_a_foreign_signature_runs_on_values():
     resorted = make_signature(
         ["elem", "list"], [("nil", [], "elem"), ("cons", ["elem", "list"], "list"), ("l", [], "list")]
     )
+    # a variable of a sort the algebra lacks
+    extra_sort = make_signature(["u", "v"], decls + [("x", [], "v")])
     cases = [
-        (bools, clashing, "neg top top", {}, ("raised", AlgebraError, "'neg' expects 1 argument(s), got 2")),
-        (bools, renamed, "impl foo top top bot", {"foo": "true"}, ("value", str, "false")),
-        (bools, extended, "conj h x y", {"h": "true", "x": "false", "y": "true"}, ("value", str, "true")),
-        (list_fixture().algebra, resorted, "cons nil l", {"l": "[]"},
-         ("raised", AlgebraError, "'[]' is not a carrier element for argument 0 of 'cons'")),
+        (bools, clashing, "neg top top", {}),
+        (bools, renamed, "impl foo top top bot", {"foo": "true"}),
+        (bools, extended, "conj h x y", {"h": "true", "x": "false", "y": "true"}),
+        (list_fixture().algebra, resorted, "cons nil l", {"l": "[]"}),
+        (bools, extra_sort, "x", {"x": "true"}),
     ]
-    for algebra, sig, text, assignment, expected in cases:
-        assert not _runs_on_indices(algebra, sig)
+    for algebra, sig, text, assignment in cases:
         t = parse_term(sig, text)
-        assert outcome(algebra, assignment, t) == outcome(on_values(algebra), assignment, t) == expected
+        for target in (algebra, on_values(algebra)):
+            with pytest.raises(AlgebraError, match=FOREIGN):
+                evaluate(target, assignment, t)
+    # the accepted signature is remembered per algebra: a foreign term
+    # after a valid one is still refused, and the valid one accepted again
+    valid = parse_term(bool_free().vsig, "impl x y")
+    foreign = parse_term(extended, "conj h x y")
+    assignment = {"h": "true", "x": "true", "y": "false"}
+    for target in (bools, on_values(bools)):
+        assert evaluate(target, assignment, valid) == "false"
+        with pytest.raises(AlgebraError, match=FOREIGN):
+            evaluate(target, assignment, foreign)
+        assert evaluate(target, assignment, valid) == "false"
+    # a ground term over the algebra's own signature has no constants to add
+    ground = parse_term(bools.signature, "impl bot neg top")
+    assert evaluate(bools, {}, ground) == evaluate(on_values(bools), {}, ground) == "true"
 
 
 @pytest.mark.parametrize(
