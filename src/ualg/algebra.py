@@ -161,7 +161,7 @@ class FiniteAlgebra(Algebra):
                 for i, x in enumerate(args):
                     try:
                         pos = pos * _dims[i] + _idxs[i][x]
-                    except KeyError:
+                    except (KeyError, TypeError):  # not a label, or not hashable
                         raise AlgebraError(
                             f"{x!r} is not a carrier element for argument {i} of {_nm!r}"
                         ) from None
@@ -302,19 +302,6 @@ def unit_algebra(sig: Signature) -> FiniteAlgebra:
 SortMap = Mapping[SortId, Any]
 
 
-def _as_fn(m: Any) -> Callable[[Any], Any]:
-    if callable(m):
-        return m
-
-    def lookup(x, _m=m):
-        try:
-            return _m[x]
-        except KeyError:
-            raise AlgebraError(f"map has no image for element {x!r}") from None
-
-    return lookup
-
-
 @dataclass(frozen=True)
 class Hom:
     """A per-sort map between algebras over the same signature.
@@ -332,7 +319,12 @@ class Hom:
             m = self.maps[sort]
         except KeyError:
             raise AlgebraError(f"no map for sort {sort!r}") from None
-        return _as_fn(m)(x)
+        if callable(m):
+            return m(x)
+        try:
+            return m[x]
+        except KeyError:
+            raise AlgebraError(f"map has no image for element {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -350,14 +342,22 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     operation order, then lexicographic argument order over the source
     carriers.
 
-    Both algebras must be finite.  Each sort map is applied once to every
-    source element, giving an array of target indices, so a missing image
-    or one outside the target carrier raises ``AlgebraError`` before any
-    operation is checked.  The law for an operation ``f`` of arity
-    ``a_1 .. a_k`` and result sort ``r`` is then two programs over slots
-    ``x_1 .. x_k``, compared by ``first_difference``: ``h_r(f_src(x_1, ..,
-    x_k))`` and ``f_dst(h_a1(x_1), .., h_ak(x_k))``, where each ``h_s`` is
-    a unary step on its index array.
+    This is the one place that checks a map against the algebras, and it
+    does so before any operation is checked.  Both algebras must be
+    finite and over the same signature.  Then ``maps`` must hold no map
+    for a sort the signature lacks, and a map for every sort: a callable
+    or a label dictionary, checked sort by sort in signature order.  A
+    dictionary's entries are read in its order: each key must be in the
+    source carrier and each image in the target carrier, and then every
+    source label must have an image.  A callable is applied once to every
+    source element in carrier order, and each image must be in the target
+    carrier.
+
+    The same pass gives each sort map ``h_s`` an array of target indices,
+    a unary step.  The law for an operation ``f`` of arity ``a_1 .. a_k``
+    and result sort ``r`` is then two programs over slots ``x_1 .. x_k``,
+    compared by ``first_difference``: ``h_r(f_src(x_1, .., x_k))`` and
+    ``f_dst(h_a1(x_1), .., h_ak(x_k))``.
     """
     if isinstance(maps, Hom):
         maps = maps.maps
@@ -368,20 +368,27 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     sig = src.signature
     if dst.signature != sig:
         raise AlgebraError("source and target are over different signatures")
+    for s in maps:
+        if not sig.is_sort(s):
+            raise AlgebraError(f"maps[{s!r}]: {s!r} is not a sort of the signature")
     send: dict[SortId, Step] = {}
     for s in sig.sorts:
         if s not in maps:
             raise AlgebraError(f"no map for sort {s!r}")
-        fn, index = _as_fn(maps[s]), dst._index[s]
-        images = []
-        for x in src.elements(s):
-            y = fn(x)
+        m, labels, keys, index = maps[s], src.elements(s), src._index[s], dst._index[s]
+        pairs = zip(labels, map(m, labels)) if callable(m) else m.items()
+        images: list[int | None] = [None] * len(labels)
+        for x, y in pairs:
+            if x not in keys:
+                raise AlgebraError(f"maps[{s!r}]: {x!r} is not in the source carrier")
             try:
-                images.append(index[y])
-            except (KeyError, TypeError):
+                images[keys[x]] = index[y]
+            except (KeyError, TypeError):  # not a label, or not hashable
                 raise AlgebraError(
-                    f"image {y!r} of {x!r} is not in the target carrier of sort {s!r}"
+                    f"maps[{s!r}]: image {y!r} of {x!r} is not in the target carrier"
                 ) from None
+        if None in images:
+            raise AlgebraError(f"maps[{s!r}]: no image for {labels[images.index(None)]!r}")
         send[s] = (images, (len(images),))
     for nm in sig.ops:
         arity = sig.arity_of(nm)
@@ -394,17 +401,13 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     return HomVerdict(True)
 
 
-def _same_algebra(a: Algebra, b: Algebra) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, FiniteAlgebra) and isinstance(b, FiniteAlgebra):
-        return a == b
-    return False
-
-
 def compose_hom(g: Hom, f: Hom) -> Hom:
-    """The per-sort composition ``g after f``."""
-    if not _same_algebra(f.target, g.source):
+    """The per-sort composition ``g after f``.
+
+    The target of ``f`` must be the source of ``g``: equal finite
+    algebras, or else the same object.
+    """
+    if f.target != g.source:
         raise AlgebraError("homs are not composable: target of f is not the source of g")
     maps = {
         s: (lambda x, _s=s: g.apply(_s, f.apply(_s, x)))

@@ -29,7 +29,6 @@ from .jsonio import (
     load_hom_maps,
     load_signature,
     resolve_assignment,
-    resolve_hom_maps,
     varspec_from_obj,
 )
 from .signature import make_varspec, vsignature
@@ -138,8 +137,7 @@ def cmd_check_eqs(args) -> int:
 def cmd_check_hom(args) -> int:
     src = load_algebra(args.src)
     dst = load_algebra(args.dst)
-    maps = resolve_hom_maps(src, dst, load_hom_maps(args.map))
-    verdict = check_hom(maps, src, dst)
+    verdict = check_hom(load_hom_maps(args.map), src, dst)
     if verdict.ok:
         print("OK")
         return 0

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom, _as_fn
+from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom
 from .signature import (
     OpId,
     Signature,
@@ -194,20 +194,6 @@ class UniversalityVerdict:
     detail: str | None = None
 
 
-def _candidate_fn(candidate: Any) -> Callable[[SortId, Term], Any]:
-    if callable(candidate):
-        return lambda _s, t: candidate(t)
-
-    def fn(s, t):
-        try:
-            m = candidate[s]
-        except KeyError:
-            raise AlgebraError(f"candidate has no map for sort {s!r}") from None
-        return _as_fn(m)(t)
-
-    return fn
-
-
 def check_universality(
     algebra: Algebra,
     varspec: VarSpec,
@@ -222,9 +208,14 @@ def check_universality(
     and commute with the head operation of every sampled term.  Together
     with a depth-complete sample this pins the candidate to the canonical
     evaluation map on that sample.
+
+    ``candidate`` is one callable for every sort, or one callable or term
+    dictionary per sort, read through ``Hom.apply``.
     """
-    cand = _candidate_fn(candidate)
     free = FreeAlgebra(algebra.signature, varspec)
+    if callable(candidate):
+        candidate = dict.fromkeys(algebra.signature.sorts, candidate)
+    cand = Hom(free, algebra, candidate).apply
     for v in varspec.vars:
         vt = free.varterm(v)
         if cand(vt.sort, vt) != assignment[v]:

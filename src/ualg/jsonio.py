@@ -8,6 +8,10 @@ labels must be JSON strings and carriers, arities and table arguments
 arrays of them; equation names must be distinct.  Any other shape raises
 ``FormatError``, which the CLI reports with exit code 2, and so does a
 document nested too deeply for the JSON parser.
+
+A homomorphism map file is read here only as to its shape, one object
+of labels to labels per sort; ``algebra.check_hom`` checks its sorts,
+keys and images against the two algebras.
 """
 
 from __future__ import annotations
@@ -204,28 +208,3 @@ def hom_maps_from_obj(obj: Any) -> dict[str, dict[str, str]]:
 def load_hom_maps(path: str | Path) -> dict[str, dict[str, str]]:
     return hom_maps_from_obj(load_json(path))
 
-
-def resolve_hom_maps(
-    src: FiniteAlgebra, dst: FiniteAlgebra, maps: Mapping[str, Mapping[str, str]]
-) -> Mapping[str, Mapping[str, str]]:
-    """Check the label maps against the signature's sorts: there must be
-    one map per sort and no other, and each must send exactly the labels
-    of its source carrier into its target carrier."""
-    sorts = src.signature.sorts
-    for sort in maps:
-        if sort not in sorts:
-            raise FormatError(f"maps[{sort!r}]: {sort!r} is not a sort of the signature")
-    for sort in sorts:
-        if sort not in maps:
-            raise FormatError(f"no map for sort {sort!r}")
-        table, labels = maps[sort], src.elements(sort)
-        keys, images = set(labels), set(dst.elements(sort))
-        for x, y in table.items():
-            if x not in keys:
-                raise FormatError(f"maps[{sort!r}]: {x!r} is not in the source carrier")
-            if y not in images:
-                raise FormatError(f"maps[{sort!r}]: image {y!r} of {x!r} is not in the target carrier")
-        for x in labels:
-            if x not in table:
-                raise FormatError(f"maps[{sort!r}]: no image for {x!r}")
-    return maps

@@ -9,6 +9,7 @@ from ualg.algebra import (
     Algebra,
     AlgebraError,
     FiniteAlgebra,
+    HomVerdict,
     UNIT_ELEMENT,
     check_hom,
     compose_hom,
@@ -109,6 +110,13 @@ def test_finite_algebra_rejects_bad_arguments():
         FiniteAlgebra(MONOID, {"u": ["0", "0"]}, {"mul": {("0", "0"): "0"}, "e": {(): "0"}})
 
 
+def test_an_unhashable_argument_is_not_a_carrier_element():
+    with pytest.raises(AlgebraError, match="\\['true'\\] is not a carrier element for argument 0 of 'neg'"):
+        bool_algebra().op("neg", ["true"])
+    with pytest.raises(AlgebraError, match="\\['1'\\] is not a carrier element for argument 1 of 'mul'"):
+        additive_mod_algebra(3).op("mul", "0", ["1"])
+
+
 def test_unit_algebra_shapes():
     for sig in (MONOID, make_signature(["a", "b"], []), bool_algebra().signature):
         unit = unit_algebra(sig)
@@ -173,6 +181,28 @@ def test_check_hom_rejects_bad_images_before_checking():
         check_hom({"u": lambda x: int(x) % 2}, z4, z2)
     with pytest.raises(AlgebraError, match="no image"):
         check_hom({"u": {"0": "1", "1": "1"}}, z4, z2)
+
+
+def test_check_hom_needs_one_total_map_per_sort(monkeypatch):
+    src, dst = list_fixture(("a", "b"), max_len=1).algebra, list_fixture(("a",), max_len=1).algebra
+    maps = {"elem": {"a": "a", "b": "a"}, "list": {"[]": "[]", "[a]": "[a]", "[b]": "[a]", "overflow": "overflow"}}
+    assert check_hom(maps, src, dst) == HomVerdict(True)
+    bad = [
+        ("no map for sort 'list'", {"elem": maps["elem"]}),
+        ("'node' is not a sort", {**maps, "node": {}}),
+        ("no image for '\\[b\\]'", {**maps, "list": {"[]": "[]", "[a]": "[a]", "overflow": "overflow"}}),
+        ("maps\\['elem'\\]: 'c' is not in the source carrier", {**maps, "elem": {**maps["elem"], "c": "a"}}),
+        # the identity sends a to a, a label of the target, and b to b, which is not
+        ("maps\\['elem'\\]: image 'b' of 'b' is not in the target carrier", {**maps, "elem": lambda x: x}),
+    ]
+
+    def no_operation_is_checked(*args):
+        raise AssertionError("an operation was checked")
+
+    monkeypatch.setattr("ualg.algebra.first_difference", no_operation_is_checked)
+    for match, m in bad:
+        with pytest.raises(AlgebraError, match=match):
+            check_hom(m, src, dst)
 
 
 # -- check_hom against the label-level oracle ----------------------------------

@@ -1,9 +1,11 @@
 """Golden-file tests for the command line interface: byte-exact output
 and the 0/1/2 exit code contract."""
 
+import copy
 import io
 import json
 import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -12,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ualg.cli import main
-from ualg.jsonio import load_algebra, load_signature
+from ualg.jsonio import load_algebra, load_json, load_signature
 from ualg.signature import make_varspec, vsignature
 from ualg.term_vm import parse_term
 
-from oracle import oracle_eval, oracle_infer_sort, random_term
+from oracle import oracle_eval, oracle_hom_counterexample, oracle_infer_sort, random_term
 
 
 def data(name):
@@ -27,6 +29,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 # -- term subcommands ------------------------------------------------------
@@ -126,18 +135,16 @@ def symbol_strings(draw):
 @settings(max_examples=150, deadline=None)
 def test_term_subcommands_exit_contract(command, case):
     name, sig, syms = case
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["term", command, "--sig", data(name), " ".join(syms)])
+    code, out, err = run_quiet(["term", command, "--sig", data(name), " ".join(syms)])
     if UNKNOWN in syms:
-        assert (code, out.getvalue()) == (2, "")
-        assert err.getvalue() == f"error: unknown symbol {UNKNOWN!r}\n"
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown symbol {UNKNOWN!r}\n"
         return
-    assert err.getvalue() == ""
+    assert err == ""
     sort = oracle_infer_sort(sig, syms)
     assert code == (1 if sort is None else 0)
     if command == "sort" and sort is not None:
-        assert out.getvalue() == sort + "\n"
+        assert out == sort + "\n"
 
 
 # -- eval -------------------------------------------------------------------
@@ -210,6 +217,19 @@ def test_eval_assignment_file(capsys, tmp_path):
     assert (code, out) == (0, "true\n")
 
 
+def test_eval_malformed_assign_item(capsys):
+    for flag in ("x", "y=true,x"):
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--alg", data("bool_algebra.json"),
+            "--vars", data("bool_equations.json"),
+            "--assign", flag,
+            "conj x y",
+        )
+        assert (code, out, err) == (2, "", "error: bad assignment 'x'; expected name=label\n")
+
+
 BOOL_ALGEBRA = load_algebra(data("bool_algebra.json"))
 BOOL_VARS = ("x", "y", "z")  # the variable block of bool_equations.json
 BOOL_VSIG = vsignature(BOOL_ALGEBRA.signature, make_varspec(BOOL_ALGEBRA.signature, dict.fromkeys(BOOL_VARS, "u")))
@@ -232,15 +252,13 @@ def eval_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_eval_exit_contract(case):
     syms, assignment = case
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([
-            "eval",
-            "--alg", data("bool_algebra.json"),
-            "--vars", data("bool_equations.json"),
-            "--assign", ",".join(f"{v}={label}" for v, label in assignment.items()),
-            " ".join(syms),
-        ])
+    code, out, err = run_quiet([
+        "eval",
+        "--alg", data("bool_algebra.json"),
+        "--vars", data("bool_equations.json"),
+        "--assign", ",".join(f"{v}={label}" for v, label in assignment.items()),
+        " ".join(syms),
+    ])
     assert code in (0, 1, 2)
     valid = (
         UNKNOWN not in syms
@@ -249,12 +267,12 @@ def test_eval_exit_contract(case):
         and all(nm in assignment for nm in syms if nm in BOOL_VARS)
     )
     if code == 2:
-        assert not valid and out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not valid and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         return
-    assert valid and (code, err.getvalue()) == (0, "")
+    assert valid and (code, err) == (0, "")
     expected = oracle_eval(BOOL_ALGEBRA, assignment, parse_term(BOOL_VSIG, " ".join(syms)))
-    assert out.getvalue() == f"{expected}\n"
+    assert out == f"{expected}\n"
 
 
 # -- check-eqs ----------------------------------------------------------------
@@ -405,6 +423,82 @@ def test_check_hom_incomplete_map(capsys, tmp_path):
     )
     assert code == 2
     assert "no image" in err
+
+
+def assert_exit_contract(code, out, err):
+    """Exit 0, 1 or 2; exit 2 prints nothing but one ``error:`` line, and
+    exits 0 and 1 print no error."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+
+
+HOM_SRC = load_algebra(data("monoid_z4.json"))
+HOM_DST = load_algebra(data("monoid_z2.json"))
+HOM_MUTATIONS = ("drop", "key 7", "image nope", "number image", "extra sort", "empty maps", "list", "no maps")
+
+
+@st.composite
+def hom_map_files(draw):
+    """The map file hom_z4_to_z2.json with other target labels, and half
+    the time one to three of the mutations above."""
+    table = {x: draw(st.sampled_from(HOM_DST.elements("u"))) for x in load_json(data("hom_z4_to_z2.json"))["maps"]["u"]}
+    maps = {"u": table}
+    obj = {"maps": maps}
+    mutations = st.lists(st.sampled_from(HOM_MUTATIONS), min_size=1, max_size=3)
+    for kind in draw(mutations) if draw(st.booleans()) else ():
+        if kind == "drop" and table:
+            del table[draw(st.sampled_from(sorted(table)))]
+        elif kind == "key 7":
+            table["7"] = draw(st.sampled_from(HOM_DST.elements("u")))
+        elif kind in ("image nope", "number image"):
+            table[draw(st.sampled_from(HOM_SRC.elements("u")))] = "nope" if kind == "image nope" else 1
+        elif kind == "extra sort":
+            maps["zzz"] = {"a": "b"}
+        elif kind == "empty maps":
+            obj["maps"] = {}
+        elif kind == "list":
+            if draw(st.booleans()):
+                obj["maps"] = [maps]
+            else:
+                maps["u"] = sorted(table.items())
+        else:
+            obj = {"map": maps}
+    return obj
+
+
+def is_total_label_map(obj):
+    maps = obj.get("maps")
+    return (
+        isinstance(maps, dict)
+        and list(maps) == ["u"]
+        and isinstance(maps["u"], dict)
+        and sorted(maps["u"]) == sorted(HOM_SRC.elements("u"))
+        and all(y in HOM_DST.elements("u") for y in maps["u"].values())
+    )
+
+
+@given(obj=hom_map_files())
+@settings(max_examples=300, deadline=None)
+def test_check_hom_exit_contract(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/map.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, out, err = run_quiet(
+            ["check-hom", "--src", data("monoid_z4.json"), "--dst", data("monoid_z2.json"), "--map", path]
+        )
+    assert_exit_contract(code, out, err)
+    assert (code == 2) == (not is_total_label_map(obj))
+    if code != 2:
+        cex = oracle_hom_counterexample(obj["maps"], HOM_SRC, HOM_DST)
+        if cex is None:
+            assert (code, out) == (0, "OK\n")
+        else:
+            assert (code, out) == (1, f"counterexample: {cex[0]}({', '.join(cex[1])})\n")
 
 
 # -- enumerate -----------------------------------------------------------------
@@ -573,3 +667,109 @@ def test_duplicate_equation_names_are_an_input_error(capsys, tmp_path):
         *run(capsys, "check-eqs", "--alg", data("monoid_sub3.json"), "--eqs", eqs),
         "duplicate equation name",
     )
+
+
+# -- exit contract on mutated data files -------------------------------------------
+
+DEEP_MARK = "<nested deeper than the JSON parser's recursion limit>"
+
+
+def nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from nodes(v, (*path, k))
+
+
+def node_at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+# per mutation, the nodes it applies to
+DATA_MUTATIONS = {
+    "drop key": lambda v: isinstance(v, dict) and bool(v),
+    "wrong leaf type": lambda v: isinstance(v, str) and v != DEEP_MARK,
+    "list for string": lambda v: isinstance(v, str) and v != DEEP_MARK,
+    "string for list": lambda v: isinstance(v, list),
+    "duplicate": lambda v: isinstance(v, list) and bool(v),
+    "deep nesting": lambda v: True,
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` after one to three mutations, each at a node drawn from
+    those it applies to: a dropped key, a leaf of the wrong type, a list
+    swapped for a string or back, a duplicated list item (a name, a
+    label, a row), or a node nested too deeply to parse."""
+    doc = copy.deepcopy(doc)
+    for kind in draw(st.lists(st.sampled_from(sorted(DATA_MUTATIONS)), min_size=1, max_size=3)):
+        paths = [path for path, v in nodes(doc) if DATA_MUTATIONS[kind](v)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        value = node_at(doc, path)
+        if kind == "drop key":
+            del value[draw(st.sampled_from(sorted(value)))]
+            continue
+        if kind == "duplicate":
+            value.append(copy.deepcopy(draw(st.sampled_from(value))))
+            continue
+        new = {
+            "wrong leaf type": lambda: draw(st.sampled_from([7, 1.5, None, True, {}])),
+            "list for string": lambda: [value],
+            "string for list": lambda: "u",
+            "deep nesting": lambda: DEEP_MARK,
+        }[kind]()
+        if path:
+            node_at(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+def run_on_docs(argv, docs):
+    """Run the CLI with each ``{name}`` in ``argv`` replaced by the path of
+    a file holding ``docs[name]``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = f"{tmp}/{name}.json"
+            text = json.dumps(doc).replace(json.dumps(DEEP_MARK), "[" * 100_000 + "]" * 100_000)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return run_quiet([arg.format(**paths) for arg in argv])
+
+
+# every command that reads a data file, with the files it reads
+DATA_RUNS = [
+    (["check-eqs", "--alg", "{alg}", "--eqs", "{eqs}"], {"alg": "monoid_z3.json", "eqs": "monoid_equations.json"}),
+    (["check-eqs", "--alg", "{alg}", "--eqs", "{eqs}"], {"alg": "monoid_sub3.json", "eqs": "monoid_equations.json"}),
+    (["check-eqs", "--alg", "{alg}", "--eqs", "{eqs}"], {"alg": "bool_algebra.json", "eqs": "bool_equations.json"}),
+    (["check-hom", "--src", "{src}", "--dst", "{dst}", "--map", "{map}"],
+     {"src": "monoid_z4.json", "dst": "monoid_z2.json", "map": "hom_z4_to_z2.json"}),
+    (["eval", "--alg", "{alg}", "--vars", "{vars}", "--assign", "x=true,y=false", "impl x y"],
+     {"alg": "bool_algebra.json", "vars": "bool_equations.json"}),
+    (["enumerate", "--sig", "{sig}", "--sort", "u", "--max-depth", "2"], {"sig": "monoid_signature.json"}),
+    (["enumerate", "--sig", "{sig}", "--sort", "u", "--max-depth", "2"], {"sig": "bool_signature.json"}),
+    (["enumerate", "--sig", "{sig}", "--sort", "list", "--max-depth", "2"], {"sig": "list_signature.json"}),
+    (["term", "check", "--sig", "{sig}", "cons nil nil"], {"sig": "list_signature.json"}),
+]
+
+
+@st.composite
+def mutated_runs(draw):
+    argv, files = draw(st.sampled_from(DATA_RUNS))
+    docs = {name: load_json(data(file)) for name, file in files.items()}
+    name = draw(st.sampled_from(sorted(docs)))
+    docs[name] = draw(mutated(docs[name]))
+    return argv, docs
+
+
+@given(case=mutated_runs())
+@settings(max_examples=500, deadline=None)
+def test_exit_contract_on_mutated_data_files(case):
+    assert_exit_contract(*run_on_docs(*case))

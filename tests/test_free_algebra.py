@@ -408,6 +408,8 @@ def test_index_evaluation_errors_match_value_evaluation():
         evaluate(bool_algebra(), {"x": "bad"}, parse_term(bool_vsig, "conj x y"))
     with pytest.raises(AlgebraError, match="argument 0 of 'conj'"):
         evaluate(bool_algebra(), {"x": "bad", "y": "true"}, parse_term(bool_vsig, "conj x y"))
+    with pytest.raises(AlgebraError, match="\\['true'\\] is not a carrier element for argument 0 of 'conj'"):
+        evaluate(bool_algebra(), {"x": ["true"], "y": "true"}, parse_term(bool_vsig, "conj x y"))
 
 
 class Label(str):

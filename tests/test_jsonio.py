@@ -24,7 +24,6 @@ from ualg.jsonio import (
     load_eqspec,
     load_signature,
     resolve_assignment,
-    resolve_hom_maps,
     signature_from_obj,
     signature_to_obj,
 )
@@ -107,18 +106,6 @@ def test_hom_maps_format():
     assert maps == {"u": {"0": "0", "1": "1"}}
     with pytest.raises(FormatError):
         hom_maps_from_obj({"maps": {"u": ["0"]}})
-
-
-def test_resolve_hom_maps_needs_one_total_map_per_sort():
-    src, dst = list_signature_and_algebra(("a", "b"), 1)[1], list_signature_and_algebra(("a",), 1)[1]
-    maps = {"elem": {"a": "a", "b": "a"}, "list": {"[]": "[]", "[a]": "[a]", "[b]": "[a]", "overflow": "overflow"}}
-    assert resolve_hom_maps(src, dst, maps) is maps
-    with pytest.raises(FormatError, match="no map for sort 'list'"):
-        resolve_hom_maps(src, dst, {"elem": maps["elem"]})
-    with pytest.raises(FormatError, match="'node' is not a sort"):
-        resolve_hom_maps(src, dst, {**maps, "node": {}})
-    with pytest.raises(FormatError, match="no image for '\\[b\\]'"):
-        resolve_hom_maps(src, dst, {**maps, "list": {"[]": "[]", "[a]": "[a]", "overflow": "overflow"}})
 
 
 def test_bundled_data_loads_and_checks():
