@@ -7,21 +7,33 @@ every exhaustive check (homomorphism law, equation model checking)
 enumerates.
 
 Exhaustive checks run compiled terms on columns of carrier indices.
-``FiniteAlgebra.compile`` turns a term into a machine program;
-``run_columns`` runs it on a chunk of assignments at once, with one list
-of indices per variable slot and list comprehensions for each step; and
-``first_difference`` walks the product of the slot carriers in
-lexicographic chunks, small at first and growing to a fixed cap, and
-returns the first index tuple on which two programs differ.
-``check_hom`` decides the homomorphism law with two such programs per
-operation.
+``FiniteAlgebra.compile`` turns a term into a machine program, and
+``first_difference`` returns the lexicographically first index tuple of
+the slot carriers' product on which two programs differ.  It runs the
+first two tuples on a stack of scalar indices.  Then it computes each
+subterm once, as a column over the product of only the slots that
+subterm reads, in lexicographic order.  An operation with one varying
+argument sends that column through a curried row of its table, one
+``bytes.translate`` with the other arguments fixed.  A binary operation
+whose arguments differ in their innermost slot does one translate per
+index of the other argument; the rest widen their arguments to a common
+set of slots and select the rows one by one.  Columns are ``bytes``
+while every index involved is below 256, and lists with ``map`` in place
+of ``translate`` above that.  Once the product passes ``_MAX_BLOCK``
+tuples, the leading slots are looped over in Python, one block of the
+trailing slots at a time, and subterms that read none of the leading
+slots are computed once.  ``check_hom`` decides the homomorphism law
+with two such programs per operation, each sort map being a one-row
+table.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
+from math import prod
 from typing import Any, Callable, Mapping, Sequence
 
 from .signature import OpId, Signature, SortId
@@ -34,10 +46,65 @@ class AlgebraError(ValueError):
 
 UNIT_ELEMENT = "*"
 
-# A compiled term: per symbol, last first, a variable slot or (index rows, dims).
-Step = int | tuple[list[int], tuple[int, ...]]
-Program = tuple[Step, ...]
+# Indices below _BYTE fit a bytes column and a translate table.  A block
+# holds at most _MAX_BLOCK assignments, which bounds each column's memory.
+_BYTE = 256
+_MAX_BLOCK = 1 << 16
 
+
+class _Op:
+    """An index table as a machine step: ``rows`` lists result indices in
+    mixed-radix argument order over ``dims``, and ``width`` is the size of
+    the result carrier.  ``wide`` tells whether an index of this table can
+    exceed a byte."""
+
+    __slots__ = ("rows", "dims", "wide", "_curried")
+
+    def __init__(self, rows: list[int], dims: tuple[int, ...], width: int):
+        self.rows, self.dims = rows, dims
+        self.wide = max((*dims, width)) > _BYTE
+        self._curried: dict[tuple[int, bool], _Curried] = {}
+
+    def curried(self, i: int, wide: bool) -> _Curried:
+        """The table's rows with argument ``i`` free, keyed by the
+        mixed-radix index of the other arguments and built on first use."""
+        key = (i, wide)
+        rows = self._curried.get(key)
+        if rows is None:
+            rows = self._curried[key] = _Curried(self.rows, self.dims, i, wide)
+        return rows
+
+
+class _Curried(dict):
+    """Curried rows of one table and argument position: each maps the
+    free argument's index to the result index, as a 256-byte translate
+    table or, when ``wide``, a list."""
+
+    __slots__ = ("_rows", "_dims", "_i", "_wide")
+
+    def __init__(self, rows: list[int], dims: tuple[int, ...], i: int, wide: bool):
+        self._rows, self._dims, self._i, self._wide = rows, dims, i, wide
+
+    def __missing__(self, fixed: int):
+        dims, i = self._dims, self._i
+        base, rest, stride, free = 0, fixed, 1, 1
+        for j in range(len(dims) - 1, -1, -1):
+            if j == i:
+                free = stride
+            else:
+                rest, x = divmod(rest, dims[j])
+                base += x * stride
+            stride *= dims[j]
+        row = self._rows[base : base + dims[i] * free : free]
+        if not self._wide:
+            row = bytes(row).ljust(_BYTE, b"\0")
+        self[fixed] = row
+        return row
+
+
+# A compiled term: per symbol, last first, a variable slot or an operation.
+Step = int | _Op
+Program = tuple[Step, ...]
 
 
 class Algebra:
@@ -75,9 +142,10 @@ class FiniteAlgebra(Algebra):
     Labels are mapped to dense indices internally and each table is kept
     as a flat array of result indices in mixed-radix argument order;
     ``op`` maps the result index back to its label, and ``tables``
-    rebuilds the label view on demand.  ``compile`` turns a
-    term into a machine program over those indices, which ``run_columns``
-    executes on columns of assignments without touching a label.
+    rebuilds the label view on demand.  ``compile`` turns a term into a
+    machine program over those indices, which ``first_difference`` runs
+    on columns of assignments without touching a label; each table
+    builds its curried rows for that on first use.
     """
 
     def __init__(
@@ -144,14 +212,14 @@ class FiniteAlgebra(Algebra):
 
         self.carriers = carr
         self._index = index
-        self._steps: dict[OpId, Step] = {}  # per operation, its (index rows, dims)
+        self._steps: dict[OpId, _Op] = {}
         ops: dict[OpId, Callable[..., str]] = {}
         for nm in signature.ops:
             arity = signature.arity_of(nm)
             idxs = [index[a] for a in arity]
             dims = tuple(len(carr[a]) for a in arity)
             rows = flat[nm]
-            self._steps[nm] = (rows, dims)
+            self._steps[nm] = _Op(rows, dims, len(carr[signature.sort_of(nm)]))
 
             def fn(*args, _rows=rows, _idxs=idxs, _dims=dims, _nm=nm, _k=len(arity),
                    _labels=carr[signature.sort_of(nm)]):
@@ -173,11 +241,9 @@ class FiniteAlgebra(Algebra):
     def compile(self, t: Term, slots: Mapping[str, int]) -> Program:
         """The machine program of ``t`` over carrier indices.
 
-        One step per symbol, last symbol first: an operation's
-        ``(index rows, dims)``, or for a variable its slot, the position
-        of its column among those that ``run_columns`` reads.  Programs
-        are compared chunk by chunk over the assignment product by
-        ``first_difference``.
+        One step per symbol, last symbol first: an operation's index
+        table, or for a variable its slot, its position in the
+        assignment tuples that ``first_difference`` enumerates.
         """
         lookup = {**slots, **self._steps}
         try:
@@ -194,7 +260,7 @@ class FiniteAlgebra(Algebra):
             nm: dict(
                 zip(
                     product(*(carr[a] for a in sig.arity_of(nm))),
-                    map(carr[sig.sort_of(nm)].__getitem__, self._steps[nm][0]),
+                    map(carr[sig.sort_of(nm)].__getitem__, self._steps[nm].rows),
                 )
             )
             for nm in sig.ops
@@ -215,7 +281,7 @@ class FiniteAlgebra(Algebra):
         return (
             self.signature == other.signature
             and self.carriers == other.carriers
-            and self._steps == other._steps
+            and all(self._steps[nm].rows == other._steps[nm].rows for nm in self.signature.ops)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -225,42 +291,174 @@ class FiniteAlgebra(Algebra):
         return f"FiniteAlgebra({sizes}, ops={list(self.signature.ops)})"
 
 
-def run_columns(program: Program, cols: Sequence[list[int]], size: int) -> list[int]:
-    """Run a compiled term on ``size`` assignments at once; the index of
-    its value under each.
+# A value on the kernel's stack: the slots it depends on, ascending, and
+# its column over their product, or its index when it depends on none.
+Value = tuple[tuple[int, ...], Any]
 
-    ``cols[slot]`` lists each assignment's carrier index for the variable
-    in that slot.  The sort-stack machine on columns: an operation pops
-    its argument columns, first argument on top, and pushes the column of
-    rows they select.
-    """
-    stack: list[list[int]] = []
+
+def _translate(col, row):
+    """Each index of a list column sent through ``row``; a ``bytes``
+    column does the same with ``col.translate(row)``."""
+    return list(map(row.__getitem__, col))
+
+
+def _widen(value: Value, want: tuple[int, ...], sizes: Sequence[int], wide: bool):
+    """The column of ``value`` over the slots ``want``, a superset of its
+    own: each missing slot repeats the blocks inside it, by slicing and
+    joining or by strided assignment, whichever takes fewer steps."""
+    have, col = value
+    if have == want:
+        return col
+    if not have:
+        n = prod(sizes[s] for s in want)
+        return [col] * n if wide else bytes((col,)) * n
+    cur = list(have)
+    for s in want:
+        if s in have:
+            continue
+        q = bisect_left(cur, s)
+        inner, r, n = prod(sizes[c] for c in cur[q:]), sizes[s], len(col)
+        if n <= r * inner * inner:  # no more blocks than strided slices
+            parts = (col[i : i + inner] * r for i in range(0, n, inner))
+            col = list(chain.from_iterable(parts)) if col.__class__ is list else b"".join(parts)
+        else:
+            out = [0] * (n * r) if col.__class__ is list else bytearray(n * r)
+            step = r * inner
+            for j in range(step):
+                out[j::step] = col[j % inner :: inner]
+            col = out if col.__class__ is list else bytes(out)
+        cur.insert(q, s)
+    return col
+
+
+def _per_value(op: _Op, j: int, arg: Value, other: Value, sizes: Sequence[int], wide: bool) -> Value:
+    """A binary step where only argument ``j`` varies in the innermost slot.
+
+    The slots of the result split into a prefix and the longest suffix
+    that ``other`` does not read.  For each prefix assignment ``other``
+    is one index, and argument ``j`` over the suffix is one slice of its
+    column: one translate through the curried row of that index."""
+    (own, col), theirs = arg, other[0]
+    union = tuple(sorted({*own, *theirs}))
+    cut = len(union)
+    while union[cut - 1] not in theirs:
+        cut -= 1
+    prefix = union[:cut]
+    rows = map(op.curried(j, wide).__getitem__, _widen(other, prefix, sizes, wide))
+    head = tuple(s for s in own if s < union[cut])
+    if head:
+        block = len(col) // prod(sizes[s] for s in head)
+        starts = _widen((head, list(range(0, len(col), block))), prefix, sizes, True)
+        parts = [col[q : q + block] for q in starts]
+    else:
+        parts = repeat(col)
+    if wide:
+        return union, list(chain.from_iterable(map(_translate, parts, rows)))
+    return union, b"".join(map(bytes.translate, parts, rows))
+
+
+def _apply(op: _Op, args: list[Value], sizes: Sequence[int], wide: bool) -> Value:
+    """One operation step on its argument values, the first argument first.
+
+    With one varying argument, one translate through a curried row; with
+    two whose innermost slots differ, one translate per index of the
+    other (``_per_value``); otherwise every argument is widened to the
+    union of their slots and the rows are selected one by one."""
+    dims = op.dims
+    varying = [i for i, (slots, _) in enumerate(args) if slots]
+    if len(varying) <= 1:
+        fixed = 0
+        for j, ((_, x), d) in enumerate(zip(args, dims)):
+            if j not in varying:
+                fixed = fixed * d + x
+        if not varying:
+            return (), op.rows[fixed]
+        slots, col = args[varying[0]]
+        row = op.curried(varying[0], wide)[fixed]
+        return slots, _translate(col, row) if wide else col.translate(row)
+    if len(args) == 2:
+        a, b = args
+        if a[0][-1] > b[0][-1]:
+            return _per_value(op, 0, a, b, sizes, wide)
+        if a[0][-1] < b[0][-1]:
+            return _per_value(op, 1, b, a, sizes, wide)
+    union = tuple(sorted({s for slots, _ in args for s in slots}))
+    pos, *rest = (_widen(a, union, sizes, wide) for a in args)
+    for col, d in zip(rest, dims[1:]):
+        pos = [p * d + y for p, y in zip(pos, col)]
+    out = list(map(op.rows.__getitem__, pos))
+    return union, out if wide else bytes(out)
+
+
+def _run(program: Program, env: list[Value], sizes: Sequence[int], wide: bool) -> Value:
+    """The sort-stack machine on values: a slot pushes its entry of
+    ``env``, an operation pops its arguments, the first on top."""
+    stack: list[Value] = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
-            push(cols[step])
-            continue
-        rows, dims = step
-        k = len(dims)
-        if k == 2:
-            d = dims[1]
-            a, b = pop(), pop()
-            push([rows[x * d + y] for x, y in zip(a, b)])
-        elif k == 0:
-            push([rows[0]] * size)
+            push(env[step])
         else:
-            pos = pop()
-            for d in dims[1:]:
-                pos = [p * d + y for p, y in zip(pos, pop())]
-            push([rows[p] for p in pos])
+            push(_apply(step, [pop() for _ in step.dims], sizes, wide))
     return stack[-1]
 
 
-# Chunks of the assignment product: the first is small, so that an early
-# counterexample costs little, and each next one is larger, up to a cap
-# that bounds the memory of one chunk's columns.
-_FIRST_CHUNK = 2
-_MAX_CHUNK = 1024
+def _scalar(program: Program, t: Sequence[int]) -> int:
+    """The index of a compiled term under one assignment of its slots."""
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for step in program:
+        if step.__class__ is int:
+            push(t[step])
+            continue
+        rows, dims = step.rows, step.dims
+        k = len(dims)
+        if k == 2:
+            push(rows[pop() * dims[1] + pop()])
+        elif k == 1:
+            push(rows[pop()])
+        elif k == 0:
+            push(rows[0])
+        else:
+            pos = pop()
+            for d in dims[1:]:
+                pos = pos * d + pop()
+            push(rows[pos])
+    return stack[-1]
+
+
+def _hoist(program: Program, lead: int, env: list[Value], sizes: Sequence[int], wide: bool) -> Program:
+    """The program to run once per block of the leading slots ``0 ..
+    lead - 1``: each largest subterm that reads none of them is run here
+    once, its value appended to ``env``, and replaced by a step that
+    reads that entry."""
+    if not lead:
+        env.append(_run(program, env, sizes, wide))
+        return (len(env) - 1,)
+    spans: list[tuple[int, bool]] = []  # per stack entry: its first step, and whether it reads a leading slot
+    cuts: list[tuple[int, int]] = []
+    for p, step in enumerate(program):
+        if step.__class__ is int:
+            spans.append((p, step < lead))
+            continue
+        k = len(step.dims)
+        kids = spans[len(spans) - k :]
+        del spans[len(spans) - k :]
+        leading = any(r for _, r in kids)
+        if leading:
+            ends = [s for s, _ in kids[1:]] + [p]
+            cuts += [(s, e) for (s, r), e in zip(kids, ends) if not r]
+        spans.append((kids[0][0] if k else p, leading))
+    if not spans[-1][1]:
+        cuts = [(0, len(program))]
+    out: list[Step] = []
+    done = 0
+    for s, e in sorted(cuts):
+        out += program[done:s]
+        env.append(_run(program[s:e], env, sizes, wide))
+        out.append(len(env) - 1)
+        done = e
+    return (*out, *program[done:])
 
 
 def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[int, ...] | None:
@@ -268,25 +466,42 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     in sizes)`` on which two compiled terms differ, or None when they agree
     on all of them.
 
-    The product is walked in chunks; both programs run on the slot
-    columns of a chunk, and only a chunk whose value columns differ is
-    scanned for its first differing position.
+    The first two tuples run on scalar indices, so an early difference
+    costs little.  Then each subterm is computed once, as a column over
+    the product of only the slots it reads.  When the whole product is
+    larger than ``_MAX_BLOCK``, the leading slots are fixed one block at
+    a time and subterms that read none of them are computed only once.
+    Only a block whose value columns differ is scanned.
     """
-    tuples = product(*map(range, sizes))
-    chunk = _FIRST_CHUNK
-    while True:
-        block = list(islice(tuples, chunk))
-        size = len(block)
-        if not size:
-            return None
-        cols = [list(c) for c in zip(*block)]
-        left = run_columns(lhs, cols, size)
-        right = run_columns(rhs, cols, size)
-        if left != right:
-            return next(t for t, x, y in zip(block, left, right) if x != y)
-        if size < chunk:
-            return None
-        chunk = min(4 * chunk, _MAX_CHUNK)
+    sizes = tuple(sizes)
+    for t in islice(product(*map(range, sizes)), 2):
+        if _scalar(lhs, t) != _scalar(rhs, t):
+            return t
+    if prod(sizes) <= 2:  # also when a carrier is empty
+        return None
+    wide = max(sizes) > _BYTE or any(s.wide for s in (*lhs, *rhs) if s.__class__ is _Op)
+    lead, block = 0, prod(sizes)
+    while block > _MAX_BLOCK and lead < len(sizes):
+        block //= sizes[lead]
+        lead += 1
+    trailing = tuple(range(lead, len(sizes)))
+    env: list[Value] = [((), 0)] * lead
+    env += [((s,), list(range(sizes[s])) if wide else bytes(range(sizes[s]))) for s in trailing]
+    left, right = _hoist(lhs, lead, env, sizes, wide), _hoist(rhs, lead, env, sizes, wide)
+    for t in product(*map(range, sizes[:lead])):
+        env[:lead] = [((), x) for x in t]
+        a = _widen(_run(left, env, sizes, wide), trailing, sizes, wide)
+        b = _widen(_run(right, env, sizes, wide), trailing, sizes, wide)
+        if a != b:
+            if not trailing:
+                return t
+            pos = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+            rest = []
+            for n in reversed(sizes[lead:]):
+                pos, x = divmod(pos, n)
+                rest.append(x)
+            return t + tuple(reversed(rest))
+    return None
 
 
 def unit_algebra(sig: Signature) -> FiniteAlgebra:
@@ -346,7 +561,7 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     does so before any operation is checked.  Both algebras must be
     finite and over the same signature.  Then ``maps`` must hold no map
     for a sort the signature lacks, and a map for every sort: a callable
-    or a label dictionary, checked sort by sort in signature order.  A
+    or a label mapping, checked sort by sort in signature order.  A
     dictionary's entries are read in its order: each key must be in the
     source carrier and each image in the target carrier, and then every
     source label must have an image.  A callable is applied once to every
@@ -354,7 +569,7 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     carrier.
 
     The same pass gives each sort map ``h_s`` an array of target indices,
-    a unary step.  The law for an operation ``f`` of arity ``a_1 .. a_k``
+    a one-row table.  The law for an operation ``f`` of arity ``a_1 .. a_k``
     and result sort ``r`` is then two programs over slots ``x_1 .. x_k``,
     compared by ``first_difference``: ``h_r(f_src(x_1, .., x_k))`` and
     ``f_dst(h_a1(x_1), .., h_ak(x_k))``.
@@ -376,7 +591,12 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
         if s not in maps:
             raise AlgebraError(f"no map for sort {s!r}")
         m, labels, keys, index = maps[s], src.elements(s), src._index[s], dst._index[s]
-        pairs = zip(labels, map(m, labels)) if callable(m) else m.items()
+        if callable(m):
+            pairs = zip(labels, map(m, labels))
+        elif isinstance(m, Mapping):
+            pairs = m.items()
+        else:
+            raise AlgebraError(f"maps[{s!r}]: expected a callable or a mapping, got {type(m).__name__}")
         images: list[int | None] = [None] * len(labels)
         for x, y in pairs:
             if x not in keys:
@@ -389,7 +609,7 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
                 ) from None
         if None in images:
             raise AlgebraError(f"maps[{s!r}]: no image for {labels[images.index(None)]!r}")
-        send[s] = (images, (len(images),))
+        send[s] = _Op(images, (len(images),), len(dst.elements(s)))
     for nm in sig.ops:
         arity = sig.arity_of(nm)
         slots = range(len(arity) - 1, -1, -1)  # programs run the last symbol first

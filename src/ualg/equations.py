@@ -7,9 +7,15 @@ equation are enumerated, since the others cannot influence either side.
 
 ``holds`` works on dense indices: each side is compiled once into a
 machine program over the algebra's index tables, and
-``algebra.first_difference`` runs both programs on columns of index
-tuples, chunk by chunk in lexicographic order, stopping at the first
-chunk where the two value columns differ.  Only the first differing
+``algebra.first_difference`` finds the first assignment, in
+lexicographic order, on which the two programs differ.  It tries the
+first two assignments on scalar indices, so an equation that fails at
+once costs little.  Then each subterm is computed once over the product
+of only the variables it contains: a ``bytes`` column of indices, sent
+through curried table rows with ``bytes.translate``, or a list column
+when a carrier has more than 256 elements.  Products above a fixed cap
+are cut into blocks of the trailing variables, and only the first block
+whose two value columns differ is scanned.  Only the first differing
 tuple is mapped back to carrier labels.
 """
 

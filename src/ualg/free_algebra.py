@@ -125,7 +125,7 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
         if step is None:
             push(index[decl[nm][1]][assignment[nm]])
             continue
-        rows, dims = step
+        rows, dims = step.rows, step.dims
         k = len(dims)
         if k == 2:
             push(rows[pop() * dims[1] + pop()])

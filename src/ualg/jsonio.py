@@ -5,7 +5,8 @@ All formats are plain UTF-8 JSON.  Array order is meaningful: the
 ``operations`` array of a signature defines operation indices, and the
 carrier arrays of an algebra define enumeration order.  Names, sorts and
 labels must be JSON strings and carriers, arities and table arguments
-arrays of them; equation names must be distinct.  Any other shape raises
+arrays of them; equation names must be distinct, and so must the
+``args`` of the rows of one table.  Any other shape raises
 ``FormatError``, which the CLI reports with exit code 2, and so does a
 document nested too deeply for the JSON parser.
 
@@ -104,7 +105,10 @@ def algebra_from_obj(obj: Any) -> FiniteAlgebra:
         for row in rows:
             args = _expect_strings(row, "args", f"table row of {nm!r}")
             result = _expect(row, "result", str, f"table row of {nm!r}")
-            table[tuple(args)] = result
+            key = tuple(args)
+            if key in table:
+                raise FormatError(f"operations[{nm!r}]: duplicate row for args {args}")
+            table[key] = result
         tables[nm] = table
     return FiniteAlgebra(sig, carriers, tables)
 

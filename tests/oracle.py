@@ -79,6 +79,31 @@ def oracle_eval(algebra, assignment, t: Term):
     return go(got[0])
 
 
+def oracle_first_failure(algebra, equation, varspec):
+    """The first assignment, in lexicographic carrier order of the
+    occurring variables taken in declaration order, under which the two
+    sides of ``equation`` differ, or None.  Each side is parsed once into a
+    tree and evaluated on labels through ``algebra.op``."""
+    sides = []
+    for t in (equation.lhs, equation.rhs):
+        got = parse_tree(t.signature, t.syms)
+        assert got is not None and got[1] == len(t.syms)
+        sides.append(got[0])
+
+    def go(node, alpha):
+        nm, children = node
+        if algebra.signature.is_op(nm):
+            return algebra.op(nm, *(go(c, alpha) for c in children))
+        return alpha[nm]
+
+    names = [v for v in varspec.vars if v in equation.lhs.syms or v in equation.rhs.syms]
+    for combo in itertools.product(*(algebra.elements(varspec.sort_of(v)) for v in names)):
+        alpha = dict(zip(names, combo))
+        if go(sides[0], alpha) != go(sides[1], alpha):
+            return alpha
+    return None
+
+
 def brute_shortest_term_prefix(sig: Signature, syms, start: int, want: SortId) -> Optional[int]:
     """Smallest end such that syms[start:end] is a term of sort ``want``,
     found by parsing every candidate prefix with the descent parser."""

@@ -192,6 +192,7 @@ def test_check_hom_needs_one_total_map_per_sort(monkeypatch):
         ("'node' is not a sort", {**maps, "node": {}}),
         ("no image for '\\[b\\]'", {**maps, "list": {"[]": "[]", "[a]": "[a]", "overflow": "overflow"}}),
         ("maps\\['elem'\\]: 'c' is not in the source carrier", {**maps, "elem": {**maps["elem"], "c": "a"}}),
+        ("maps\\['list'\\]: expected a callable or a mapping, got list", {**maps, "list": ["[]", "[a]"]}),
         # the identity sends a to a, a label of the target, and b to b, which is not
         ("maps\\['elem'\\]: image 'b' of 'b' is not in the target carrier", {**maps, "elem": lambda x: x}),
     ]

@@ -314,6 +314,16 @@ def test_check_eqs_signature_mismatch(capsys):
     assert err != ""
 
 
+def test_check_eqs_duplicate_table_row(capsys, tmp_path):
+    obj = json.loads(open(data("monoid_z2.json"), encoding="utf-8").read())
+    obj["operations"]["mul"].append({"args": ["0", "0"], "result": "1"})
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check-eqs", "--alg", str(path), "--eqs", data("monoid_equations.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: operations['mul']: duplicate row for args ['0', '0']\n"
+
+
 # -- check-hom -----------------------------------------------------------------
 
 def test_check_hom_ok(capsys):

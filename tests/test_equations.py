@@ -29,7 +29,7 @@ from ualg.free_algebra import FreeAlgebra, evaluate
 from ualg.signature import make_signature, make_varspec, vsignature
 from ualg.term_vm import parse_term
 
-from oracle import oracle_eval, random_term
+from oracle import oracle_first_failure, random_term
 
 MONOID = monoid_signature()
 
@@ -201,12 +201,8 @@ def test_holds_sampled_none_when_no_counterexample():
 def oracle_holds(algebra, equation, varspec):
     """First failing assignment in lexicographic carrier order, found with
     the parse-tree evaluator rather than ``evaluate``."""
-    names = [v for v in varspec.vars if v in equation.lhs.syms or v in equation.rhs.syms]
-    for combo in product(*(algebra.elements(varspec.sort_of(v)) for v in names)):
-        alpha = dict(zip(names, combo))
-        if oracle_eval(algebra, alpha, equation.lhs) != oracle_eval(algebra, alpha, equation.rhs):
-            return EqVerdict(False, alpha)
-    return EqVerdict(True)
+    found = oracle_first_failure(algebra, equation, varspec)
+    return EqVerdict(True) if found is None else EqVerdict(False, found)
 
 
 def random_equations(rng, vsig_, sort, count, max_depth):
@@ -257,13 +253,13 @@ def test_holds_maps_indices_back_to_unsorted_labels():
         assert holds(algebra, equation, vs) == oracle_holds(algebra, equation, vs), equation
 
 
-# -- chunk boundaries and edge cases of holds -----------------------------------
+# -- block boundaries and edge cases of holds -----------------------------------
 
 def assert_finds_every_single_difference(carriers, arg_sorts):
     """``f x y z = g x y z`` where the tables of the ternary ``f`` and
     ``g`` agree except at one argument triple: for each triple in turn,
-    ``holds`` must return exactly that triple, whatever chunks the product
-    is walked in."""
+    ``holds`` must return exactly that triple, whatever blocks the product
+    is cut into."""
     out = arg_sorts[0]
     sig = make_signature(list(carriers), [("f", arg_sorts, out), ("g", arg_sorts, out)])
     vs = make_varspec(sig, zip(("x", "y", "z"), arg_sorts))

@@ -177,6 +177,13 @@ def test_non_string_map_image_rejected():
         hom_maps_from_obj({"maps": {"u": {"0": ["0"]}}})
 
 
+def test_duplicate_table_rows_rejected():
+    obj = algebra_to_obj(additive_mod_algebra(2))
+    obj["operations"]["mul"].append({"args": ["0", "0"], "result": "1"})
+    with pytest.raises(FormatError, match="operations\\['mul'\\]: duplicate row for args \\['0', '0'\\]"):
+        algebra_from_obj(obj)
+
+
 def test_duplicate_equation_names_rejected():
     obj = eqspec_to_obj(monoid_eqspec())
     obj["equations"].append(dict(obj["equations"][0], rhs="mul x e"))
