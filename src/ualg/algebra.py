@@ -20,11 +20,10 @@ index of the other argument; the rest widen their arguments to a common
 set of slots and select the rows one by one.  Columns are ``bytes``
 while every index involved is below 256, and lists with ``map`` in place
 of ``translate`` above that.  Once the product passes ``_MAX_BLOCK``
-tuples, the leading slots are looped over in Python, one block of the
-trailing slots at a time, and subterms that read none of the leading
-slots are computed once.  ``check_hom`` decides the homomorphism law
-with two such programs per operation, each sort map being a one-row
-table.
+tuples, the leading slots are looped over in Python, and both programs
+run once per block of the trailing slots, each leading slot a single
+index.  ``check_hom`` decides the homomorphism law with two such
+programs per operation, each sort map being a one-row table.
 """
 
 from __future__ import annotations
@@ -304,8 +303,8 @@ def _translate(col, row):
 
 def _widen(value: Value, want: tuple[int, ...], sizes: Sequence[int], wide: bool):
     """The column of ``value`` over the slots ``want``, a superset of its
-    own: each missing slot repeats the blocks inside it, by slicing and
-    joining or by strided assignment, whichever takes fewer steps."""
+    own: each missing slot repeats every block of the slots inside it, by
+    slicing the column and joining the slices."""
     have, col = value
     if have == want:
         return col
@@ -317,16 +316,9 @@ def _widen(value: Value, want: tuple[int, ...], sizes: Sequence[int], wide: bool
         if s in have:
             continue
         q = bisect_left(cur, s)
-        inner, r, n = prod(sizes[c] for c in cur[q:]), sizes[s], len(col)
-        if n <= r * inner * inner:  # no more blocks than strided slices
-            parts = (col[i : i + inner] * r for i in range(0, n, inner))
-            col = list(chain.from_iterable(parts)) if col.__class__ is list else b"".join(parts)
-        else:
-            out = [0] * (n * r) if col.__class__ is list else bytearray(n * r)
-            step = r * inner
-            for j in range(step):
-                out[j::step] = col[j % inner :: inner]
-            col = out if col.__class__ is list else bytes(out)
+        inner, r = prod(sizes[c] for c in cur[q:]), sizes[s]
+        parts = (col[i : i + inner] * r for i in range(0, len(col), inner))
+        col = list(chain.from_iterable(parts)) if col.__class__ is list else b"".join(parts)
         cur.insert(q, s)
     return col
 
@@ -427,40 +419,6 @@ def _scalar(program: Program, t: Sequence[int]) -> int:
     return stack[-1]
 
 
-def _hoist(program: Program, lead: int, env: list[Value], sizes: Sequence[int], wide: bool) -> Program:
-    """The program to run once per block of the leading slots ``0 ..
-    lead - 1``: each largest subterm that reads none of them is run here
-    once, its value appended to ``env``, and replaced by a step that
-    reads that entry."""
-    if not lead:
-        env.append(_run(program, env, sizes, wide))
-        return (len(env) - 1,)
-    spans: list[tuple[int, bool]] = []  # per stack entry: its first step, and whether it reads a leading slot
-    cuts: list[tuple[int, int]] = []
-    for p, step in enumerate(program):
-        if step.__class__ is int:
-            spans.append((p, step < lead))
-            continue
-        k = len(step.dims)
-        kids = spans[len(spans) - k :]
-        del spans[len(spans) - k :]
-        leading = any(r for _, r in kids)
-        if leading:
-            ends = [s for s, _ in kids[1:]] + [p]
-            cuts += [(s, e) for (s, r), e in zip(kids, ends) if not r]
-        spans.append((kids[0][0] if k else p, leading))
-    if not spans[-1][1]:
-        cuts = [(0, len(program))]
-    out: list[Step] = []
-    done = 0
-    for s, e in sorted(cuts):
-        out += program[done:s]
-        env.append(_run(program[s:e], env, sizes, wide))
-        out.append(len(env) - 1)
-        done = e
-    return (*out, *program[done:])
-
-
 def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[int, ...] | None:
     """The lexicographically first index tuple of ``product(range(n) for n
     in sizes)`` on which two compiled terms differ, or None when they agree
@@ -469,9 +427,9 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     The first two tuples run on scalar indices, so an early difference
     costs little.  Then each subterm is computed once, as a column over
     the product of only the slots it reads.  When the whole product is
-    larger than ``_MAX_BLOCK``, the leading slots are fixed one block at
-    a time and subterms that read none of them are computed only once.
-    Only a block whose value columns differ is scanned.
+    larger than ``_MAX_BLOCK``, both terms run once per assignment of the
+    leading slots, which enter as single indices, over one block of the
+    trailing slots.  Only a block whose value columns differ is scanned.
     """
     sizes = tuple(sizes)
     for t in islice(product(*map(range, sizes)), 2):
@@ -487,11 +445,10 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     trailing = tuple(range(lead, len(sizes)))
     env: list[Value] = [((), 0)] * lead
     env += [((s,), list(range(sizes[s])) if wide else bytes(range(sizes[s]))) for s in trailing]
-    left, right = _hoist(lhs, lead, env, sizes, wide), _hoist(rhs, lead, env, sizes, wide)
     for t in product(*map(range, sizes[:lead])):
         env[:lead] = [((), x) for x in t]
-        a = _widen(_run(left, env, sizes, wide), trailing, sizes, wide)
-        b = _widen(_run(right, env, sizes, wide), trailing, sizes, wide)
+        a = _widen(_run(lhs, env, sizes, wide), trailing, sizes, wide)
+        b = _widen(_run(rhs, env, sizes, wide), trailing, sizes, wide)
         if a != b:
             if not trailing:
                 return t
@@ -532,13 +489,15 @@ class Hom:
     def apply(self, sort: SortId, x: Any) -> Any:
         try:
             m = self.maps[sort]
-        except KeyError:
+        except (KeyError, TypeError):  # no such sort, or ``maps`` is not keyed by sort
             raise AlgebraError(f"no map for sort {sort!r}") from None
         if callable(m):
             return m(x)
+        if not isinstance(m, Mapping):
+            raise AlgebraError(f"maps[{sort!r}]: expected a callable or a mapping, got {type(m).__name__}")
         try:
             return m[x]
-        except KeyError:
+        except (KeyError, TypeError):  # not a key, or not hashable
             raise AlgebraError(f"map has no image for element {x!r}") from None
 
 

@@ -14,7 +14,8 @@ once costs little.  Then each subterm is computed once over the product
 of only the variables it contains: a ``bytes`` column of indices, sent
 through curried table rows with ``bytes.translate``, or a list column
 when a carrier has more than 256 elements.  Products above a fixed cap
-are cut into blocks of the trailing variables, and only the first block
+are cut into blocks of the trailing variables: each block evaluates both
+sides afresh with the leading variables fixed, and only the first block
 whose two value columns differ is scanned.  Only the first differing
 tuple is mapped back to carrier labels.
 """

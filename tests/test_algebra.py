@@ -24,7 +24,7 @@ from ualg.examples import (
     monoid_signature,
     subtraction_mod_algebra,
 )
-from ualg.signature import make_signature
+from ualg.signature import make_signature, make_varspec
 
 from oracle import oracle_hom_counterexample
 
@@ -318,6 +318,26 @@ def test_compose_hom_rejects_mismatch():
     h = Hom(z8, z2, mod_maps(8, 2))
     with pytest.raises(AlgebraError, match="not composable"):
         compose_hom(h, f)
+
+
+def test_hom_apply_rejects_a_list_map_and_an_unhashable_element():
+    # the wording of check_hom for the same faults
+    from ualg.algebra import Hom
+    from ualg.free_algebra import check_universality
+
+    z2 = additive_mod_algebra(2)
+    listed = Hom(z2, z2, {"u": ["0", "1"]})
+    with pytest.raises(AlgebraError, match=r"^maps\['u'\]: expected a callable or a mapping, got list$"):
+        listed.apply("u", "0")
+    with pytest.raises(AlgebraError, match=r"^map has no image for element \['0'\]$"):
+        Hom(z2, z2, {"u": {"0": "0", "1": "1"}}).apply("u", ["0"])
+    with pytest.raises(AlgebraError, match="expected a callable or a mapping, got list"):
+        compose_hom(listed, Hom(z2, z2, identity_maps(z2))).apply("u", "1")
+    varspec = make_varspec(MONOID, {"x": "u"})
+    with pytest.raises(AlgebraError, match="expected a callable or a mapping, got list"):
+        check_universality(z2, varspec, {"x": "0"}, {"u": ["0", "1"]}, [])
+    with pytest.raises(AlgebraError, match="^no map for sort 'u'$"):
+        check_universality(z2, varspec, {"x": "0"}, ["0", "1"], [])
 
 
 @given(st.integers(1, 4), st.integers(1, 3))
