@@ -135,6 +135,67 @@ class Algebra:
         )
 
 
+def _label_op(
+    nm: OpId, rows: list[int], idxs: list[dict[str, int]], dims: tuple[int, ...], labels: tuple[str, ...]
+) -> Callable[..., str]:
+    """The operation ``nm`` on labels, through its index rows: one closure
+    for each arity 0, 1, 2 or k, which builds its error message only once
+    a lookup has failed."""
+    k = len(idxs)
+
+    def error(args: tuple) -> AlgebraError:
+        if len(args) != k:
+            return AlgebraError(f"{nm!r} expects {k} argument(s), got {len(args)}")
+        for i, (x, idx) in enumerate(zip(args, idxs)):
+            try:
+                idx[x]
+            except (KeyError, TypeError):  # not a label, or not hashable
+                break
+        return AlgebraError(f"{x!r} is not a carrier element for argument {i} of {nm!r}")
+
+    if k == 0:
+        value = labels[rows[0]]
+
+        def fn(*args):
+            if args:
+                raise error(args)
+            return value
+    elif k == 1:
+        (i0,) = idxs
+
+        def fn(*args):
+            try:
+                (x,) = args
+                return labels[rows[i0[x]]]
+            except (KeyError, TypeError, ValueError):  # a bad label, or a wrong count
+                raise error(args) from None
+    elif k == 2:
+        i0, i1 = idxs
+        d1 = dims[1]
+
+        def fn(*args):
+            try:
+                x, y = args
+                return labels[rows[i0[x] * d1 + i1[y]]]
+            except (KeyError, TypeError, ValueError):
+                raise error(args) from None
+    else:
+        steps = tuple(zip(dims, idxs))
+
+        def fn(*args):
+            if len(args) != k:
+                raise error(args)
+            pos = 0
+            try:
+                for (d, idx), x in zip(steps, args):
+                    pos = pos * d + idx[x]
+            except (KeyError, TypeError):
+                raise error(args) from None
+            return labels[rows[pos]]
+
+    return fn
+
+
 class FiniteAlgebra(Algebra):
     """Finite carriers as ordered label tuples plus total operation tables.
 
@@ -215,26 +276,10 @@ class FiniteAlgebra(Algebra):
         ops: dict[OpId, Callable[..., str]] = {}
         for nm in signature.ops:
             arity = signature.arity_of(nm)
-            idxs = [index[a] for a in arity]
             dims = tuple(len(carr[a]) for a in arity)
-            rows = flat[nm]
-            self._steps[nm] = _Op(rows, dims, len(carr[signature.sort_of(nm)]))
-
-            def fn(*args, _rows=rows, _idxs=idxs, _dims=dims, _nm=nm, _k=len(arity),
-                   _labels=carr[signature.sort_of(nm)]):
-                if len(args) != _k:
-                    raise AlgebraError(f"{_nm!r} expects {_k} argument(s), got {len(args)}")
-                pos = 0
-                for i, x in enumerate(args):
-                    try:
-                        pos = pos * _dims[i] + _idxs[i][x]
-                    except (KeyError, TypeError):  # not a label, or not hashable
-                        raise AlgebraError(
-                            f"{x!r} is not a carrier element for argument {i} of {_nm!r}"
-                        ) from None
-                return _labels[_rows[pos]]
-
-            ops[nm] = fn
+            labels = carr[signature.sort_of(nm)]
+            self._steps[nm] = _Op(flat[nm], dims, len(labels))
+            ops[nm] = _label_op(nm, flat[nm], [index[a] for a in arity], dims, labels)
         super().__init__(signature, ops)
 
     def compile(self, t: Term, slots: Mapping[str, int]) -> Program:
@@ -518,8 +563,9 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
 
     This is the one place that checks a map against the algebras, and it
     does so before any operation is checked.  Both algebras must be
-    finite and over the same signature.  Then ``maps`` must hold no map
-    for a sort the signature lacks, and a map for every sort: a callable
+    finite and over the same signature.  Then ``maps`` must be a mapping
+    keyed by sort (anything else holds no map for any sort), with no map
+    for a sort the signature lacks and a map for every sort: a callable
     or a label mapping, checked sort by sort in signature order.  A
     dictionary's entries are read in its order: each key must be in the
     source carrier and each image in the target carrier, and then every
@@ -542,6 +588,8 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     sig = src.signature
     if dst.signature != sig:
         raise AlgebraError("source and target are over different signatures")
+    if not isinstance(maps, Mapping):  # not keyed by sort: no sort has a map
+        maps = {}
     for s in maps:
         if not sig.is_sort(s):
             raise AlgebraError(f"maps[{s!r}]: {s!r} is not a sort of the signature")

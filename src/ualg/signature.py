@@ -49,6 +49,14 @@ class Signature:
         return {nm: (self.arities[i], self.results[i]) for i, nm in enumerate(self.ops)}
 
     @cached_property
+    def sort_steps(self) -> dict[OpId, tuple[int, list[SortId], SortId]]:
+        """The (number of arguments, arity reversed as a list, result sort)
+        of each operation: a sort-machine step compares the top ``k``
+        entries of a stack kept top last with the reversed arity in one
+        slice, and pushes the result."""
+        return {nm: (len(a), list(reversed(a)), r) for nm, a, r in zip(self.ops, self.arities, self.results)}
+
+    @cached_property
     def _sort_set(self) -> frozenset[SortId]:
         return frozenset(self.sorts)
 

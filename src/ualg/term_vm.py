@@ -6,14 +6,21 @@ the top of a stack of sorts and pushes its result sort.  A sequence is a
 term exactly when the run never underflows or meets a wrong sort and
 finishes with a single sort on the stack.
 
-``oplistexec`` is that machine, and the only one that checks sorts: one
-pass, last symbol first, over a list used as the stack.  It returns an
-``ExecReport`` holding either the final stack or the execution-order
-position and the reason of the first failure (an unknown symbol, a stack
-underflow or a sort mismatch); a run stops at its first failure, so the
-failure absorbs whatever would execute after it.  ``ExecReport.error`` is
-the one place where a diagnostic is rendered, and ``term_from_syms``
-runs the machine once per sequence.
+``oplistexec`` is that machine, and its loop is the only one that checks
+sorts: one pass, last symbol first, over a list used as the stack, top
+last.  The machine table is ``Signature.sort_steps``, which gives each
+operation its number of arguments ``k``, its arity reversed and its
+result sort; a step compares the stack's top ``k`` entries with the
+reversed arity in one slice and replaces them by the result.  The
+reason of a failure (an unknown symbol, a stack underflow or a sort
+mismatch) is worked out only once a step has failed.  ``oplistexec``
+returns an ``ExecReport`` holding either the final stack or the
+execution-order position and the reason of the first failure; a run
+stops at its first failure, so the failure absorbs whatever would
+execute after it.  ``ExecReport.error`` is the one place where a
+diagnostic is rendered.  ``term_from_syms`` runs the same loop and
+builds no report when the sequence is a term; only a sequence that is
+not one runs again, through ``oplistexec``, for its diagnostic.
 
 Validated terms carry their result sort; construction through
 ``build_term`` preserves validity without re-running the machine.  A
@@ -81,6 +88,29 @@ class ExecReport(NamedTuple):
         return None
 
 
+def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> Optional[ExecReport]:
+    """Execute ``syms``, last symbol first, on ``st`` (top last) in place.
+
+    Returns None when every symbol ran, else the failure report; ``st``
+    is then the stack the failing symbol met.  A step compares the top
+    of the stack with the symbol's reversed arity in one slice, so the
+    reason of a failure is worked out only once a step has failed.
+    """
+    steps = sig.sort_steps
+    push = st.append
+    for i, nm in enumerate(reversed(syms)):
+        try:
+            k, want, res = steps[nm]
+        except KeyError:
+            return ExecReport(None, i, "unknown symbol")
+        if k:
+            if st[-k:] != want:
+                return ExecReport(None, i, "stack underflow" if len(st) < k else "sort mismatch")
+            del st[-k:]
+        push(res)
+    return None
+
+
 def oplistexec(sig: Signature, syms: Sequence[OpId], stack: Sequence[SortId] = ()) -> ExecReport:
     """Run the whole sequence, last symbol first, from ``stack`` (top first).
 
@@ -88,21 +118,8 @@ def oplistexec(sig: Signature, syms: Sequence[OpId], stack: Sequence[SortId] = (
     equals executing ``l1`` from the stack that ``l2`` leaves on ``s``,
     with a failure inside ``l1`` counted ``len(l2)`` positions later.
     """
-    decl = sig.decl
     st = list(reversed(stack))  # top last
-    push, pop = st.append, st.pop
-    for k, nm in enumerate(reversed(syms)):
-        try:
-            arity, res = decl[nm]
-        except KeyError:
-            return ExecReport(None, k, "unknown symbol")
-        if len(st) < len(arity):
-            return ExecReport(None, k, "stack underflow")
-        for want in arity:
-            if pop() != want:
-                return ExecReport(None, k, "sort mismatch")
-        push(res)
-    return ExecReport(tuple(reversed(st)))
+    return _run(sig, syms, st) or ExecReport(tuple(reversed(st)))
 
 
 def infer_sort(sig: Signature, syms: Sequence[OpId]) -> Optional[SortId]:
@@ -195,17 +212,17 @@ def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
     """Validate a raw symbol sequence and package it as a term.
 
     A sequence with an unknown symbol is rejected for the leftmost one,
-    whatever the run met first.
+    whatever the run met first; any other failure runs the sequence again
+    through ``oplistexec`` for its diagnostic.
     """
     syms = tuple(syms)
-    rep = oplistexec(sig, syms)
-    sort = rep.sort
-    if sort is None:
-        for nm in syms:
-            if not sig.is_op(nm):
-                raise UnknownSymbolError(f"unknown symbol {nm!r}")
-        raise TermError(rep.error())
-    return _term(sig, syms, sort)
+    st: list[SortId] = []
+    if _run(sig, syms, st) is None and len(st) == 1:
+        return _term(sig, syms, st[0])
+    for nm in syms:
+        if not sig.is_op(nm):
+            raise UnknownSymbolError(f"unknown symbol {nm!r}")
+    raise TermError(oplistexec(sig, syms).error())
 
 
 def parse_term(sig: Signature, text: str) -> Term:
@@ -316,12 +333,18 @@ def depth(t: Term) -> int:
     """Height of the term tree; a bare constant has depth 1."""
     nargs = t.signature.nargs
     stack: list[int] = []
+    push, pop = stack.append, stack.pop
     for nm in reversed(t.syms):
         k = nargs[nm]
-        if k:
+        if k == 1:
+            stack[-1] += 1
+        elif k == 2:
+            d, top = pop(), stack[-1]
+            stack[-1] = (d if d > top else top) + 1
+        elif k:
             d = max(stack[-k:]) + 1
             del stack[-k:]
-            stack.append(d)
+            push(d)
         else:
-            stack.append(1)
+            push(1)
     return stack[-1]

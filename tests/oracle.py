@@ -4,9 +4,11 @@ The parser here reads a symbol sequence top-down, left to right, by
 recursive descent on arities: the opposite traversal order and a
 different data structure (a parse tree, no sort stack) from the
 right-to-left machine under test.  It was written first and its outputs
-are what the tests freeze as expected values.  Nothing here runs the
-machine: ``Term`` and ``build_term`` only package the terms that
-``random_term`` draws.
+are what the tests freeze as expected values.  ``oracle_exec`` is the
+machine itself, written the slow way: one sort popped and compared at a
+time, on a stack kept top first.  Nothing else here runs the machine:
+``Term`` and ``build_term`` only package the terms that ``random_term``
+draws.
 """
 
 from __future__ import annotations
@@ -45,6 +47,37 @@ def oracle_infer_sort(sig: Signature, syms) -> Optional[SortId]:
         return None
     sort, end = got
     return sort if end == len(syms) else None
+
+
+def oracle_exec(sig: Signature, syms, stack=()):
+    """The sort-stack machine one sort at a time, on a stack kept top first.
+
+    Runs ``syms`` last symbol first from ``stack`` (top first) and returns
+    ``(final stack top first, None, None)``, or ``(None, position,
+    reason)`` for the first failing symbol, its position counted in
+    execution order: an unknown symbol, a stack shorter than the arity,
+    or a popped sort that is not the one the arity wants.
+    """
+    st = list(stack)
+    n = len(syms)
+    for pos in range(n):
+        nm = syms[n - 1 - pos]
+        if not sig.is_op(nm):
+            return None, pos, "unknown symbol"
+        arity = sig.arity_of(nm)
+        if len(st) < len(arity):
+            return None, pos, "stack underflow"
+        for want in arity:
+            if st.pop(0) != want:
+                return None, pos, "sort mismatch"
+        st.insert(0, sig.sort_of(nm))
+    return tuple(st), None, None
+
+
+def tree_depth(node) -> int:
+    """Height of a ``parse_tree`` node; a leaf has height 1."""
+    nm, children = node
+    return 1 + max((tree_depth(c) for c in children), default=0)
 
 
 def parse_tree(sig: Signature, syms: tuple[str, ...], i: int = 0):

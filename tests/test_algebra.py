@@ -117,6 +117,39 @@ def test_an_unhashable_argument_is_not_a_carrier_element():
         additive_mod_algebra(3).op("mul", "0", ["1"])
 
 
+def test_table_operations_of_every_arity_keep_their_values_and_messages():
+    # arities 0 to 3 over two sorts: every value read off the tables, and
+    # the exact message for a wrong argument count and for a bad label at
+    # each position
+    sig = make_signature(
+        ["a", "b"],
+        [("c", [], "a"), ("f", ["b"], "a"), ("g", ["a", "b"], "b"), ("h", ["a", "b", "a"], "a")],
+    )
+    carriers = {"a": ["0", "1", "2"], "b": ["p", "q"]}
+    rng = random.Random(5)
+    tables = {
+        nm: {args: rng.choice(carriers[sig.sort_of(nm)]) for args in product(*(carriers[s] for s in sig.arity_of(nm)))}
+        for nm in sig.ops
+    }
+    alg = FiniteAlgebra(sig, carriers, tables)
+    for nm, table in tables.items():
+        for args, result in table.items():
+            assert alg.op(nm, *args) == result
+        k = len(sig.arity_of(nm))
+        for n in {0, k - 1, k + 1} - {-1, k}:
+            with pytest.raises(AlgebraError) as err:
+                alg.op(nm, *["0"] * n)
+            assert str(err.value) == f"{nm!r} expects {k} argument(s), got {n}"
+        good = next(iter(table))
+        for i in range(k):
+            for bad in ("x", ["0"]):
+                args = list(good)
+                args[i] = bad
+                with pytest.raises(AlgebraError) as err:
+                    alg.op(nm, *args)
+                assert str(err.value) == f"{bad!r} is not a carrier element for argument {i} of {nm!r}"
+
+
 def test_unit_algebra_shapes():
     for sig in (MONOID, make_signature(["a", "b"], []), bool_algebra().signature):
         unit = unit_algebra(sig)
@@ -338,6 +371,21 @@ def test_hom_apply_rejects_a_list_map_and_an_unhashable_element():
         check_universality(z2, varspec, {"x": "0"}, {"u": ["0", "1"]}, [])
     with pytest.raises(AlgebraError, match="^no map for sort 'u'$"):
         check_universality(z2, varspec, {"x": "0"}, ["0", "1"], [])
+
+
+def test_check_hom_rejects_maps_not_keyed_by_sort_as_hom_apply_does():
+    # a list or a string holds no map for any sort: check_hom names the
+    # first sort, as Hom.apply does, not a label as if it were a sort
+    from ualg.algebra import Hom
+
+    z2 = additive_mod_algebra(2)
+    for maps in (["0", "1"], "u", ("u",)):
+        with pytest.raises(AlgebraError, match="^no map for sort 'u'$"):
+            check_hom(maps, z2, z2)
+        with pytest.raises(AlgebraError, match="^no map for sort 'u'$"):
+            Hom(z2, z2, maps).apply("u", "0")
+        with pytest.raises(AlgebraError, match="^no map for sort 'u'$"):
+            check_hom(Hom(z2, z2, maps), z2, z2)
 
 
 @given(st.integers(1, 4), st.integers(1, 3))

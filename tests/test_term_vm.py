@@ -30,12 +30,33 @@ from ualg.term_vm import (
     term_from_syms,
 )
 
-from oracle import brute_shortest_term_prefix, oracle_infer_sort, random_term
+from oracle import (
+    brute_shortest_term_prefix,
+    oracle_exec,
+    oracle_infer_sort,
+    parse_tree,
+    random_term,
+    tree_depth,
+)
 
 MONOID = monoid_signature()
 BOOL = bool_signature()
 # two sorts and a ternary operation, for the k-ary paths
 TERNARY = make_signature(["u", "v"], [("c", [], "u"), ("k", [], "v"), ("h", ["u", "v", "u"], "u")])
+# three sorts and arities 0 to 3 whose argument sorts all differ, so that
+# a step comparing its arity in the wrong order fails on valid terms
+MIXED = make_signature(
+    ["u", "v", "w"],
+    [
+        ("c", [], "u"),
+        ("k", [], "v"),
+        ("e", [], "w"),
+        ("n", ["u"], "u"),
+        ("g", ["w"], "v"),
+        ("p", ["u", "v"], "w"),
+        ("h", ["u", "v", "w"], "u"),
+    ],
+)
 
 
 def list_vsig():
@@ -119,6 +140,62 @@ def test_error_absorption(syms, cut):
     rep = oplistexec(BOOL, syms[cut:])
     if rep.stack is None:
         assert oplistexec(BOOL, syms) == rep
+
+
+# -- the machine against a one-sort-at-a-time reference ------------------
+
+@st.composite
+def mixed_sequences(draw):
+    # loose symbols, unknown ones among them, and whole random terms
+    symbol = st.sampled_from(MIXED.ops + ("q", "zz")).map(lambda nm: (nm,))
+    term = st.builds(
+        lambda seed, sort: random_term(random.Random(seed), MIXED, sort, 3).syms,
+        st.integers(0, 2**32),
+        st.sampled_from(MIXED.sorts),
+    )
+    pieces = draw(st.lists(st.one_of(symbol, term), max_size=5))
+    return [nm for piece in pieces for nm in piece]
+
+
+@given(mixed_sequences(), st.lists(st.sampled_from(MIXED.sorts), max_size=4))
+@settings(max_examples=400)
+def test_machine_matches_one_sort_at_a_time_reference(syms, stack):
+    want = oracle_exec(MIXED, syms, stack)
+    assert tuple(oplistexec(MIXED, syms, tuple(stack))) == want
+    assert tuple(oplistexec(MIXED, tuple(syms), stack)) == want
+
+
+@given(mixed_sequences())
+@settings(max_examples=300)
+def test_term_from_syms_raises_the_reference_messages(syms):
+    # the leftmost unknown symbol first, then the run's diagnostic
+    unknown = [nm for nm in syms if not MIXED.is_op(nm)]
+    stack, at, reason = oracle_exec(MIXED, syms)
+    if unknown:
+        with pytest.raises(UnknownSymbolError) as err:
+            term_from_syms(MIXED, syms)
+        assert str(err.value) == f"unknown symbol {unknown[0]!r}"
+    elif stack is None:
+        with pytest.raises(TermError) as err:
+            term_from_syms(MIXED, syms)
+        assert str(err.value) == f"{reason} at symbol {at}"
+    elif len(stack) != 1:
+        with pytest.raises(TermError) as err:
+            term_from_syms(MIXED, syms)
+        assert str(err.value) == "residual stack [" + ", ".join(stack) + "]"
+    else:
+        t = term_from_syms(MIXED, syms)
+        assert (t.syms, t.sort) == (tuple(syms), stack[0])
+
+
+@given(st.integers(0, 10**9), st.sampled_from(MIXED.sorts))
+@settings(max_examples=200)
+def test_depth_matches_parse_tree_height(seed, sort):
+    t = random_term(random.Random(seed), MIXED, sort, 5)
+    tree, end = parse_tree(MIXED, t.syms)
+    assert end == len(t.syms)
+    assert depth(t) == tree_depth(tree)
+    assert term_from_syms(MIXED, t.syms) == t
 
 
 # -- diagnostics ---------------------------------------------------------
