@@ -28,14 +28,12 @@ programs per operation, each sort map being a one-row table.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from itertools import chain, islice, product, repeat
 from math import prod
-from typing import Any, Callable, Mapping, Sequence
 
-from .signature import OpId, Signature, SortId
+from .signature import Frozen, OpId, Signature, SortId, _set
 from .term_vm import Term
 
 
@@ -113,7 +111,7 @@ class Algebra:
     terms); nothing here assumes they can be enumerated.
     """
 
-    def __init__(self, signature: Signature, ops: Mapping[OpId, Callable[..., Any]]):
+    def __init__(self, signature: Signature, ops: Mapping[OpId, Callable[..., object]]):
         missing = [nm for nm in signature.ops if nm not in ops]
         if missing:
             raise AlgebraError(f"no interpretation for operation(s) {missing}")
@@ -121,14 +119,14 @@ class Algebra:
         self._ops = dict(ops)
         self._term_signature = signature  # the last one evaluate accepted
 
-    def op(self, nm: OpId, *args: Any) -> Any:
+    def op(self, nm: OpId, *args: object) -> object:
         try:
             fn = self._ops[nm]
         except KeyError:
             raise AlgebraError(f"unknown operation {nm!r}") from None
         return fn(*args)
 
-    def sample_element(self, sort: SortId, rng: random.Random) -> Any:
+    def sample_element(self, sort: SortId, rng: random.Random) -> object:
         raise AlgebraError(
             "cannot sample elements of an abstract algebra; "
             "use a finite algebra or override sample_element"
@@ -337,7 +335,7 @@ class FiniteAlgebra(Algebra):
 
 # A value on the kernel's stack: the slots it depends on, ascending, and
 # its column over their product, or its index when it depends on none.
-Value = tuple[tuple[int, ...], Any]
+Value = tuple[tuple[int, ...], object]
 
 
 def _translate(col, row):
@@ -516,22 +514,24 @@ def unit_algebra(sig: Signature) -> FiniteAlgebra:
     return FiniteAlgebra(sig, carriers, tables)
 
 
-SortMap = Mapping[SortId, Any]
+SortMap = Mapping[SortId, object]
 
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(Frozen):
     """A per-sort map between algebras over the same signature.
 
     ``maps`` holds one callable or label dictionary per sort; the
     homomorphism law itself is checked by ``check_hom``.
     """
 
-    source: Algebra
-    target: Algebra
-    maps: SortMap
+    __slots__ = _fields = ("source", "target", "maps")
 
-    def apply(self, sort: SortId, x: Any) -> Any:
+    def __init__(self, source: Algebra, target: Algebra, maps: SortMap):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "maps", maps)
+
+    def apply(self, sort: SortId, x: object) -> object:
         try:
             m = self.maps[sort]
         except (KeyError, TypeError):  # no such sort, or ``maps`` is not keyed by sort
@@ -546,10 +546,15 @@ class Hom:
             raise AlgebraError(f"map has no image for element {x!r}") from None
 
 
-@dataclass(frozen=True)
-class HomVerdict:
-    ok: bool
-    counterexample: tuple[OpId, tuple[Any, ...]] | None = None
+class HomVerdict(Frozen):
+    """Whether a map is a homomorphism; if not, the first counterexample
+    as an operation and its source arguments."""
+
+    __slots__ = _fields = ("ok", "counterexample")
+
+    def __init__(self, ok: bool, counterexample: tuple[OpId, tuple[object, ...]] | None = None):
+        _set(self, "ok", ok)
+        _set(self, "counterexample", counterexample)
 
 
 def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> HomVerdict:

@@ -7,6 +7,10 @@ run the bundled example structures.
 Exit codes are a stable contract: 0 when the command succeeds and any
 checked property holds, 1 when a checked property fails, 2 for usage or
 input errors.  Output is byte-deterministic for identical inputs.
+
+A subcommand imports what it runs when it runs: ``term`` loads only
+``signature``, ``term_vm`` and ``jsonio``, and the modules of algebras,
+evaluation, equations and examples load with the commands that use them.
 """
 
 from __future__ import annotations
@@ -14,12 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import examples as ex
-from .algebra import check_hom
-from .equations import holds
-from .free_algebra import enumerate_terms, evaluate
 from .jsonio import (
     FormatError,
     load_algebra,
@@ -94,6 +94,8 @@ def _parse_assign_flag(flag: str | None) -> dict[str, str]:
 
 
 def cmd_eval(args) -> int:
+    from .free_algebra import evaluate
+
     algebra = load_algebra(args.alg)
     sig = algebra.signature
     if args.vars is not None:
@@ -116,6 +118,8 @@ def cmd_eval(args) -> int:
 
 def _report_equations(algebra, spec) -> int:
     """One HOLDS/FAILS line per equation; 0 when all hold, else 1."""
+    from .equations import holds
+
     status = 0
     for eq in spec.equations:
         verdict = holds(algebra, eq, spec.varspec)
@@ -135,6 +139,8 @@ def cmd_check_eqs(args) -> int:
 
 
 def cmd_check_hom(args) -> int:
+    from .algebra import check_hom
+
     src = load_algebra(args.src)
     dst = load_algebra(args.dst)
     verdict = check_hom(load_hom_maps(args.map), src, dst)
@@ -147,6 +153,8 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .free_algebra import enumerate_terms
+
     sig = load_signature(args.sig)
     if args.max_depth < 1:
         raise FormatError("--max-depth must be at least 1")
@@ -159,6 +167,8 @@ def cmd_enumerate(args) -> int:
 
 
 def _example_list() -> None:
+    from . import examples as ex
+
     fix = ex.list_fixture(("a", "b"), max_len=4)
     print("list datatype over elements [a, b], lists materialized up to length 4")
     for text in ("nil", "cons a nil", "cons b cons a nil"):
@@ -168,6 +178,8 @@ def _example_list() -> None:
 
 
 def _example_monoid() -> None:
+    from . import examples as ex
+
     spec, algebra, _ = ex.monoid_fixture(3)
     for name, alg in (("+", algebra), ("-", ex.subtraction_mod_algebra(3))):
         print(f"monoid equations on (Z mod 3, {name}, 0)")
@@ -175,6 +187,8 @@ def _example_monoid() -> None:
 
 
 def _example_bool() -> None:
+    from . import examples as ex
+
     free = ex.bool_free()
     print("boolean connectives under truth-table semantics")
     formula = parse_term(free.vsig, "conj x impl z neg y")

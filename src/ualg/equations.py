@@ -22,13 +22,9 @@ tuple is mapped back to carrier labels.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Any, Optional
-
 from .algebra import Algebra, FiniteAlgebra, first_difference
 from .free_algebra import evaluate
-from .signature import Signature, SortId, VarId, VarSpec, is_vsignature, vsignature
+from .signature import Frozen, Signature, SortId, VarId, VarSpec, _set, is_vsignature, vsignature
 from .term_vm import Term
 
 
@@ -36,44 +32,40 @@ class EquationError(ValueError):
     """Raised for ill-sorted equations or mismatched signatures."""
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Frozen):
     """A named pair of terms of the same sort, read as a universally
     quantified identity."""
 
-    name: str
-    sort: SortId
-    lhs: Term
-    rhs: Term
+    __slots__ = _fields = ("name", "sort", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.lhs.signature != self.rhs.signature:
-            raise EquationError(f"equation {self.name!r}: sides over different signatures")
-        for side, t in (("lhs", self.lhs), ("rhs", self.rhs)):
-            if t.sort != self.sort:
-                raise EquationError(
-                    f"equation {self.name!r}: {side} has sort {t.sort!r}, expected {self.sort!r}"
-                )
+    def __init__(self, name: str, sort: SortId, lhs: Term, rhs: Term):
+        if lhs.signature != rhs.signature:
+            raise EquationError(f"equation {name!r}: sides over different signatures")
+        for side, t in (("lhs", lhs), ("rhs", rhs)):
+            if t.sort != sort:
+                raise EquationError(f"equation {name!r}: {side} has sort {t.sort!r}, expected {sort!r}")
+        _set(self, "name", name)
+        _set(self, "sort", sort)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 EqSystem = tuple[Equation, ...]
 
 
-@dataclass(frozen=True)
-class EqSpec:
+class EqSpec(Frozen):
     """A signature, a variable specification, and equations over them."""
 
-    signature: Signature
-    varspec: VarSpec
-    equations: EqSystem
+    __slots__ = _fields = ("signature", "varspec", "equations")
 
-    def __post_init__(self):
-        vsig = vsignature(self.signature, self.varspec)
-        for eq in self.equations:
+    def __init__(self, signature: Signature, varspec: VarSpec, equations: EqSystem):
+        vsig = vsignature(signature, varspec)
+        for eq in equations:
             if eq.lhs.signature != vsig:
-                raise EquationError(
-                    f"equation {eq.name!r} is not over this signature and variable set"
-                )
+                raise EquationError(f"equation {eq.name!r} is not over this signature and variable set")
+        _set(self, "signature", signature)
+        _set(self, "varspec", varspec)
+        _set(self, "equations", equations)
 
 
 def free_vars(t: Term, varspec: VarSpec) -> set[VarId]:
@@ -81,10 +73,14 @@ def free_vars(t: Term, varspec: VarSpec) -> set[VarId]:
     return {nm for nm in t.syms if varspec.is_var(nm)}
 
 
-@dataclass(frozen=True)
-class EqVerdict:
-    holds: bool
-    counterexample: dict[VarId, Any] | None = None
+class EqVerdict(Frozen):
+    """Whether an equation holds; if not, the first failing assignment."""
+
+    __slots__ = _fields = ("holds", "counterexample")
+
+    def __init__(self, holds: bool, counterexample: dict[VarId, object] | None = None):
+        _set(self, "holds", holds)
+        _set(self, "counterexample", counterexample)
 
 
 def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
@@ -110,11 +106,13 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     return EqVerdict(False, {v: d[i] for v, d, i in zip(names, domains, found)})
 
 
-@dataclass(frozen=True)
-class EqReport:
+class EqReport(Frozen):
     """Per-equation verdicts, in equation order."""
 
-    verdicts: tuple[tuple[str, EqVerdict], ...]
+    __slots__ = _fields = ("verdicts",)
+
+    def __init__(self, verdicts: tuple[tuple[str, EqVerdict], ...]):
+        _set(self, "verdicts", verdicts)
 
     @property
     def ok(self) -> bool:
@@ -143,13 +141,15 @@ def holds_sampled(
     varspec: VarSpec,
     n_samples: int = 1000,
     seed: int = 0,
-) -> Optional[dict[VarId, Any]]:
+) -> dict[VarId, object] | None:
     """Random assignment search for algebras that cannot be enumerated.
 
     Returns a counterexample assignment, or None meaning "no
     counterexample found in ``n_samples`` draws" - not a proof that the
     equation holds.
     """
+    import random
+
     rng = random.Random(seed)
     occurring = free_vars(eq.lhs, varspec) | free_vars(eq.rhs, varspec)
     names = [v for v in varspec.vars if v in occurring]

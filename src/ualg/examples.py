@@ -3,16 +3,17 @@ monoids modulo n, and boolean connectives with truth-table semantics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from itertools import product
-from typing import Mapping, Sequence
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .equations import EqReport, EqSpec, Equation, is_eqalgebra
 from .free_algebra import FreeAlgebra, evaluate
 from .signature import (
+    Frozen,
     Signature,
     VarSpec,
+    _set,
     make_signature,
     make_signature_single_sorted,
     make_varspec,
@@ -68,13 +69,25 @@ def list_signature_and_algebra(
     return sig, FiniteAlgebra(sig, carriers, tables)
 
 
-@dataclass(frozen=True)
-class ListFixture:
-    signature: Signature
-    algebra: FiniteAlgebra
-    varspec: VarSpec       # one variable per element label, of sort elem
-    assignment: Mapping[str, str]
-    max_len: int
+class ListFixture(Frozen):
+    """The list datatype's signature and algebra, with one variable per
+    element label, of sort elem, assigned that label."""
+
+    __slots__ = _fields = ("signature", "algebra", "varspec", "assignment", "max_len")
+
+    def __init__(
+        self,
+        signature: Signature,
+        algebra: FiniteAlgebra,
+        varspec: VarSpec,
+        assignment: Mapping[str, str],
+        max_len: int,
+    ):
+        _set(self, "signature", signature)
+        _set(self, "algebra", algebra)
+        _set(self, "varspec", varspec)
+        _set(self, "assignment", assignment)
+        _set(self, "max_len", max_len)
 
     @property
     def free(self) -> FreeAlgebra:

@@ -30,24 +30,25 @@ concatenates their symbols without checking them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import product
-from typing import Any, Iterable, Iterator, Mapping
 
 from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom
 from .signature import (
+    Frozen,
     OpId,
     Signature,
     SignatureError,
     SortId,
     VarId,
     VarSpec,
+    _set,
     extends_by_constants,
     vsignature,
 )
 from .term_vm import Term, _term, build_term, term_decompose
 
-Assignment = Mapping[VarId, Any]
+Assignment = Mapping[VarId, object]
 
 
 class MissingBindingError(ValueError):
@@ -80,7 +81,7 @@ class FreeAlgebra(Algebra):
         return _term(self.vsig, (v,), self.varspec.sort_of(v))
 
 
-def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
+def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
     """Evaluate a term in ``algebra`` under ``assignment``.
 
     The term must be over the algebra's signature extended by constants,
@@ -111,7 +112,7 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
     return _evaluate_in_fold_order(algebra, assignment, t)
 
 
-def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> Any:
+def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> object:
     """One right-to-left pass on a stack of carrier indices: a variable
     pushes the index of its label, an operation pops its argument
     indices (the first on top) and pushes the row they select.  Only the
@@ -144,13 +145,13 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
     return assignment[top]  # a lone variable evaluates to its binding as given
 
 
-def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> Any:
+def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> object:
     """Evaluate left to right, each symbol after its arguments: the order
     of the structural fold, so the error raised is the first one the fold
     meets."""
     decl, op = algebra.signature.decl, algebra.op
     nargs = t.signature.nargs
-    frames: list[tuple[OpId, int, list[Any]]] = []  # (symbol, arity, argument values so far)
+    frames: list[tuple[OpId, int, list[object]]] = []  # (symbol, arity, argument values so far)
     for nm in t.syms:
         k = nargs[nm]
         if k:
@@ -187,18 +188,22 @@ def universal_map(algebra: Algebra, varspec: VarSpec, assignment: Assignment) ->
     return Hom(free, algebra, maps)
 
 
-@dataclass(frozen=True)
-class UniversalityVerdict:
-    ok: bool
-    at: Term | None = None
-    detail: str | None = None
+class UniversalityVerdict(Frozen):
+    """Whether a candidate map passed; if not, the term it failed at and why."""
+
+    __slots__ = _fields = ("ok", "at", "detail")
+
+    def __init__(self, ok: bool, at: Term | None = None, detail: str | None = None):
+        _set(self, "ok", ok)
+        _set(self, "at", at)
+        _set(self, "detail", detail)
 
 
 def check_universality(
     algebra: Algebra,
     varspec: VarSpec,
     assignment: Assignment,
-    candidate: Any,
+    candidate: object,
     sample: Iterable[Term],
 ) -> UniversalityVerdict:
     """Check a candidate term map against the defining clauses of the

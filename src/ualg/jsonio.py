@@ -13,16 +13,19 @@ document nested too deeply for the JSON parser.
 A homomorphism map file is read here only as to its shape, one object
 of labels to labels per sort; ``algebra.check_hom`` checks its sorts,
 keys and images against the two algebras.
+
+Importing this module loads only ``signature`` and ``term_vm`` besides
+it, which is all that reading a signature or a term needs.  The loaders
+of algebras and of equation files import ``FiniteAlgebra``, ``EqSpec``
+and ``Equation`` when they are called.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any, Mapping
+from collections.abc import Mapping
+from os import PathLike
 
-from .algebra import FiniteAlgebra
-from .equations import EqSpec, Equation
 from .signature import Signature, VarSpec, make_signature, make_varspec, vsignature
 from .term_vm import parse_term
 
@@ -31,7 +34,7 @@ class FormatError(ValueError):
     """Raised when a JSON document does not match the expected shape."""
 
 
-def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
+def _expect(obj: object, key: str, kind: type, where: str) -> object:
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"{where}: missing {key!r}")
     value = obj[key]
@@ -40,14 +43,14 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _expect_strings(obj: Any, key: str, where: str) -> list[str]:
+def _expect_strings(obj: object, key: str, where: str) -> list[str]:
     value = _expect(obj, key, list, where)
     if not all(isinstance(x, str) for x in value):
         raise FormatError(f"{where}: {key!r} must be a list of strings")
     return value
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | PathLike) -> object:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -55,7 +58,7 @@ def load_json(path: str | Path) -> Any:
             raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
-def dump_json(obj: Any, path: str | Path) -> None:
+def dump_json(obj: object, path: str | PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
@@ -63,7 +66,7 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 # -- signatures ----------------------------------------------------------
 
-def signature_from_obj(obj: Any) -> Signature:
+def signature_from_obj(obj: object) -> Signature:
     sorts = _expect_strings(obj, "sorts", "signature")
     ops_obj = _expect(obj, "operations", list, "signature")
     ops = []
@@ -85,13 +88,15 @@ def signature_to_obj(sig: Signature) -> dict:
     }
 
 
-def load_signature(path: str | Path) -> Signature:
+def load_signature(path: str | PathLike) -> Signature:
     return signature_from_obj(load_json(path))
 
 
 # -- finite algebras -----------------------------------------------------
 
-def algebra_from_obj(obj: Any) -> FiniteAlgebra:
+def algebra_from_obj(obj: object) -> FiniteAlgebra:
+    from .algebra import FiniteAlgebra
+
     sig = signature_from_obj(_expect(obj, "signature", dict, "algebra"))
     carriers = _expect(obj, "carriers", dict, "algebra")
     for sort in carriers:
@@ -125,13 +130,13 @@ def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
     }
 
 
-def load_algebra(path: str | Path) -> FiniteAlgebra:
+def load_algebra(path: str | PathLike) -> FiniteAlgebra:
     return algebra_from_obj(load_json(path))
 
 
 # -- variable blocks, equations, assignments, hom maps --------------------
 
-def varspec_from_obj(sig: Signature, obj: Any) -> VarSpec:
+def varspec_from_obj(sig: Signature, obj: object) -> VarSpec:
     if obj is None:
         obj = {}
     if not isinstance(obj, dict) or not all(isinstance(s, str) for s in obj.values()):
@@ -139,7 +144,9 @@ def varspec_from_obj(sig: Signature, obj: Any) -> VarSpec:
     return make_varspec(sig, list(obj.items()))
 
 
-def eqspec_from_obj(sig: Signature, obj: Any) -> EqSpec:
+def eqspec_from_obj(sig: Signature, obj: object) -> EqSpec:
+    from .equations import EqSpec, Equation
+
     varspec = varspec_from_obj(sig, obj.get("variables") if isinstance(obj, dict) else None)
     vsig = vsignature(sig, varspec)
     eqs_obj = _expect(obj, "equations", list, "equation file")
@@ -167,11 +174,11 @@ def eqspec_to_obj(spec: EqSpec) -> dict:
     }
 
 
-def load_eqspec(path: str | Path, sig: Signature) -> EqSpec:
+def load_eqspec(path: str | PathLike, sig: Signature) -> EqSpec:
     return eqspec_from_obj(sig, load_json(path))
 
 
-def assignment_from_obj(obj: Any) -> dict[str, str]:
+def assignment_from_obj(obj: object) -> dict[str, str]:
     assign = _expect(obj, "assign", dict, "assignment file")
     for k, v in assign.items():
         if not isinstance(v, str):
@@ -179,7 +186,7 @@ def assignment_from_obj(obj: Any) -> dict[str, str]:
     return dict(assign)
 
 
-def load_assignment(path: str | Path) -> dict[str, str]:
+def load_assignment(path: str | PathLike) -> dict[str, str]:
     return assignment_from_obj(load_json(path))
 
 
@@ -199,7 +206,7 @@ def resolve_assignment(
     return resolved
 
 
-def hom_maps_from_obj(obj: Any) -> dict[str, dict[str, str]]:
+def hom_maps_from_obj(obj: object) -> dict[str, dict[str, str]]:
     maps = _expect(obj, "maps", dict, "hom map file")
     out = {}
     for sort, table in maps.items():
@@ -209,6 +216,6 @@ def hom_maps_from_obj(obj: Any) -> dict[str, dict[str, str]]:
     return out
 
 
-def load_hom_maps(path: str | Path) -> dict[str, dict[str, str]]:
+def load_hom_maps(path: str | PathLike) -> dict[str, dict[str, str]]:
     return hom_maps_from_obj(load_json(path))
 

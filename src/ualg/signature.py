@@ -7,13 +7,15 @@ declaration order defines operation indices and drives every
 deterministic enumeration downstream.  A variable specification assigns
 a sort to each variable and can be merged into a signature, turning
 every variable into a nullary operation symbol of its sort.
+
+``Frozen`` is the base of the library's small immutable value classes,
+here and in the modules built on this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
 
 SortId = str
 OpId = str
@@ -24,17 +26,76 @@ class SignatureError(ValueError):
     """Raised for ill-formed signatures or variable specifications."""
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Operation symbols classified by argument sorts and a result sort.
+_set = object.__setattr__
 
-    ``arities[i]`` and ``results[i]`` belong to ``ops[i]``.
+
+class Frozen:
+    """An immutable value over the fields named in ``_fields``.
+
+    A subclass lists its fields in ``_fields`` and sets them in its
+    ``__init__`` with ``object.__setattr__``.  Two values are equal, and
+    hash equal, when they are of the same class with equal fields; the
+    ``repr`` is ``Name(field=value, ...)``; assigning or deleting an
+    attribute raises ``AttributeError``; copy and pickle rebuild a value
+    through its constructor.
     """
 
-    sorts: tuple[SortId, ...]
-    ops: tuple[OpId, ...]
-    arities: tuple[tuple[SortId, ...], ...]
-    results: tuple[SortId, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Signature(Frozen):
+    """Operation symbols classified by argument sorts and a result sort.
+
+    ``arities[i]`` and ``results[i]`` belong to ``ops[i]``.  The machine
+    tables below are computed on first use and kept in the instance
+    ``__dict__``.
+    """
+
+    _fields = ("sorts", "ops", "arities", "results")
+
+    def __init__(
+        self,
+        sorts: tuple[SortId, ...],
+        ops: tuple[OpId, ...],
+        arities: tuple[tuple[SortId, ...], ...],
+        results: tuple[SortId, ...],
+    ):
+        _set(self, "sorts", sorts)
+        _set(self, "ops", ops)
+        _set(self, "arities", arities)
+        _set(self, "results", results)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._values())
 
     @cached_property
     def nargs(self) -> dict[OpId, int]:
@@ -168,12 +229,14 @@ def make_signature_single_sorted(
     return make_signature_simple(1, decls, sort_names=[sort], op_names=names)
 
 
-@dataclass(frozen=True)
-class VarSpec:
+class VarSpec(Frozen):
     """Finite set of variables, each with a sort from a base signature."""
 
-    vars: tuple[VarId, ...]
-    sorts: tuple[SortId, ...]
+    _fields = ("vars", "sorts")
+
+    def __init__(self, vars: tuple[VarId, ...], sorts: tuple[SortId, ...]):
+        _set(self, "vars", vars)
+        _set(self, "sorts", sorts)
 
     @cached_property
     def _sort_by_var(self) -> dict[VarId, SortId]:

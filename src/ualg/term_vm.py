@@ -45,11 +45,10 @@ finds every argument boundary.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
-from .signature import OpId, Signature, SignatureError, SortId
-
-R = TypeVar("R")
+from .signature import Frozen, OpId, Signature, SignatureError, SortId, _set
 
 
 class TermError(ValueError):
@@ -60,7 +59,7 @@ class UnknownSymbolError(TermError):
     """Raised when a symbol sequence names an operation the signature lacks."""
 
 
-class ExecReport(NamedTuple):
+class ExecReport(namedtuple("ExecReport", ("stack", "failed_at", "reason"), defaults=(None, None))):
     """Outcome of one machine run.
 
     ``stack`` is the final sort stack, top first, or None when the run
@@ -69,17 +68,15 @@ class ExecReport(NamedTuple):
     ``reason`` says why.
     """
 
-    stack: Optional[tuple[SortId, ...]]
-    failed_at: Optional[int] = None
-    reason: Optional[str] = None
+    __slots__ = ()
 
     @property
-    def sort(self) -> Optional[SortId]:
+    def sort(self) -> SortId | None:
         """The single sort left by a run that encodes a term, else None."""
         stack = self.stack
         return stack[0] if stack is not None and len(stack) == 1 else None
 
-    def error(self) -> Optional[str]:
+    def error(self) -> str | None:
         """Diagnostic for a run that does not encode a term; None when it does."""
         if self.stack is None:
             return f"{self.reason} at symbol {self.failed_at}"
@@ -88,7 +85,7 @@ class ExecReport(NamedTuple):
         return None
 
 
-def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> Optional[ExecReport]:
+def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> ExecReport | None:
     """Execute ``syms``, last symbol first, on ``st`` (top last) in place.
 
     Returns None when every symbol ran, else the failure report; ``st``
@@ -122,7 +119,7 @@ def oplistexec(sig: Signature, syms: Sequence[OpId], stack: Sequence[SortId] = (
     return _run(sig, syms, st) or ExecReport(tuple(reversed(st)))
 
 
-def infer_sort(sig: Signature, syms: Sequence[OpId]) -> Optional[SortId]:
+def infer_sort(sig: Signature, syms: Sequence[OpId]) -> SortId | None:
     """The sort of the term encoded by ``syms``, or None when the run
     fails or leaves anything but a single sort."""
     return oplistexec(sig, syms).sort
@@ -135,7 +132,7 @@ class _TermSlots:
     __slots__ = ("signature", "syms", "sort")
 
 
-class Term(_TermSlots):
+class Term(_TermSlots, Frozen):
     """A symbol sequence together with its machine-verified result sort.
 
     Immutable: assigning or deleting a field raises ``AttributeError``.
@@ -144,18 +141,12 @@ class Term(_TermSlots):
     """
 
     __slots__ = ()
+    _fields = ("signature", "syms", "sort")
 
     def __init__(self, signature: Signature, syms: tuple[OpId, ...], sort: SortId):
-        _set = object.__setattr__
         _set(self, "signature", signature)
         _set(self, "syms", syms)
         _set(self, "sort", sort)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Term:
@@ -168,9 +159,6 @@ class Term(_TermSlots):
 
     def __hash__(self) -> int:
         return hash((self.signature, self.syms, self.sort))
-
-    def __reduce__(self):  # copy and pickle rebuild through the constructor: the slots refuse assignment
-        return Term, (self.signature, self.syms, self.sort)
 
     def text(self) -> str:
         return " ".join(self.syms)
@@ -247,13 +235,21 @@ def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
     if len(args) != len(arity):
         raise TermError(f"{nm!r} expects {len(arity)} argument(s), got {len(args)}")
     syms = [nm]
+    for a, want in zip(args, arity):
+        if (a.signature is not sig and a.signature != sig) or a.sort != want:
+            _reject_arguments(sig, nm, args, arity)
+        syms += a.syms
+    return _term(sig, tuple(syms), res)
+
+
+def _reject_arguments(sig: Signature, nm: OpId, args: Sequence[Term], arity: tuple[SortId, ...]) -> None:
+    """Raise for the first argument of ``build_term`` over another
+    signature or of the wrong sort, in that order per argument."""
     for i, (a, want) in enumerate(zip(args, arity)):
         if a.signature is not sig and a.signature != sig:
             raise TermError(f"argument {i} of {nm!r} belongs to a different signature")
         if a.sort != want:
             raise TermError(f"argument {i} of {nm!r} has sort {a.sort!r}, expected {want!r}")
-        syms += a.syms
-    return _term(sig, tuple(syms), res)
 
 
 def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
@@ -289,7 +285,7 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
     return nm, tuple(args)
 
 
-def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[R, ...]], R], t: Term) -> R:
+def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[object, ...]], object], t: Term) -> object:
     """Structural fold over a term, by one run of the value machine.
 
     ``step`` runs once per subterm, after its arguments, last subterm
@@ -302,7 +298,7 @@ def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[R, ...]], R], t: Ter
     """
     sig, syms = t.signature, t.syms
     decl = sig.decl
-    stack: list[tuple[int, R]] = []
+    stack: list[tuple[int, object]] = []
     push, pop = stack.append, stack.pop
     for i in range(len(syms) - 1, -1, -1):
         nm = syms[i]

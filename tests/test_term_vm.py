@@ -315,6 +315,30 @@ def test_build_term_rejects_foreign_signature():
         build_term(MONOID, "mul", [parse_term(MONOID, "e"), parse_term(BOOL, "top")])
 
 
+def test_build_term_messages_name_the_first_bad_argument():
+    """The first failing argument is named by its index; per argument a
+    foreign signature is reported before a wrong sort."""
+    u, v, w = (parse_term(MIXED, s) for s in ("c", "k", "e"))
+    top = parse_term(BOOL, "top")
+    cases = [
+        ([u, v, v], "argument 2 of 'h' has sort 'v', expected 'w'"),
+        ([v, u, w], "argument 0 of 'h' has sort 'v', expected 'u'"),
+        ([u, u, top], "argument 1 of 'h' has sort 'u', expected 'v'"),
+        ([u, top, top], "argument 1 of 'h' belongs to a different signature"),
+        ([top, u, w], "argument 0 of 'h' belongs to a different signature"),
+    ]
+    for args, message in cases:
+        with pytest.raises(TermError) as info:
+            build_term(MIXED, "h", args)
+        assert str(info.value) == message
+    with pytest.raises(TermError) as info:
+        build_term(MIXED, "h", [u, v])
+    assert str(info.value) == "'h' expects 3 argument(s), got 2"
+    # an equal signature built apart is not foreign
+    twin = make_signature(MIXED.sorts, zip(MIXED.ops, MIXED.arities, MIXED.results))
+    assert build_term(twin, "p", [u, v]) == parse_term(twin, "p c k")
+
+
 def test_decompose_examples():
     e = parse_term(MONOID, "e")
     assert term_decompose(parse_term(MONOID, "mul e e")) == ("mul", (e, e))
