@@ -44,7 +44,6 @@ _EXPORTS = {
         "MissingBindingError",
         "UniversalityVerdict",
         "check_universality",
-        "enumerate_terms",
         "evaluate",
         "universal_map",
     ),
@@ -68,6 +67,7 @@ _EXPORTS = {
         "UnknownSymbolError",
         "build_term",
         "depth",
+        "enumerate_terms",
         "infer_sort",
         "oplistexec",
         "parse_term",

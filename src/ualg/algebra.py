@@ -6,6 +6,14 @@ explicit ordered label carriers and total operation tables, which is what
 every exhaustive check (homomorphism law, equation model checking)
 enumerates.
 
+A finite algebra keeps its tables as index rows, one flat array of
+result indices per operation.  The label view, argument labels to result
+label per operation, is read off those rows on the first ``op`` or
+``tables`` call and then kept: ``op`` is one lookup in it, which maps
+the result index back to its label, and ``tables`` copies it.  Model
+checking and a successful ``evaluate`` read the rows only, so they never
+build it.
+
 Exhaustive checks run compiled terms on columns of carrier indices.
 ``FiniteAlgebra.compile`` turns a term into a machine program, and
 ``first_difference`` returns the lexicographically first index tuple of
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
+from functools import cached_property
 from itertools import chain, islice, product, repeat
 from math import prod
 
@@ -133,77 +142,18 @@ class Algebra:
         )
 
 
-def _label_op(
-    nm: OpId, rows: list[int], idxs: list[dict[str, int]], dims: tuple[int, ...], labels: tuple[str, ...]
-) -> Callable[..., str]:
-    """The operation ``nm`` on labels, through its index rows: one closure
-    for each arity 0, 1, 2 or k, which builds its error message only once
-    a lookup has failed."""
-    k = len(idxs)
-
-    def error(args: tuple) -> AlgebraError:
-        if len(args) != k:
-            return AlgebraError(f"{nm!r} expects {k} argument(s), got {len(args)}")
-        for i, (x, idx) in enumerate(zip(args, idxs)):
-            try:
-                idx[x]
-            except (KeyError, TypeError):  # not a label, or not hashable
-                break
-        return AlgebraError(f"{x!r} is not a carrier element for argument {i} of {nm!r}")
-
-    if k == 0:
-        value = labels[rows[0]]
-
-        def fn(*args):
-            if args:
-                raise error(args)
-            return value
-    elif k == 1:
-        (i0,) = idxs
-
-        def fn(*args):
-            try:
-                (x,) = args
-                return labels[rows[i0[x]]]
-            except (KeyError, TypeError, ValueError):  # a bad label, or a wrong count
-                raise error(args) from None
-    elif k == 2:
-        i0, i1 = idxs
-        d1 = dims[1]
-
-        def fn(*args):
-            try:
-                x, y = args
-                return labels[rows[i0[x] * d1 + i1[y]]]
-            except (KeyError, TypeError, ValueError):
-                raise error(args) from None
-    else:
-        steps = tuple(zip(dims, idxs))
-
-        def fn(*args):
-            if len(args) != k:
-                raise error(args)
-            pos = 0
-            try:
-                for (d, idx), x in zip(steps, args):
-                    pos = pos * d + idx[x]
-            except (KeyError, TypeError):
-                raise error(args) from None
-            return labels[rows[pos]]
-
-    return fn
-
-
 class FiniteAlgebra(Algebra):
     """Finite carriers as ordered label tuples plus total operation tables.
 
     Labels are mapped to dense indices internally and each table is kept
-    as a flat array of result indices in mixed-radix argument order;
-    ``op`` maps the result index back to its label, and ``tables``
-    rebuilds the label view on demand.  ``compile`` turns a term into a
-    machine program over those indices, which ``first_difference`` runs
-    on columns of assignments without touching a label; each table
-    builds its curried rows for that on first use.
+    as a flat array of result indices in mixed-radix argument order.
+    The label view, built from those rows on demand by the first ``op``
+    or ``tables`` call, maps argument labels to the label of the result
+    index: ``op`` is one lookup in it, and ``tables`` returns a copy.
+    ``compile`` turns a term into a machine program over those indices,
+    which ``first_difference`` runs on columns of assignments without
+    touching a label; each table builds its curried rows for that on
+    first use.
     """
 
     def __init__(
@@ -268,17 +218,14 @@ class FiniteAlgebra(Algebra):
                 raise AlgebraError(f"table for {nm!r} is not total: missing entry for {missing_args}")
             flat[nm] = rows  # type: ignore[assignment]
 
+        # Algebra.__init__ stores callables; this ``op`` reads the label view
+        self.signature = self._term_signature = signature
         self.carriers = carr
         self._index = index
-        self._steps: dict[OpId, _Op] = {}
-        ops: dict[OpId, Callable[..., str]] = {}
-        for nm in signature.ops:
-            arity = signature.arity_of(nm)
-            dims = tuple(len(carr[a]) for a in arity)
-            labels = carr[signature.sort_of(nm)]
-            self._steps[nm] = _Op(flat[nm], dims, len(labels))
-            ops[nm] = _label_op(nm, flat[nm], [index[a] for a in arity], dims, labels)
-        super().__init__(signature, ops)
+        self._steps = {
+            nm: _Op(flat[nm], tuple(len(carr[a]) for a in arity), len(carr[res]))
+            for nm, arity, res in zip(signature.ops, signature.arities, signature.results)
+        }
 
     def compile(self, t: Term, slots: Mapping[str, int]) -> Program:
         """The machine program of ``t`` over carrier indices.
@@ -293,20 +240,41 @@ class FiniteAlgebra(Algebra):
         except KeyError as err:
             raise AlgebraError(f"no slot for variable {err.args[0]!r}") from None
 
-    @property
-    def tables(self) -> dict[OpId, dict[tuple[str, ...], str]]:
-        """Each table as labels, argument tuple to result in lexicographic
-        argument order, read off the index rows."""
+    @cached_property
+    def _view(self) -> dict[OpId, dict[tuple[str, ...], str]]:
+        """The label view: per operation, argument labels to result label
+        in lexicographic argument order, read off the index rows once."""
         sig, carr = self.signature, self.carriers
         return {
-            nm: dict(
-                zip(
-                    product(*(carr[a] for a in sig.arity_of(nm))),
-                    map(carr[sig.sort_of(nm)].__getitem__, self._steps[nm].rows),
-                )
-            )
-            for nm in sig.ops
+            nm: dict(zip(product(*(carr[a] for a in arity)), map(carr[res].__getitem__, self._steps[nm].rows)))
+            for nm, arity, res in zip(sig.ops, sig.arities, sig.results)
         }
+
+    def op(self, nm: OpId, *args: str) -> str:
+        try:
+            return self._view[nm][args]
+        except (KeyError, TypeError):  # not an operation, a wrong count, or not a label
+            raise self._op_error(nm, args) from None
+
+    def _op_error(self, nm: OpId, args: tuple) -> AlgebraError:
+        """Why ``op(nm, *args)`` has no entry in the label view."""
+        if nm not in self._steps:
+            return AlgebraError(f"unknown operation {nm!r}")
+        arity = self.signature.arity_of(nm)
+        if len(args) != len(arity):
+            return AlgebraError(f"{nm!r} expects {len(arity)} argument(s), got {len(args)}")
+        for i, (x, a) in enumerate(zip(args, arity)):
+            try:
+                self._index[a][x]
+            except (KeyError, TypeError):  # not a label, or not hashable
+                break
+        return AlgebraError(f"{x!r} is not a carrier element for argument {i} of {nm!r}")
+
+    @property
+    def tables(self) -> dict[OpId, dict[tuple[str, ...], str]]:
+        """Each table as labels: a copy of the label view, so a caller may
+        change it."""
+        return {nm: dict(table) for nm, table in self._view.items()}
 
     def elements(self, sort: SortId) -> tuple[str, ...]:
         try:

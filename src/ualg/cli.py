@@ -8,9 +8,10 @@ Exit codes are a stable contract: 0 when the command succeeds and any
 checked property holds, 1 when a checked property fails, 2 for usage or
 input errors.  Output is byte-deterministic for identical inputs.
 
-A subcommand imports what it runs when it runs: ``term`` loads only
-``signature``, ``term_vm`` and ``jsonio``, and the modules of algebras,
-evaluation, equations and examples load with the commands that use them.
+A subcommand imports what it runs when it runs: ``term`` and
+``enumerate`` load only ``signature``, ``term_vm`` and ``jsonio``, and
+the modules of algebras, evaluation, equations and examples load with
+the commands that use them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .term_vm import (
     TermError,
     UnknownSymbolError,
     depth,
+    enumerate_terms,
     parse_term,
     term_decompose,
     term_from_syms,
@@ -153,8 +155,6 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .free_algebra import enumerate_terms
-
     sig = load_signature(args.sig)
     if args.max_depth < 1:
         raise FormatError("--max-depth must be at least 1")

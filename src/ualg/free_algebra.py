@@ -23,15 +23,11 @@ the first one the structural fold meets.  With several unbound
 variables that is the leftmost.  A bad label fails only when its
 operation is applied, after the later arguments are visited, so
 ``conj x y`` under ``{"x": "bad"}`` reports the missing ``y``.
-
-Enumeration builds each term from terms it has already built, so it
-concatenates their symbols without checking them again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from itertools import product
+from collections.abc import Iterable, Mapping
 
 from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom
 from .signature import (
@@ -39,7 +35,6 @@ from .signature import (
     OpId,
     Signature,
     SignatureError,
-    SortId,
     VarId,
     VarSpec,
     _set,
@@ -47,6 +42,7 @@ from .signature import (
     vsignature,
 )
 from .term_vm import Term, _term, build_term, term_decompose
+from .term_vm import enumerate_terms  # noqa: F401  still importable from here
 
 Assignment = Mapping[VarId, object]
 
@@ -234,51 +230,3 @@ def check_universality(
         if cand(t.sort, t) != expected:
             return UniversalityVerdict(False, t, "homomorphism law fails at this term")
     return UniversalityVerdict(True)
-
-
-def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Term]:
-    """All terms of ``sort`` with depth at most ``max_depth``.
-
-    Deterministic order: by depth, then operation order, then argument
-    combinations with the leftmost argument varying slowest.  The final
-    depth level is streamed, so enumerating one deep level does not
-    retain it.
-    """
-    if not sig.is_sort(sort):
-        raise SignatureError(f"unknown sort {sort!r}")
-    # per sort, the symbol tuples and exact depths of the terms so far,
-    # for argument selection
-    pools: dict[SortId, tuple[list[tuple[OpId, ...]], list[int]]] = {s: ([], []) for s in sig.sorts}
-
-    def level(d: int) -> Iterator[tuple[Term, SortId]]:
-        for nm, arity, res in zip(sig.ops, sig.arities, sig.results):
-            if d == 1:
-                if not arity:
-                    yield _term(sig, (nm,), res), res
-                continue
-            if not arity or not all(pools[a][0] for a in arity):
-                continue
-            # argument terms come from the pools, so each concatenation is
-            # a term of ``res`` and needs no check; one argument at least
-            # must have depth d - 1
-            head = (nm,)
-            combos = product(*(pools[a][0] for a in arity))
-            depths = product(*(pools[a][1] for a in arity))
-            for combo, deps in zip(combos, depths):
-                if d - 1 in deps:
-                    yield _term(sig, sum(combo, head), res), res
-
-    for d in range(1, max_depth + 1):
-        if d == max_depth:
-            for t, res in level(d):
-                if res == sort:
-                    yield t
-        else:
-            produced = list(level(d))
-            for t, res in produced:
-                syms, depths = pools[res]
-                syms.append(t.syms)
-                depths.append(d)
-            for t, res in produced:
-                if res == sort:
-                    yield t

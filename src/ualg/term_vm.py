@@ -29,7 +29,7 @@ Validated terms carry their result sort; construction through
 the private ``_term`` builds the same object at about half the cost
 and is used only where the machine has checked the symbols or
 construction keeps them a term: ``term_from_syms``, ``build_term``,
-``term_decompose``, ``term_fold``, ``free_algebra.enumerate_terms`` and
+``term_decompose``, ``term_fold``, ``enumerate_terms`` and
 ``FreeAlgebra.varterm``.
 
 The same machine, run on values in place of sorts, is how a term is
@@ -41,12 +41,16 @@ not by the interpreter's recursion limit.  ``term_decompose`` remains as
 the inverse of ``build_term``: one left-to-right pass over the symbols
 after the head, counting the sorts each argument still has to produce,
 finds every argument boundary.
+
+``enumerate_terms`` builds each term from terms it has already built,
+so it concatenates their symbols without checking them again.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from itertools import product
 
 from .signature import Frozen, OpId, Signature, SignatureError, SortId, _set
 
@@ -344,3 +348,51 @@ def depth(t: Term) -> int:
         else:
             push(1)
     return stack[-1]
+
+
+def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Term]:
+    """All terms of ``sort`` with depth at most ``max_depth``.
+
+    Deterministic order: by depth, then operation order, then argument
+    combinations with the leftmost argument varying slowest.  The final
+    depth level is streamed, so enumerating one deep level does not
+    retain it.
+    """
+    if not sig.is_sort(sort):
+        raise SignatureError(f"unknown sort {sort!r}")
+    # per sort, the symbol tuples and exact depths of the terms so far,
+    # for argument selection
+    pools: dict[SortId, tuple[list[tuple[OpId, ...]], list[int]]] = {s: ([], []) for s in sig.sorts}
+
+    def level(d: int) -> Iterator[tuple[Term, SortId]]:
+        for nm, arity, res in zip(sig.ops, sig.arities, sig.results):
+            if d == 1:
+                if not arity:
+                    yield _term(sig, (nm,), res), res
+                continue
+            if not arity or not all(pools[a][0] for a in arity):
+                continue
+            # argument terms come from the pools, so each concatenation is
+            # a term of ``res`` and needs no check; one argument at least
+            # must have depth d - 1
+            head = (nm,)
+            combos = product(*(pools[a][0] for a in arity))
+            depths = product(*(pools[a][1] for a in arity))
+            for combo, deps in zip(combos, depths):
+                if d - 1 in deps:
+                    yield _term(sig, sum(combo, head), res), res
+
+    for d in range(1, max_depth + 1):
+        if d == max_depth:
+            for t, res in level(d):
+                if res == sort:
+                    yield t
+        else:
+            produced = list(level(d))
+            for t, res in produced:
+                syms, depths = pools[res]
+                syms.append(t.syms)
+                depths.append(d)
+            for t, res in produced:
+                if res == sort:
+                    yield t

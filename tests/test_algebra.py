@@ -21,9 +21,12 @@ from ualg.examples import (
     additive_mod_algebra,
     bool_algebra,
     list_fixture,
+    monoid_eqspec,
     monoid_signature,
     subtraction_mod_algebra,
 )
+from ualg.equations import holds
+from ualg.free_algebra import evaluate
 from ualg.signature import make_signature, make_varspec
 
 from oracle import oracle_hom_counterexample
@@ -445,3 +448,34 @@ def test_finite_algebra_tables_are_the_label_view():
             assert len(table) == len(list(product(*(alg.elements(a) for a in alg.signature.arity_of(nm)))))
             for args, result in table.items():
                 assert alg.op(nm, *args) == result
+
+
+def test_a_changed_table_changes_neither_op_nor_the_next_tables():
+    alg = additive_mod_algebra(3)
+    tables = alg.tables
+    tables["mul"][("1", "1")] = "0"
+    del tables["e"]
+    assert alg.op("mul", "1", "1") == "2"
+    assert alg.tables == additive_mod_algebra(3).tables
+    assert alg.tables["mul"][("1", "1")] == "2"
+
+
+def test_model_checking_and_evaluation_build_no_label_view():
+    spec = monoid_eqspec()
+    src, dst = subtraction_mod_algebra(4), additive_mod_algebra(2)
+    before = [set(vars(alg)) for alg in (src, dst)]
+    for eq in spec.equations:
+        holds(src, eq, spec.varspec)
+        holds(dst, eq, spec.varspec)
+        assert evaluate(src, {"x": "1", "y": "2", "z": "3"}, eq.lhs) in src.elements("u")
+    assert check_hom(mod_maps(4, 2), src, dst).ok
+    assert not check_hom({"u": dict.fromkeys(src.elements("u"), "1")}, src, dst).ok
+    assert [set(vars(alg)) for alg in (src, dst)] == before
+    src.op("e")
+    assert set(vars(src)) > before[0]
+
+
+def test_an_unknown_operation_of_a_finite_algebra_is_named():
+    with pytest.raises(AlgebraError) as err:
+        bool_algebra().op("nope")
+    assert str(err.value) == "unknown operation 'nope'"

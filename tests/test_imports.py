@@ -67,6 +67,16 @@ def test_term_check_loads_no_algebra_equations_or_dataclasses():
         assert name not in added
 
 
+def test_enumerate_loads_no_algebra_or_free_algebra():
+    from ualg.free_algebra import enumerate_terms
+
+    assert enumerate_terms is ualg.enumerate_terms
+    out, added = added_modules("enumerate", "--sig", SIG, "--sort", "u", "--max-depth", "2")
+    assert out == ["e", "mul e e", "count: 2"]
+    for name in ("ualg.algebra", "ualg.free_algebra", "ualg.equations", "ualg.examples", "dataclasses"):
+        assert name not in added
+
+
 def test_eval_loads_no_equations_or_examples():
     out, added = added_modules("eval", "--alg", ALG, "--vars", EQS, "--assign", "x=1,y=2", "mul x y")
     assert out == ["0"]
