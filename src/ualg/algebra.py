@@ -131,7 +131,7 @@ class Algebra:
     def op(self, nm: OpId, *args: object) -> object:
         try:
             fn = self._ops[nm]
-        except KeyError:
+        except (KeyError, TypeError):  # not an operation, or not hashable
             raise AlgebraError(f"unknown operation {nm!r}") from None
         return fn(*args)
 
@@ -178,17 +178,12 @@ class FiniteAlgebra(Algebra):
         extra_ops = set(tables) - set(signature.ops)
         if extra_ops:
             raise AlgebraError(f"tables for unknown operations {sorted(extra_ops)}")
-        flat: dict[OpId, list[int]] = {}
-        for nm in signature.ops:
+        steps: dict[OpId, _Op] = {}
+        for nm, arity, res in zip(signature.ops, signature.arities, signature.results):
             if nm not in tables:
                 raise AlgebraError(f"no table for operation {nm!r}")
-            arity = signature.arity_of(nm)
-            res = signature.sort_of(nm)
-            dims = [len(carr[a]) for a in arity]
-            size = 1
-            for d in dims:
-                size *= d
-            rows: list[int | None] = [None] * size
+            dims = tuple(len(carr[a]) for a in arity)
+            rows: list[int | None] = [None] * prod(dims)
             for key, result in tables[nm].items():
                 key = tuple(key)
                 if len(key) != len(arity):
@@ -216,16 +211,13 @@ class FiniteAlgebra(Algebra):
                     args for args, r in zip(product(*(carr[a] for a in arity)), rows) if r is None
                 )
                 raise AlgebraError(f"table for {nm!r} is not total: missing entry for {missing_args}")
-            flat[nm] = rows  # type: ignore[assignment]
+            steps[nm] = _Op(rows, dims, len(carr[res]))  # type: ignore[arg-type]
 
         # Algebra.__init__ stores callables; this ``op`` reads the label view
         self.signature = self._term_signature = signature
         self.carriers = carr
         self._index = index
-        self._steps = {
-            nm: _Op(flat[nm], tuple(len(carr[a]) for a in arity), len(carr[res]))
-            for nm, arity, res in zip(signature.ops, signature.arities, signature.results)
-        }
+        self._steps = steps
 
     def compile(self, t: Term, slots: Mapping[str, int]) -> Program:
         """The machine program of ``t`` over carrier indices.
@@ -258,7 +250,7 @@ class FiniteAlgebra(Algebra):
 
     def _op_error(self, nm: OpId, args: tuple) -> AlgebraError:
         """Why ``op(nm, *args)`` has no entry in the label view."""
-        if nm not in self._steps:
+        if nm not in self.signature.ops:  # a tuple: no hash, so any name
             return AlgebraError(f"unknown operation {nm!r}")
         arity = self.signature.arity_of(nm)
         if len(args) != len(arity):

@@ -117,15 +117,11 @@ class Signature(Frozen):
         slice, and pushes the result."""
         return {nm: (len(a), list(reversed(a)), r) for nm, a, r in zip(self.ops, self.arities, self.results)}
 
-    @cached_property
-    def _sort_set(self) -> frozenset[SortId]:
-        return frozenset(self.sorts)
-
     def is_sort(self, s: SortId) -> bool:
-        return s in self._sort_set
+        return s in self.sorts
 
     def is_op(self, nm: OpId) -> bool:
-        return nm in self.decl
+        return nm in self.ops
 
     def arity_of(self, nm: OpId) -> tuple[SortId, ...]:
         try:
@@ -141,13 +137,9 @@ class Signature(Frozen):
 
     def index_of(self, nm: OpId) -> int:
         try:
-            return self._op_index[nm]
-        except KeyError:
+            return self.ops.index(nm)
+        except ValueError:
             raise SignatureError(f"unknown operation {nm!r}") from None
-
-    @cached_property
-    def _op_index(self) -> dict[OpId, int]:
-        return {nm: i for i, nm in enumerate(self.ops)}
 
     def __repr__(self) -> str:
         return f"Signature(sorts={list(self.sorts)}, ops={list(self.ops)})"

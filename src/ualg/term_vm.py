@@ -18,19 +18,20 @@ returns an ``ExecReport`` holding either the final stack or the
 execution-order position and the reason of the first failure; a run
 stops at its first failure, so the failure absorbs whatever would
 execute after it.  ``ExecReport.error`` is the one place where a
-diagnostic is rendered.  ``term_from_syms`` runs the same loop and
-builds no report when the sequence is a term; only a sequence that is
-not one runs again, through ``oplistexec``, for its diagnostic.
+diagnostic is rendered.  ``term_from_syms`` runs the same loop once:
+it builds no report when the sequence is a term, and words a failure
+from the report of the failed run or from its residual stack.
 
-Validated terms carry their result sort; construction through
-``build_term`` preserves validity without re-running the machine.  A
-``Term`` is a slotted, immutable value: equal and hash equal over
-(signature, symbols, sort).  ``Term(...)`` is the public constructor;
-the private ``_term`` builds the same object at about half the cost
-and is used only where the machine has checked the symbols or
-construction keeps them a term: ``term_from_syms``, ``build_term``,
-``term_decompose``, ``term_fold``, ``enumerate_terms`` and
-``FreeAlgebra.varterm``.
+Every term has passed the machine.  A ``Term`` is a slotted, immutable
+value: equal and hash equal over (signature, symbols, sort).  The
+public constructor ``Term(...)`` runs the machine through
+``term_from_syms`` and rejects a non-term or a term of another sort.
+The private ``_term`` trusts its arguments, builds the same object at
+a fraction of the cost, and is used only where the machine has checked
+the symbols or construction joins checked terms: ``term_from_syms``,
+``build_term``, ``term_decompose``, ``term_fold``, ``enumerate_terms``
+and ``FreeAlgebra.varterm``.  So no consumer of a term checks it
+again, and a value machine never meets a sequence that is not a term.
 
 The same machine, run on values in place of sorts, is how a term is
 consumed: ``term_fold`` and ``depth`` make one right-to-left pass over
@@ -102,7 +103,7 @@ def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> ExecReport |
     for i, nm in enumerate(reversed(syms)):
         try:
             k, want, res = steps[nm]
-        except KeyError:
+        except (KeyError, TypeError):  # not an operation, or not hashable
             return ExecReport(None, i, "unknown symbol")
         if k:
             if st[-k:] != want:
@@ -139,6 +140,12 @@ class _TermSlots:
 class Term(_TermSlots, Frozen):
     """A symbol sequence together with its machine-verified result sort.
 
+    ``Term(signature, syms, sort)`` runs the machine once, through
+    ``term_from_syms``: it raises that function's ``UnknownSymbolError``
+    or ``TermError`` for a sequence that is not a term, and a
+    ``TermError`` naming both sorts for a term of another sort.  Copy and
+    pickle rebuild a term through it.
+
     Immutable: assigning or deleting a field raises ``AttributeError``.
     Two terms are equal, and hash equal, when their signatures, symbol
     tuples and sorts are equal.
@@ -147,10 +154,13 @@ class Term(_TermSlots, Frozen):
     __slots__ = ()
     _fields = ("signature", "syms", "sort")
 
-    def __init__(self, signature: Signature, syms: tuple[OpId, ...], sort: SortId):
+    def __init__(self, signature: Signature, syms: Sequence[OpId], sort: SortId):
+        t = term_from_syms(signature, syms)
+        if t.sort != sort:
+            raise TermError(f"the symbols make a term of sort {t.sort!r}, not {sort!r}")
         _set(self, "signature", signature)
-        _set(self, "syms", syms)
-        _set(self, "sort", sort)
+        _set(self, "syms", t.syms)
+        _set(self, "sort", t.sort)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Term:
@@ -185,7 +195,7 @@ _new = object.__new__
 
 def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
     """The trusted constructor: fills the slots of an ``_OpenTerm`` and
-    retypes it as a ``Term``, at about half the cost of ``Term(...)``.
+    retypes it as a ``Term``, without the machine run of ``Term(...)``.
 
     Only for a tuple ``syms`` that the machine has checked to be a term of
     ``sort`` over ``signature``, or that construction keeps one: the
@@ -203,30 +213,25 @@ def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
 def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
     """Validate a raw symbol sequence and package it as a term.
 
-    A sequence with an unknown symbol is rejected for the leftmost one,
-    whatever the run met first; any other failure runs the sequence again
-    through ``oplistexec`` for its diagnostic.
+    The machine runs once.  A sequence with an unknown symbol is rejected
+    for the leftmost one, whatever the run met first; any other failure
+    is worded from the run's failure report or, when every symbol ran,
+    from the residual stack.
     """
     syms = tuple(syms)
     st: list[SortId] = []
-    if _run(sig, syms, st) is None and len(st) == 1:
+    failure = _run(sig, syms, st)
+    if failure is None and len(st) == 1:
         return _term(sig, syms, st[0])
     for nm in syms:
         if not sig.is_op(nm):
             raise UnknownSymbolError(f"unknown symbol {nm!r}")
-    raise TermError(oplistexec(sig, syms).error())
+    raise TermError((failure or ExecReport(tuple(reversed(st)))).error())
 
 
 def parse_term(sig: Signature, text: str) -> Term:
     """Parse the whitespace-separated text form; inverse of ``Term.text``."""
     return term_from_syms(sig, text.split())
-
-
-def _declaration(sig: Signature, nm: OpId) -> tuple[tuple[SortId, ...], SortId]:
-    try:
-        return sig.decl[nm]
-    except KeyError:
-        raise SignatureError(f"unknown operation {nm!r}") from None
 
 
 def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
@@ -235,7 +240,10 @@ def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
     The result is ``nm`` followed by the argument sequences in order; it
     is a valid term by construction and is not re-validated.
     """
-    arity, res = _declaration(sig, nm)
+    try:
+        arity, res = sig.decl[nm]
+    except KeyError:
+        raise SignatureError(f"unknown operation {nm!r}") from None
     if len(args) != len(arity):
         raise TermError(f"{nm!r} expects {len(arity)} argument(s), got {len(args)}")
     syms = [nm]
@@ -261,31 +269,25 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
 
     Inverse of ``build_term``: the arguments are the consecutive segments
     after the head, each the shortest prefix of what remains that
-    executes to a single sort, which must be the corresponding arity
-    sort.  One pass over the symbols after the head finds every segment:
-    ``pending`` counts the sorts the current segment still has to
-    produce, and as a run's stack drops by at most one per symbol, the
-    segment closes where it first reaches zero.
+    executes to a single sort.  One pass over the symbols after the head
+    finds every segment: ``pending`` counts the sorts the current segment
+    still has to produce, and as a run's stack drops by at most one per
+    symbol, the segment closes where it first reaches zero.  Every
+    ``Term`` has passed the machine, so each segment is a term of its
+    arity sort and the last one ends with the symbols: nothing is
+    checked again.
     """
     sig, syms = t.signature, t.syms
-    decl, nargs = sig.decl, sig.nargs
+    nargs = sig.nargs
     nm = syms[0]
-    n = len(syms)
     args = []
     i = 1
-    for want in _declaration(sig, nm)[0]:
+    for want in sig.decl[nm][0]:
         start, pending = i, 1
         while pending:
-            if i >= n:
-                raise TermError(f"unterminated argument starting at symbol {start}")
             pending += nargs[syms[i]] - 1
             i += 1
-        seg = syms[start:i]
-        if decl[seg[0]][1] != want:
-            raise TermError(f"argument segment {seg!r} has wrong sort for {nm!r}")
-        args.append(_term(sig, seg, want))
-    if i != n:
-        raise TermError(f"{n - i} trailing symbol(s) after the arguments of {nm!r}")
+        args.append(_term(sig, syms[start:i], want))
     return nm, tuple(args)
 
 

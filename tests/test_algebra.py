@@ -479,3 +479,13 @@ def test_an_unknown_operation_of_a_finite_algebra_is_named():
     with pytest.raises(AlgebraError) as err:
         bool_algebra().op("nope")
     assert str(err.value) == "unknown operation 'nope'"
+
+
+def test_an_unhashable_operation_name_is_an_unknown_operation():
+    with pytest.raises(AlgebraError) as err:
+        bool_algebra().op(["neg"], "true")
+    assert str(err.value) == "unknown operation ['neg']"
+    alg = Algebra(MONOID, {"mul": lambda a, b: a, "e": lambda: 0})
+    with pytest.raises(AlgebraError) as err:
+        alg.op(["e"])
+    assert str(err.value) == "unknown operation ['e']"

@@ -232,3 +232,14 @@ def test_vsignature_halves_stay_disjoint():
         assert ext.is_op(nm) and not vs.is_var(nm)
     for v in vs.vars:
         assert ext.is_op(v) and vs.is_var(v) and not sig.is_op(v)
+
+
+def test_an_unhashable_name_is_no_sort_and_no_operation():
+    sig = monoid_signature()
+    assert not sig.is_sort(["u"]) and not sig.is_op(["e"])
+    with pytest.raises(SignatureError) as err:
+        sig.index_of(["e"])
+    assert str(err.value) == "unknown operation ['e']"
+    assert (sig.index_of("mul"), sig.index_of("e")) == (0, 1)
+    with pytest.raises(SignatureError, match="unknown operation 'q'"):
+        sig.index_of("q")

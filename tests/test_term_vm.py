@@ -188,6 +188,67 @@ def test_term_from_syms_raises_the_reference_messages(syms):
         assert (t.syms, t.sort) == (tuple(syms), stack[0])
 
 
+@given(mixed_sequences(), st.sampled_from(MIXED.sorts + ("z",)))
+@settings(max_examples=300)
+def test_term_constructor_accepts_exactly_the_terms_of_its_sort(syms, sort):
+    # Term(...) agrees with term_from_syms: the same term, the same
+    # rejection, or a rejection naming both sorts
+    try:
+        want = term_from_syms(MIXED, syms)
+    except TermError as err:
+        with pytest.raises(TermError) as info:
+            Term(MIXED, syms, sort)
+        assert (info.type, str(info.value)) == (type(err), str(err))
+        return
+    if want.sort == sort:
+        t = Term(MIXED, syms, sort)
+        assert t == want and t.syms == tuple(syms) and type(t.syms) is tuple
+    else:
+        with pytest.raises(TermError) as info:
+            Term(MIXED, syms, sort)
+        assert info.type is TermError
+        assert str(info.value) == f"the symbols make a term of sort {want.sort!r}, not {sort!r}"
+
+
+def test_an_unhashable_symbol_is_an_unknown_symbol():
+    assert oplistexec(MONOID, ["mul", ["e"], "e"]) == ExecReport(None, 1, "unknown symbol")
+    for make in (lambda syms: term_from_syms(MONOID, syms), lambda syms: Term(MONOID, syms, "u")):
+        with pytest.raises(UnknownSymbolError) as info:
+            make(["mul", ["e"], "e"])
+        assert str(info.value) == "unknown symbol ['e']"
+
+
+def test_forged_terms_stop_at_construction():
+    # sequences that are not terms used to reach the value machines and
+    # break them with an IndexError or give a value
+    z3 = additive_mod_algebra(3)
+    for syms in [("mul", "e"), ("e", "e")]:
+        for consume in (depth, lambda t: term_fold(lambda nm, v, rec: 0, t), lambda t: evaluate(z3, {}, t)):
+            with pytest.raises(TermError):
+                consume(Term(MONOID, syms, "u"))
+
+
+def test_term_from_syms_runs_the_machine_once(monkeypatch):
+    import ualg.term_vm as term_vm
+
+    run, calls = term_vm._run, []
+    monkeypatch.setattr(term_vm, "_run", lambda *a: calls.append(a) or run(*a))
+    for text in ["mul e e", "mul", "e e", "", "mul q e", "foo mul"]:
+        calls.clear()
+        try:
+            term_from_syms(MONOID, text.split())
+        except TermError:
+            pass
+        assert len(calls) == 1, text
+
+
+def test_a_long_term_survives_pickle_and_copy():
+    t = parse_term(BOOL, "neg " * 4999 + "top")
+    assert len(t.syms) == 5000
+    for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert clone == t and clone.syms == t.syms and depth(clone) == 5000
+
+
 @given(st.integers(0, 10**9), st.sampled_from(MIXED.sorts))
 @settings(max_examples=200)
 def test_depth_matches_parse_tree_height(seed, sort):
@@ -243,10 +304,15 @@ def test_term_value_semantics():
     u = build_term(other, "mul", [parse_term(other, "e")] * 2)
     assert t == u and hash(t) == hash(u)
     assert t == Term(other, ("mul", "e", "e"), "u")
-    assert t != Term(one, ("mul", "e", "e"), "v")
+    # a sequence has one sort per signature, so the term of another sort
+    # is over the monoid signature on sort v
+    on_v = make_signature(["v"], [("mul", ["v", "v"], "v"), ("e", [], "v")])
+    assert t != Term(on_v, ("mul", "e", "e"), "v")
     assert t != parse_term(one, "e")
     assert t != ("mul", "e", "e")
-    assert t != Term(BOOL, ("mul", "e", "e"), "u")
+    # the same symbols and sort over a signature with one more operation
+    wider = make_signature(["u"], [("mul", ["u", "u"], "u"), ("e", [], "u"), ("i", ["u"], "u")])
+    assert t != Term(wider, ("mul", "e", "e"), "u")
     assert len({t, u, parse_term(one, "e")}) == 2
     assert copy.copy(t) == t and copy.deepcopy(t) == t
     assert pickle.loads(pickle.dumps(t)) == t
@@ -349,18 +415,19 @@ def test_decompose_examples():
 
 
 def test_decompose_rejects_sequences_that_are_not_terms():
-    # Term(...) does not run the machine, so decompose keeps its checks
+    # Term(...) runs the machine, so no such sequence reaches decompose
     vsig = list_vsig()
-    with pytest.raises(TermError, match="unterminated argument starting at symbol 2"):
-        term_decompose(Term(MONOID, ("mul", "e"), "u"))
-    with pytest.raises(TermError, match="unterminated argument starting at symbol 1"):
-        term_decompose(Term(MONOID, ("mul", "mul", "e"), "u"))
-    with pytest.raises(TermError, match="has wrong sort for 'cons'"):
-        term_decompose(Term(vsig, ("cons", "nil", "nil"), "list"))
-    with pytest.raises(TermError, match="2 trailing symbol"):
-        term_decompose(Term(MONOID, ("mul", "e", "e", "e", "e"), "u"))
-    with pytest.raises(TermError, match="1 trailing symbol"):
-        term_decompose(Term(MONOID, ("e", "e"), "u"))
+    cases = [
+        (MONOID, ("mul", "e"), "u", "stack underflow at symbol 1"),
+        (MONOID, ("mul", "mul", "e"), "u", "stack underflow at symbol 1"),
+        (vsig, ("cons", "nil", "nil"), "list", "sort mismatch at symbol 2"),
+        (MONOID, ("mul", "e", "e", "e", "e"), "u", "residual stack [u, u, u]"),
+        (MONOID, ("e", "e"), "u", "residual stack [u, u]"),
+    ]
+    for sig, syms, sort, message in cases:
+        with pytest.raises(TermError) as info:
+            Term(sig, syms, sort)
+        assert str(info.value) == message
 
 
 def test_decompose_boundaries_match_literal_shortest_prefix():
