@@ -11,27 +11,39 @@ result indices per operation.  The label view, argument labels to result
 label per operation, is read off those rows on the first ``op`` or
 ``tables`` call and then kept: ``op`` is one lookup in it, which maps
 the result index back to its label, and ``tables`` copies it.  Model
-checking and a successful ``evaluate`` read the rows only, so they never
-build it.
+checking and ``evaluate``, failed or not, read the rows only, so they
+never build it.
 
 Exhaustive checks run compiled terms on columns of carrier indices.
 ``FiniteAlgebra.compile`` turns a term into a machine program, and
 ``first_difference`` returns the lexicographically first index tuple of
 the slot carriers' product on which two programs differ.  It runs the
-first two tuples on a stack of scalar indices.  Then it computes each
-subterm once, as a column over the product of only the slots that
-subterm reads, in lexicographic order.  An operation with one varying
-argument sends that column through a curried row of its table, one
-``bytes.translate`` with the other arguments fixed.  A binary operation
-whose arguments differ in their innermost slot does one translate per
-index of the other argument; the rest widen their arguments to a common
-set of slots and select the rows one by one.  Columns are ``bytes``
-while every index involved is below 256, and lists with ``map`` in place
-of ``translate`` above that.  Once the product passes ``_MAX_BLOCK``
-tuples, the leading slots are looped over in Python, and both programs
-run once per block of the trailing slots, each leading slot a single
-index.  ``check_hom`` decides the homomorphism law with two such
-programs per operation, each sort map being a one-row table.
+first two tuples on a stack of scalar indices.  Then, in the common
+case, it runs both programs once on packed columns: when no slot
+carrier has more than 256 elements, the product has at most
+``_MAX_BLOCK`` tuples, and every table of both programs has at most 256
+positions and results below 256.  There a value is a scalar index or a
+``bytes`` column over the whole product, and each operation step is a
+fixed number of C-level calls: one translate through a table row when
+one argument is a column, and else one big-endian integer per column,
+scaled by its mixed-radix stride and summed into the column of table
+positions (no byte can carry), sent through the result row.  The first
+differing byte of the two result columns is read off their XOR.
+
+Every other case runs on each subterm's own slots: each subterm is
+computed once, as a column over the product of only the slots it reads,
+in lexicographic order.  An operation with one varying argument sends
+that column through a curried row of its table, one ``bytes.translate``
+with the other arguments fixed.  A binary operation whose arguments
+differ in their innermost slot does one translate per index of the other
+argument; the rest widen their arguments to a common set of slots and
+select the rows one by one.  Columns are ``bytes`` while every index
+involved is below 256, and lists with ``map`` in place of ``translate``
+above that.  Once the product passes ``_MAX_BLOCK`` tuples, the leading
+slots are looped over in Python, and both programs run once per block of
+the trailing slots, each leading slot a single index.  ``check_hom``
+decides the homomorphism law with two such programs per operation, each
+sort map being a one-row table.
 """
 
 from __future__ import annotations
@@ -62,13 +74,15 @@ class _Op:
     """An index table as a machine step: ``rows`` lists result indices in
     mixed-radix argument order over ``dims``, and ``width`` is the size of
     the result carrier.  ``wide`` tells whether an index of this table can
-    exceed a byte."""
+    exceed a byte.  ``padded`` is the rows as a 256-byte translate table,
+    or None when the table has more than 256 positions or is wide."""
 
-    __slots__ = ("rows", "dims", "wide", "_curried")
+    __slots__ = ("rows", "dims", "wide", "padded", "_curried")
 
     def __init__(self, rows: list[int], dims: tuple[int, ...], width: int):
         self.rows, self.dims = rows, dims
         self.wide = max((*dims, width)) > _BYTE
+        self.padded = None if self.wide or len(rows) > _BYTE else bytes(rows).ljust(_BYTE, b"\0")
         self._curried: dict[tuple[int, bool], _Curried] = {}
 
     def curried(self, i: int, wide: bool) -> _Curried:
@@ -248,6 +262,19 @@ class FiniteAlgebra(Algebra):
         except (KeyError, TypeError):  # not an operation, a wrong count, or not a label
             raise self._op_error(nm, args) from None
 
+    def _op_on_rows(self, nm: OpId, *args: str) -> str:
+        """``op`` for an operation of the signature and its full count of
+        arguments, read off the index rows: it raises what ``op`` raises
+        but builds no label view."""
+        (arity, res), step = self.signature.decl[nm], self._steps[nm]
+        pos = 0
+        for a, d, x in zip(arity, step.dims, args):
+            try:
+                pos = pos * d + self._index[a][x]
+            except (KeyError, TypeError):  # not a label, or not hashable
+                raise self._op_error(nm, args) from None
+        return self.carriers[res][step.rows[pos]]
+
     def _op_error(self, nm: OpId, args: tuple) -> AlgebraError:
         """Why ``op(nm, *args)`` has no entry in the label view."""
         if nm not in self.signature.ops:  # a tuple: no hash, so any name
@@ -422,26 +449,115 @@ def _scalar(program: Program, t: Sequence[int]) -> int:
     return stack[-1]
 
 
+# The one-byte string of each index below _BYTE, repeated into the columns
+# of slots, of constants and of the fixed share of a step.
+_BYTES = [bytes((x,)) for x in range(_BYTE)]
+
+
+def _packed_run(program: Program, env: list[bytes], n: int):
+    """The sort-stack machine on packed values, each a scalar index or a
+    ``bytes`` column over the whole product of ``n`` tuples: a slot
+    pushes its column of ``env``, an operation pops its arguments, the
+    first on top.
+
+    The fixed arguments select a position in the table, the sum of each
+    index times its mixed-radix stride.  With one column, the step is one
+    translate through the row that column selects from there.  With more,
+    each column, read as one big-endian integer, times its stride, plus
+    the fixed share in every byte, sums to the column of table positions.
+    No byte carries, since every position is below 256.  That column goes
+    through the padded result row."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for step in program:
+        if step.__class__ is int:
+            push(env[step])
+            continue
+        dims = step.dims
+        if len(dims) == 2 and stack[-1].__class__ is bytes and stack[-2].__class__ is bytes:
+            # the common step, two columns: first argument times its stride plus the second
+            pos = int.from_bytes(pop(), "big") * dims[1] + int.from_bytes(pop(), "big")
+        else:
+            fixed, stride, cols = 0, len(step.rows), []
+            for d in dims:
+                x = pop()
+                stride //= d
+                if x.__class__ is bytes:
+                    cols.append((x, stride, d))
+                else:
+                    fixed += x * stride
+            if not cols:
+                push(step.rows[fixed])
+                continue
+            if len(cols) == 1:
+                ((x, stride, d),) = cols
+                push(x.translate(step.padded[fixed : fixed + d * stride : stride].ljust(_BYTE, b"\0")))
+                continue
+            pos = sum(int.from_bytes(x, "big") * stride for x, stride, _ in cols)
+            if fixed:
+                pos += int.from_bytes(_BYTES[fixed] * n, "big")
+        push(pos.to_bytes(n, "big").translate(step.padded))
+    return stack[-1]
+
+
+def _packed_difference(lhs: Program, rhs: Program, sizes: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+    """``first_difference`` over the whole product at once, on packed
+    values: slot ``s`` is the column of its index in every tuple, and the
+    first differing byte of the two result columns is read off the bit
+    length of their XOR."""
+    env, outer = [], 1
+    for m in sizes:
+        inner = n // (outer * m)
+        env.append(b"".join([_BYTES[x] * inner for x in range(m)]) * outer)
+        outer *= m
+    a, b = (_packed_run(program, env, n) for program in (lhs, rhs))
+    if a.__class__ is int:
+        a = _BYTES[a] * n
+    if b.__class__ is int:
+        b = _BYTES[b] * n
+    if a == b:
+        return None
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return _tuple_at(n - 1 - (diff.bit_length() - 1) // 8, sizes)
+
+
+def _tuple_at(pos: int, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The index tuple at position ``pos`` of the lexicographic product."""
+    rest = []
+    for n in reversed(sizes):
+        pos, x = divmod(pos, n)
+        rest.append(x)
+    return tuple(reversed(rest))
+
+
 def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[int, ...] | None:
     """The lexicographically first index tuple of ``product(range(n) for n
     in sizes)`` on which two compiled terms differ, or None when they agree
     on all of them.
 
     The first two tuples run on scalar indices, so an early difference
-    costs little.  Then each subterm is computed once, as a column over
-    the product of only the slots it reads.  When the whole product is
-    larger than ``_MAX_BLOCK``, both terms run once per assignment of the
-    leading slots, which enter as single indices, over one block of the
-    trailing slots.  Only a block whose value columns differ is scanned.
+    costs little.  Then, when every index fits a byte, the product has at
+    most ``_MAX_BLOCK`` tuples and every table of both terms has at most
+    256 positions, both terms run once on packed columns over the whole
+    product (``_packed_difference``).  Otherwise each subterm is computed
+    once, as a column over the product of only the slots it reads.  When
+    the whole product is larger than ``_MAX_BLOCK``, both terms run once
+    per assignment of the leading slots, which enter as single indices,
+    over one block of the trailing slots.  Only a block whose value
+    columns differ is scanned.
     """
     sizes = tuple(sizes)
     for t in islice(product(*map(range, sizes)), 2):
         if _scalar(lhs, t) != _scalar(rhs, t):
             return t
-    if prod(sizes) <= 2:  # also when a carrier is empty
+    n = prod(sizes)
+    if n <= 2:  # also when a carrier is empty
         return None
-    wide = max(sizes) > _BYTE or any(s.wide for s in (*lhs, *rhs) if s.__class__ is _Op)
-    lead, block = 0, prod(sizes)
+    steps = [s for s in (*lhs, *rhs) if s.__class__ is _Op]
+    if n <= _MAX_BLOCK and max(sizes) <= _BYTE and None not in [s.padded for s in steps]:
+        return _packed_difference(lhs, rhs, sizes, n)
+    wide = max(sizes) > _BYTE or any(s.wide for s in steps)
+    lead, block = 0, n
     while block > _MAX_BLOCK and lead < len(sizes):
         block //= sizes[lead]
         lead += 1
@@ -456,11 +572,7 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
             if not trailing:
                 return t
             pos = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-            rest = []
-            for n in reversed(sizes[lead:]):
-                pos, x = divmod(pos, n)
-                rest.append(x)
-            return t + tuple(reversed(rest))
+            return t + _tuple_at(pos, sizes[lead:])
     return None
 
 

@@ -10,14 +10,20 @@ machine program over the algebra's index tables, and
 ``algebra.first_difference`` finds the first assignment, in
 lexicographic order, on which the two programs differ.  It tries the
 first two assignments on scalar indices, so an equation that fails at
-once costs little.  Then each subterm is computed once over the product
-of only the variables it contains: a ``bytes`` column of indices, sent
-through curried table rows with ``bytes.translate``, or a list column
-when a carrier has more than 256 elements.  Products above a fixed cap
-are cut into blocks of the trailing variables: each block evaluates both
-sides afresh with the leading variables fixed, and only the first block
-whose two value columns differ is scanned.  Only the first differing
-tuple is mapped back to carrier labels.
+once costs little.  Then, when no carrier in play has more than 256
+elements, the assignments number at most a fixed cap (65,536), and
+every table the sides use has at most 256 argument positions, both
+sides run once over all assignments on packed ``bytes`` columns: each
+operation step is a fixed number of C-level calls, and the first
+differing assignment is read off the XOR of the two result columns.
+Otherwise each subterm is computed once over the product of only the
+variables it contains: a ``bytes`` column of indices, sent through
+curried table rows with ``bytes.translate``, or a list column when a
+carrier has more than 256 elements.  Products above the cap are cut
+into blocks of the trailing variables: each block evaluates both sides
+afresh with the leading variables fixed, and only the first block whose
+two value columns differ is scanned.  Only the first differing tuple is
+mapped back to carrier labels.
 """
 
 from __future__ import annotations

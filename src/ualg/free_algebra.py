@@ -18,11 +18,12 @@ and pushes the entry of its index rows they select, and only the final
 index is mapped to a label.  Any other algebra evaluates in fold order:
 arguments left to right, each before its operation, through ``op``.
 When the index pass meets a missing binding or a label outside a
-carrier, the term is evaluated again in fold order, so every error is
-the first one the structural fold meets.  With several unbound
-variables that is the leftmost.  A bad label fails only when its
-operation is applied, after the later arguments are visited, so
-``conj x y`` under ``{"x": "bad"}`` reports the missing ``y``.
+carrier, the term is evaluated again in fold order, still on the index
+rows, so every error is the first one the structural fold meets and no
+label view is built.  With several unbound variables that is the
+leftmost.  A bad label fails only when its operation is applied, after
+the later arguments are visited, so ``conj x y`` under ``{"x": "bad"}``
+reports the missing ``y``.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
 
     A ``FiniteAlgebra`` runs the term on carrier indices, through its
     index rows; when that pass meets a missing binding or a label outside
-    a carrier, the term is evaluated again in fold order, which raises
-    the error.  Any other algebra evaluates in fold order only.
+    a carrier, the term is evaluated again in fold order, through the
+    same rows, which raises the error.  Any other algebra evaluates in
+    fold order only.
     """
     sig = t.signature
     if sig is not algebra._term_signature:
@@ -144,8 +146,10 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
 def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> object:
     """Evaluate left to right, each symbol after its arguments: the order
     of the structural fold, so the error raised is the first one the fold
-    meets."""
-    decl, op = algebra.signature.decl, algebra.op
+    meets.  A ``FiniteAlgebra`` applies its operations on its index rows,
+    so this builds no label view."""
+    decl = algebra.signature.decl
+    op = algebra._op_on_rows if isinstance(algebra, FiniteAlgebra) else algebra.op
     nargs = t.signature.nargs
     frames: list[tuple[OpId, int, list[object]]] = []  # (symbol, arity, argument values so far)
     for nm in t.syms:

@@ -126,13 +126,13 @@ class Signature(Frozen):
     def arity_of(self, nm: OpId) -> tuple[SortId, ...]:
         try:
             return self.decl[nm][0]
-        except KeyError:
+        except (KeyError, TypeError):  # not an operation, or not hashable
             raise SignatureError(f"unknown operation {nm!r}") from None
 
     def sort_of(self, nm: OpId) -> SortId:
         try:
             return self.decl[nm][1]
-        except KeyError:
+        except (KeyError, TypeError):  # not an operation, or not hashable
             raise SignatureError(f"unknown operation {nm!r}") from None
 
     def index_of(self, nm: OpId) -> int:
@@ -235,12 +235,12 @@ class VarSpec(Frozen):
         return dict(zip(self.vars, self.sorts))
 
     def is_var(self, v: VarId) -> bool:
-        return v in self._sort_by_var
+        return v in self.vars  # a tuple: no hash, so any name
 
     def sort_of(self, v: VarId) -> SortId:
         try:
             return self._sort_by_var[v]
-        except KeyError:
+        except (KeyError, TypeError):  # not a variable, or not hashable
             raise SignatureError(f"unknown variable {v!r}") from None
 
     def items(self) -> Iterator[tuple[VarId, SortId]]:

@@ -242,7 +242,7 @@ def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
     """
     try:
         arity, res = sig.decl[nm]
-    except KeyError:
+    except (KeyError, TypeError):  # not an operation, or not hashable
         raise SignatureError(f"unknown operation {nm!r}") from None
     if len(args) != len(arity):
         raise TermError(f"{nm!r} expects {len(arity)} argument(s), got {len(args)}")

@@ -412,6 +412,29 @@ def test_index_evaluation_errors_match_value_evaluation():
         evaluate(bool_algebra(), {"x": ["true"], "y": "true"}, parse_term(bool_vsig, "conj x y"))
 
 
+def test_a_failed_evaluation_builds_no_label_view():
+    # the replay in fold order reads the index rows, as the index pass does
+    z200 = additive_mod_algebra(200)
+    t = parse_term(monoid_free().vsig, "mul mul x y z")
+    with pytest.raises(MissingBindingError) as err:
+        evaluate(z200, {"x": "1", "y": "2"}, t)
+    assert str(err.value) == "no binding for variable 'z'"
+    assert "_view" not in z200.__dict__
+    cases = [
+        (partial(additive_mod_algebra, 200), monoid_free().vsig, {"x": "1", "y": "bad", "z": "3"}, "mul mul x y z"),
+        (bool_algebra, bool_free().vsig, {"x": "bad", "y": "true"}, "conj x y"),
+        (bool_algebra, bool_free().vsig, {"x": ["true"], "y": "true"}, "conj x y"),
+        (ternary_algebra, ternary_vsig(), {"x": "0", "y": "7", "w": "p"}, "f x k g y"),
+        (ternary_algebra, ternary_vsig(), {"x": "0", "w": "0"}, "f x w c"),
+        (ternary_algebra, ternary_vsig(), {"w": ["p"]}, "f x w c"),
+    ]
+    for make, vsig, assignment, text in cases:
+        t, algebra = parse_term(vsig, text), make()
+        got = outcome(algebra, assignment, t)
+        assert got[0] == "raised" and "_view" not in algebra.__dict__, text
+        assert got == outcome(on_values(make()), assignment, t), text
+
+
 class Label(str):
     """A binding equal to a carrier label but not a ``str``."""
 

@@ -1,13 +1,17 @@
 """The model-checking kernel against the label-level oracle.
 
 ``holds`` and ``check_hom`` run compiled terms on columns of carrier
-indices: ``bytes`` columns while every carrier has at most 256 elements,
-lists above that, and blocks of the trailing slots once the assignment
-product passes the block cap.  The randomized tests each draw their
-cases from one seeded generator and compare verdicts and exact
-counterexamples with ``tests/oracle.py``, which evaluates parse trees on
-labels one assignment at a time.  The last two check column widening
-against index arithmetic, and that no call leaves memory behind.
+indices: packed ``bytes`` columns over the whole product while every
+table has at most 256 positions and the product is at most the block
+cap, else ``bytes`` columns over each subterm's own slots while every
+carrier has at most 256 elements, lists above that, and blocks of the
+trailing slots once the assignment product passes the block cap.  The
+randomized tests each draw their cases from one seeded generator and
+compare verdicts and exact counterexamples with ``tests/oracle.py``,
+which evaluates parse trees on labels one assignment at a time.  Two
+tests check column widening against index arithmetic, and that no call
+leaves memory behind.  The last ones hold the packed path to the oracle
+at its bounds, and check which path each case took.
 """
 
 import gc
@@ -253,3 +257,198 @@ def test_model_checking_keeps_no_memory_across_calls():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+# One sort, so every table's size is a power of its carrier's: f binary,
+# k unary, h ternary and c a constant; each given as a function of indices.
+ONE = make_signature(["u"], [("f", ["u", "u"], "u"), ("k", ["u"], "u"), ("h", ["u", "u", "u"], "u"), ("c", [], "u")])
+ONE_VARS = make_varspec(ONE, [("x", "u"), ("y", "u"), ("z", "u"), ("w", "u")])
+ONE_VSIG = vsignature(ONE, ONE_VARS)
+
+
+def one_sorted(n, f=lambda a, b: 3 * a + b + 1, k=lambda a: a * a, h=lambda a, b, c: a + 2 * b + 4 * c):
+    """``ONE`` on the indices 0 .. n - 1, each table's values taken mod n."""
+    labels = tuple(map(str, range(n)))
+    idx = range(n)
+    tables = {
+        "f": {(labels[a], labels[b]): labels[f(a, b) % n] for a in idx for b in idx},
+        "k": {(labels[a],): labels[k(a) % n] for a in idx},
+        "h": {(labels[a], labels[b], labels[c]): labels[h(a, b, c) % n] for a in idx for b in idx for c in idx},
+        "c": {(): labels[0]},
+    }
+    return FiniteAlgebra(ONE, {"u": labels}, tables)
+
+
+def packed_sizes(monkeypatch):
+    """The products that ``first_difference`` ran on packed columns, as
+    a list that fills while the test runs."""
+    seen, packed = [], algebra_module._packed_difference
+
+    def spy(lhs, rhs, sizes, n):
+        seen.append(n)
+        return packed(lhs, rhs, sizes, n)
+
+    monkeypatch.setattr(algebra_module, "_packed_difference", spy)
+    return seen
+
+
+def one_equation(text):
+    lhs, rhs = (parse_term(ONE_VSIG, side) for side in text.split(" = "))
+    return Equation(text, "u", lhs, rhs)
+
+
+def assert_one_as_oracle(algebra, equation):
+    """``holds`` gives the oracle's verdict on an equation over ``ONE``,
+    given as text or as an ``Equation``; the oracle's first failing
+    assignment, or None."""
+    if isinstance(equation, str):
+        equation = one_equation(equation)
+    found = oracle_first_failure(algebra, equation, ONE_VARS)
+    want = EqVerdict(True) if found is None else EqVerdict(False, found)
+    assert holds(algebra, equation, ONE_VARS) == want, equation
+    return found
+
+
+def assert_packed_as_told(monkeypatch, algebra, equations, unpacked):
+    """Each equation gives the oracle's verdict, and ran on packed columns
+    exactly when it got past the scalar probe of the first two
+    assignments and uses none of the operations in ``unpacked``, whose
+    tables are too big to pack."""
+    seen = packed_sizes(monkeypatch)
+    for equation in equations:
+        if isinstance(equation, str):
+            equation = one_equation(equation)
+        before = len(seen)
+        found = assert_one_as_oracle(algebra, equation)
+        past_probe = found is None or rank(algebra, ONE_VARS, found) >= 2
+        uses = not unpacked.isdisjoint(equation.lhs.syms + equation.rhs.syms)
+        assert (len(seen) > before) == (past_probe and not uses), equation
+    monkeypatch.undo()
+    return seen
+
+
+def test_packed_path_at_the_table_bound_of_256_positions(monkeypatch):
+    # f has 16 x 16 = 256 positions on 16 elements and 289 on 17; an
+    # equation without f is packed on both, and h, with 4,096 positions,
+    # on neither
+    rng = random.Random(86)
+    texts = [
+        "f x y = f y x",
+        "f f x y z = f x f y z",
+        "f x k x = k f x x",
+        "f k x y = f y k x",
+        "k k x = k x",
+        "k k k x = k x",
+        "k y = f c y",
+    ]
+    for n, unpacked in ((16, {"h"}), (17, {"f", "h"})):
+        algebra = one_sorted(n, f=lambda a, b: rng.randrange(n) if rng.random() < 0.02 else a + b)
+        seen = assert_packed_as_told(monkeypatch, algebra, texts + ["h x y z = h z y x"], unpacked)
+        assert len(seen) >= (6 if n == 16 else 2)
+        equations = [random_equation(rng, ONE_VSIG, "u", i) for i in range(16)]
+        assert_packed_as_told(monkeypatch, algebra, equations, unpacked)
+
+
+def test_packed_path_up_to_the_block_cap(monkeypatch):
+    # 16**4 = 65,536 assignments, the block cap: the sides differ only at
+    # the last one, where the minimum of x, y, z, w is 15
+    algebra = one_sorted(16, f=min, k=lambda a: 0 if a == 15 else a)
+    equation = one_equation("f f x y f z w = k f f x y f z w")
+    last = dict.fromkeys("xyzw", "15")
+    assert algebra_module._MAX_BLOCK == 16**4
+    seen = packed_sizes(monkeypatch)
+    assert holds(algebra, equation, ONE_VARS) == EqVerdict(False, last)
+    assert seen == [16**4]
+    # one past the cap: blocks of the trailing slots, the same verdict
+    monkeypatch.setattr(algebra_module, "_MAX_BLOCK", 16**4 - 1)
+    assert holds(algebra, equation, ONE_VARS) == EqVerdict(False, last)
+    assert seen == [16**4]
+    assert oracle_eval(algebra, last, equation.lhs) != oracle_eval(algebra, last, equation.rhs)
+    for before in ({**last, "w": "14"}, {"x": "14", "y": "15", "z": "15", "w": "15"}):
+        assert oracle_eval(algebra, before, equation.lhs) == oracle_eval(algebra, before, equation.rhs)
+    # the same at a product of 125 with the cap at 125 and at 124
+    for cap, packed in ((125, [125]), (124, [])):
+        monkeypatch.setattr(algebra_module, "_MAX_BLOCK", cap)
+        seen.clear()
+        algebra = one_sorted(5, f=min, k=lambda a: 0 if a == 4 else a)
+        assert assert_one_as_oracle(algebra, "f f x y z = k f f x y z") == dict.fromkeys("xyz", "4")
+        assert assert_one_as_oracle(algebra, "f f x y z = f x f y z") is None
+        assert seen == packed * 2
+
+
+def test_packed_path_on_zero_columns_constants_and_early_counterexamples(monkeypatch):
+    seen = packed_sizes(monkeypatch)
+    # k sends everything to 0, so k x and k y are all-zero columns and
+    # f k x k y sums to the integer 0
+    zero = one_sorted(5, k=lambda a: 0)
+    assert assert_one_as_oracle(zero, "f k x k y = f c c") is None
+    assert assert_one_as_oracle(zero, "f k x k y = f k z c") is None
+    assert assert_one_as_oracle(zero, "f k x k y = f k y c") is None
+    # a side that reads no variable, and a constant among varying arguments
+    algebra = one_sorted(6)
+    texts = ("f x c = c", "h x c y = h c x y", "h c x x = f c c", "f c f x y = f c f y x", "h x y f c c = h y x f c c")
+    for text in texts:
+        assert_one_as_oracle(algebra, text)
+    # the third tuple, the first past the two the scalar probe runs, and the last
+    third = one_sorted(6, k=lambda a: 5 if a == 2 else a)
+    assert assert_one_as_oracle(third, "f x k y = f x y") == {"x": "0", "y": "2"}
+    assert assert_one_as_oracle(third, "k x = x") == {"x": "2"}
+    last = one_sorted(6, k=lambda a: 0 if a == 5 else a, h=min)
+    assert assert_one_as_oracle(last, "k f x y = f x y") is not None
+    assert assert_one_as_oracle(last, "k h x y z = h x y z") == dict.fromkeys("xyz", "5")
+    assert assert_one_as_oracle(last, "k x = x") == {"x": "5"}
+    assert set(seen) == {6, 25, 36, 125, 216}
+
+
+def test_packed_path_with_a_ternary_operation(monkeypatch):
+    # h has 6**3 = 216 positions on 6 elements (packed) and 343 on 7
+    rng = random.Random(87)
+    texts = [
+        "h x y z = h z y x",
+        "h x x y = h y x x",
+        "h x c y = f x y",
+        "h x f c c y = h y f c c x",  # a fixed middle argument of index 1
+        "h f c c x y = h y x k f c c",
+        "h h x y z y w = h x h y z w y",
+        "k h x y z = h k x y z",
+    ]
+    for n, unpacked in ((6, set()), (7, {"h"})):
+        algebra = one_sorted(n, h=lambda a, b, c: rng.randrange(n) if rng.random() < 0.01 else a + b * c)
+        seen = assert_packed_as_told(monkeypatch, algebra, texts, unpacked)
+        assert len(seen) >= (2 if n == 6 else 0)
+        equations = [random_equation(rng, ONE_VSIG, "u", i) for i in range(20)]
+        assert_packed_as_told(monkeypatch, algebra, equations, unpacked)
+
+
+def test_check_hom_packed_on_z16_to_z8_and_not_on_z24_to_z12(monkeypatch):
+    # the source table of Z mod 16 has 256 positions, that of Z mod 24 576
+    rng = random.Random(88)
+    for k, packed in ((8, True), (12, False)):
+        seen = packed_sizes(monkeypatch)
+        src, dst = additive_mod_algebra(2 * k), additive_mod_algebra(k)
+        right = [(3 * i) % k for i in range(2 * k)]
+        assert assert_hom_as_oracle(right, src, dst) is None
+        for w in (0, 1, 2 * k - 1, rng.randrange(2 * k)):
+            wrong = list(right)
+            wrong[w] = (wrong[w] + 1) % k
+            assert assert_hom_as_oracle(wrong, src, dst) is not None
+        assert seen == [4 * k * k] * len(seen) and bool(seen) == packed
+        monkeypatch.undo()
+
+
+def test_packed_path_on_indices_above_127(monkeypatch):
+    # the first differing byte is read off the bit length of an XOR: here
+    # the XOR of the two indices has its top bit set, and the last
+    # difference is at the last byte of the column
+    sig = make_signature(["u"], [("k", ["u"], "u")])
+    vs = make_varspec(sig, [("x", "u")])
+    labels = tuple(map(str, range(256)))
+    equation = Equation("k", "u", parse_term(vsignature(sig, vs), "k x"), parse_term(vsignature(sig, vs), "x"))
+    for changed in ({129: 1}, {255: 0}, {200: 100, 130: 2}, {}):
+        image = {a: changed.get(int(a), int(a)) for a in labels}
+        algebra = FiniteAlgebra(sig, {"u": labels}, {"k": {(a,): labels[image[a]] for a in labels}})
+        assert_holds_as_oracle(monkeypatch, algebra, equation, vs)  # also at a block cap of 3
+        seen = packed_sizes(monkeypatch)
+        want = EqVerdict(False, {"x": str(min(changed))}) if changed else EqVerdict(True)
+        assert holds(algebra, equation, vs) == want
+        assert seen == [256]

@@ -12,6 +12,7 @@ from ualg.signature import (
     vsignature,
 )
 from ualg.examples import bool_signature, list_signature, monoid_signature
+from ualg.term_vm import build_term
 
 
 def test_make_signature_monoid():
@@ -243,3 +244,17 @@ def test_an_unhashable_name_is_no_sort_and_no_operation():
     assert (sig.index_of("mul"), sig.index_of("e")) == (0, 1)
     with pytest.raises(SignatureError, match="unknown operation 'q'"):
         sig.index_of("q")
+
+
+def test_an_unhashable_name_has_no_arity_no_sort_no_term_and_is_no_variable():
+    sig = monoid_signature()
+    for lookup in (sig.arity_of, sig.sort_of, lambda nm: build_term(sig, nm, [])):
+        with pytest.raises(SignatureError) as err:
+            lookup(["e"])
+        assert err.type is SignatureError and str(err.value) == "unknown operation ['e']"
+    assert (sig.arity_of("e"), sig.sort_of("e"), build_term(sig, "e", []).syms) == ((), "u", ("e",))
+    vs = make_varspec(sig, {"x": "u"})
+    assert not vs.is_var(["x"]) and vs.is_var("x")
+    with pytest.raises(SignatureError) as err:
+        vs.sort_of(["x"])
+    assert err.type is SignatureError and str(err.value) == "unknown variable ['x']"
