@@ -18,40 +18,31 @@ Exhaustive checks run compiled terms on columns of carrier indices.
 ``FiniteAlgebra.compile`` turns a term into a machine program, and
 ``first_difference`` returns the lexicographically first index tuple of
 the slot carriers' product on which two programs differ.  It runs the
-first two tuples on a stack of scalar indices.  Then, in the common
-case, it runs both programs once on packed columns: when no slot
-carrier has more than 256 elements, the product has at most
-``_MAX_BLOCK`` tuples, and every table of both programs has at most 256
-positions and results below 256.  There a value is a scalar index or a
-``bytes`` column over the whole product, and each operation step is a
-fixed number of C-level calls: one translate through a table row when
-one argument is a column, and else one big-endian integer per column,
-scaled by its mixed-radix stride and summed into the column of table
-positions (no byte can carry), sent through the result row.  The first
-differing byte of the two result columns is read off their XOR.
-
-Every other case runs on each subterm's own slots: each subterm is
-computed once, as a column over the product of only the slots it reads,
-in lexicographic order.  An operation with one varying argument sends
-that column through a curried row of its table, one ``bytes.translate``
-with the other arguments fixed.  A binary operation whose arguments
-differ in their innermost slot does one translate per index of the other
-argument; the rest widen their arguments to a common set of slots and
-select the rows one by one.  Columns are ``bytes`` while every index
-involved is below 256, and lists with ``map`` in place of ``translate``
-above that.  Once the product passes ``_MAX_BLOCK`` tuples, the leading
-slots are looped over in Python, and both programs run once per block of
-the trailing slots, each leading slot a single index.  ``check_hom``
-decides the homomorphism law with two such programs per operation, each
-sort map being a one-row table.
+first two tuples on a stack of scalar indices.  Then one machine runs
+both programs once per block of at most ``_MAX_BLOCK`` tuples: once
+the product passes that cap, the leading slots are looped over in
+Python, each a single index, and the trailing slots are columns over
+the block.  A value is a scalar index or such a column, ``bytes`` while
+every index fits a byte and a list above that.  On ``bytes`` columns,
+a step with one column among its arguments is one translate through
+the table row that the others select.  With more, a table of at most
+256 positions takes a fixed number of C-level calls: one big-endian
+integer per column, scaled by its mixed-radix stride and summed into
+the column of table positions (no byte can carry), sent through the
+result row.  A binary table above 256 positions whose arguments read
+different innermost slots goes one run of tuples at a time: the
+argument with the outer slot is constant on each run, and the run of
+the other goes through one translate table, the row that constant
+selects.  Every other step selects the rows element by element.  The first differing byte of the two result columns
+is read off their XOR.  ``check_hom`` decides the homomorphism law with
+two such programs per operation, each sort map being a one-row table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from math import prod
 
 from .signature import Frozen, OpId, Signature, SortId, _set
@@ -73,53 +64,32 @@ _MAX_BLOCK = 1 << 16
 class _Op:
     """An index table as a machine step: ``rows`` lists result indices in
     mixed-radix argument order over ``dims``, and ``width`` is the size of
-    the result carrier.  ``wide`` tells whether an index of this table can
-    exceed a byte.  ``padded`` is the rows as a 256-byte translate table,
-    or None when the table has more than 256 positions or is wide."""
+    the result carrier.  ``padded`` is the rows as bytes, padded to a
+    256-byte translate table, or None when an index of this table can
+    exceed a byte; ``small`` tells whether, besides, every position fits
+    a byte.  A binary table above 256 positions builds ``runs(j)`` on
+    first use."""
 
-    __slots__ = ("rows", "dims", "wide", "padded", "_curried")
+    __slots__ = ("rows", "dims", "padded", "small", "_runs")
 
     def __init__(self, rows: list[int], dims: tuple[int, ...], width: int):
         self.rows, self.dims = rows, dims
-        self.wide = max((*dims, width)) > _BYTE
-        self.padded = None if self.wide or len(rows) > _BYTE else bytes(rows).ljust(_BYTE, b"\0")
-        self._curried: dict[tuple[int, bool], _Curried] = {}
+        wide = max((*dims, width)) > _BYTE
+        self.padded = None if wide else bytes(rows).ljust(_BYTE, b"\0")
+        self.small = not wide and len(rows) <= _BYTE
+        self._runs = [None, None]
 
-    def curried(self, i: int, wide: bool) -> _Curried:
-        """The table's rows with argument ``i`` free, keyed by the
-        mixed-radix index of the other arguments and built on first use."""
-        key = (i, wide)
-        rows = self._curried.get(key)
+    def runs(self, j: int) -> list[bytes]:
+        """Per index of the other argument, the translate table that
+        sends argument ``j`` of this binary table to the result."""
+        rows = self._runs[j]
         if rows is None:
-            rows = self._curried[key] = _Curried(self.rows, self.dims, i, wide)
+            free, other = (self.dims[1], 1) if j == 0 else (1, self.dims[1])
+            d = self.dims[j] * free
+            rows = self._runs[j] = [
+                self.padded[x * other : x * other + d : free].ljust(_BYTE, b"\0") for x in range(self.dims[1 - j])
+            ]
         return rows
-
-
-class _Curried(dict):
-    """Curried rows of one table and argument position: each maps the
-    free argument's index to the result index, as a 256-byte translate
-    table or, when ``wide``, a list."""
-
-    __slots__ = ("_rows", "_dims", "_i", "_wide")
-
-    def __init__(self, rows: list[int], dims: tuple[int, ...], i: int, wide: bool):
-        self._rows, self._dims, self._i, self._wide = rows, dims, i, wide
-
-    def __missing__(self, fixed: int):
-        dims, i = self._dims, self._i
-        base, rest, stride, free = 0, fixed, 1, 1
-        for j in range(len(dims) - 1, -1, -1):
-            if j == i:
-                free = stride
-            else:
-                rest, x = divmod(rest, dims[j])
-                base += x * stride
-            stride *= dims[j]
-        row = self._rows[base : base + dims[i] * free : free]
-        if not self._wide:
-            row = bytes(row).ljust(_BYTE, b"\0")
-        self[fixed] = row
-        return row
 
 
 # A compiled term: per symbol, last first, a variable slot or an operation.
@@ -166,8 +136,8 @@ class FiniteAlgebra(Algebra):
     index: ``op`` is one lookup in it, and ``tables`` returns a copy.
     ``compile`` turns a term into a machine program over those indices,
     which ``first_difference`` runs on columns of assignments without
-    touching a label; each table builds its curried rows for that on
-    first use.
+    touching a label; a binary table above 256 positions builds its
+    per-index translate tables for that on first use.
     """
 
     def __init__(
@@ -302,7 +272,10 @@ class FiniteAlgebra(Algebra):
             raise AlgebraError(f"unknown sort {sort!r}") from None
 
     def sample_element(self, sort: SortId, rng: random.Random) -> str:
-        return rng.choice(self.elements(sort))
+        carrier = self.elements(sort)
+        if not carrier:
+            raise AlgebraError(f"the carrier of sort {sort!r} is empty")
+        return rng.choice(carrier)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteAlgebra):
@@ -318,111 +291,6 @@ class FiniteAlgebra(Algebra):
     def __repr__(self) -> str:
         sizes = {s: len(c) for s, c in self.carriers.items()}
         return f"FiniteAlgebra({sizes}, ops={list(self.signature.ops)})"
-
-
-# A value on the kernel's stack: the slots it depends on, ascending, and
-# its column over their product, or its index when it depends on none.
-Value = tuple[tuple[int, ...], object]
-
-
-def _translate(col, row):
-    """Each index of a list column sent through ``row``; a ``bytes``
-    column does the same with ``col.translate(row)``."""
-    return list(map(row.__getitem__, col))
-
-
-def _widen(value: Value, want: tuple[int, ...], sizes: Sequence[int], wide: bool):
-    """The column of ``value`` over the slots ``want``, a superset of its
-    own: each missing slot repeats every block of the slots inside it, by
-    slicing the column and joining the slices."""
-    have, col = value
-    if have == want:
-        return col
-    if not have:
-        n = prod(sizes[s] for s in want)
-        return [col] * n if wide else bytes((col,)) * n
-    cur = list(have)
-    for s in want:
-        if s in have:
-            continue
-        q = bisect_left(cur, s)
-        inner, r = prod(sizes[c] for c in cur[q:]), sizes[s]
-        parts = (col[i : i + inner] * r for i in range(0, len(col), inner))
-        col = list(chain.from_iterable(parts)) if col.__class__ is list else b"".join(parts)
-        cur.insert(q, s)
-    return col
-
-
-def _per_value(op: _Op, j: int, arg: Value, other: Value, sizes: Sequence[int], wide: bool) -> Value:
-    """A binary step where only argument ``j`` varies in the innermost slot.
-
-    The slots of the result split into a prefix and the longest suffix
-    that ``other`` does not read.  For each prefix assignment ``other``
-    is one index, and argument ``j`` over the suffix is one slice of its
-    column: one translate through the curried row of that index."""
-    (own, col), theirs = arg, other[0]
-    union = tuple(sorted({*own, *theirs}))
-    cut = len(union)
-    while union[cut - 1] not in theirs:
-        cut -= 1
-    prefix = union[:cut]
-    rows = map(op.curried(j, wide).__getitem__, _widen(other, prefix, sizes, wide))
-    head = tuple(s for s in own if s < union[cut])
-    if head:
-        block = len(col) // prod(sizes[s] for s in head)
-        starts = _widen((head, list(range(0, len(col), block))), prefix, sizes, True)
-        parts = [col[q : q + block] for q in starts]
-    else:
-        parts = repeat(col)
-    if wide:
-        return union, list(chain.from_iterable(map(_translate, parts, rows)))
-    return union, b"".join(map(bytes.translate, parts, rows))
-
-
-def _apply(op: _Op, args: list[Value], sizes: Sequence[int], wide: bool) -> Value:
-    """One operation step on its argument values, the first argument first.
-
-    With one varying argument, one translate through a curried row; with
-    two whose innermost slots differ, one translate per index of the
-    other (``_per_value``); otherwise every argument is widened to the
-    union of their slots and the rows are selected one by one."""
-    dims = op.dims
-    varying = [i for i, (slots, _) in enumerate(args) if slots]
-    if len(varying) <= 1:
-        fixed = 0
-        for j, ((_, x), d) in enumerate(zip(args, dims)):
-            if j not in varying:
-                fixed = fixed * d + x
-        if not varying:
-            return (), op.rows[fixed]
-        slots, col = args[varying[0]]
-        row = op.curried(varying[0], wide)[fixed]
-        return slots, _translate(col, row) if wide else col.translate(row)
-    if len(args) == 2:
-        a, b = args
-        if a[0][-1] > b[0][-1]:
-            return _per_value(op, 0, a, b, sizes, wide)
-        if a[0][-1] < b[0][-1]:
-            return _per_value(op, 1, b, a, sizes, wide)
-    union = tuple(sorted({s for slots, _ in args for s in slots}))
-    pos, *rest = (_widen(a, union, sizes, wide) for a in args)
-    for col, d in zip(rest, dims[1:]):
-        pos = [p * d + y for p, y in zip(pos, col)]
-    out = list(map(op.rows.__getitem__, pos))
-    return union, out if wide else bytes(out)
-
-
-def _run(program: Program, env: list[Value], sizes: Sequence[int], wide: bool) -> Value:
-    """The sort-stack machine on values: a slot pushes its entry of
-    ``env``, an operation pops its arguments, the first on top."""
-    stack: list[Value] = []
-    push, pop = stack.append, stack.pop
-    for step in program:
-        if step.__class__ is int:
-            push(env[step])
-        else:
-            push(_apply(step, [pop() for _ in step.dims], sizes, wide))
-    return stack[-1]
 
 
 def _scalar(program: Program, t: Sequence[int]) -> int:
@@ -454,27 +322,70 @@ def _scalar(program: Program, t: Sequence[int]) -> int:
 _BYTES = [bytes((x,)) for x in range(_BYTE)]
 
 
-def _packed_run(program: Program, env: list[bytes], n: int):
-    """The sort-stack machine on packed values, each a scalar index or a
-    ``bytes`` column over the whole product of ``n`` tuples: a slot
-    pushes its column of ``env``, an operation pops its arguments, the
-    first on top.
+def _plan(program: Program, sizes: Sequence[int], lead: int) -> Program:
+    """``program`` with each binary step above 256 positions whose two
+    arguments read different innermost slots of the block replaced by
+    ``(step, j, run, reuse)``.
+
+    The argument whose innermost slot is the outer one is constant on
+    runs of ``run`` tuples, so each run of the other, argument ``j``,
+    goes through the translate table of ``runs(j)`` that the constant
+    selects.  ``reuse`` tells whether argument ``j`` reads only slots
+    inside the run, so that every run of it is the same slice.  A value's
+    mask has the bit of each slot it reads; the leading slots are indices
+    in every block, so they have none, and a value that reads no slot of
+    the block is an index, not a column."""
+    masks, planned = [], []
+    push, pop = masks.append, masks.pop
+    for step in program:
+        if step.__class__ is int:
+            push(1 << step if step >= lead else 0)
+        elif len(step.dims) == 2:
+            args = pop(), pop()
+            a, b = args[0].bit_length() - 1, args[1].bit_length() - 1
+            if a != b and a >= 0 and b >= 0 and not step.small:
+                j, cut = (1, a) if a < b else (0, b)
+                step = (step, j, prod(sizes[cut + 1 :]), args[j] & -args[j] > 1 << cut)
+            push(args[0] | args[1])
+        else:
+            mask = 0
+            for _ in step.dims:
+                mask |= pop()
+            push(mask)
+        planned.append(step)
+    return tuple(planned)
+
+
+def _packed_run(program: Program, env: list, n: int):
+    """The sort-stack machine on values over one block of ``n`` tuples,
+    each a scalar index or a column with one index per tuple: ``bytes``,
+    or a list when an index can exceed a byte.  A slot pushes its entry
+    of ``env``, an operation pops its arguments, the first on top.
 
     The fixed arguments select a position in the table, the sum of each
-    index times its mixed-radix stride.  With one column, the step is one
-    translate through the row that column selects from there.  With more,
-    each column, read as one big-endian integer, times its stride, plus
-    the fixed share in every byte, sums to the column of table positions.
-    No byte carries, since every position is below 256.  That column goes
-    through the padded result row."""
+    index times its mixed-radix stride.  On ``bytes`` columns, a step with
+    one column is one translate through the row that column selects from
+    there.  With more, on a table of at most 256 positions, each column,
+    read as one big-endian integer, times its stride, plus the fixed share
+    in every byte, sums to the column of table positions; no byte carries.
+    That column goes through the padded result row.  A step that
+    ``_plan`` marked does one translate per run of tuples.  Every other
+    step selects the rows element by element."""
     stack: list = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
             push(env[step])
             continue
+        if step.__class__ is tuple:
+            step, j, run, reuse = step
+            args = pop(), pop()
+            col, other = args[j], args[1 - j]
+            parts = repeat(col[:run]) if reuse else [col[i : i + run] for i in range(0, n, run)]
+            push(b"".join(map(bytes.translate, parts, map(step.runs(j).__getitem__, other[::run]))))
+            continue
         dims = step.dims
-        if len(dims) == 2 and stack[-1].__class__ is bytes and stack[-2].__class__ is bytes:
+        if step.small and len(dims) == 2 and stack[-1].__class__ is bytes and stack[-2].__class__ is bytes:
             # the common step, two columns: first argument times its stride plus the second
             pos = int.from_bytes(pop(), "big") * dims[1] + int.from_bytes(pop(), "big")
         else:
@@ -482,43 +393,30 @@ def _packed_run(program: Program, env: list[bytes], n: int):
             for d in dims:
                 x = pop()
                 stride //= d
-                if x.__class__ is bytes:
-                    cols.append((x, stride, d))
-                else:
+                if x.__class__ is int:
                     fixed += x * stride
+                else:
+                    cols.append((x, stride, d))
             if not cols:
                 push(step.rows[fixed])
                 continue
-            if len(cols) == 1:
+            packed = cols[0][0].__class__ is bytes
+            if packed and len(cols) == 1:
                 ((x, stride, d),) = cols
                 push(x.translate(step.padded[fixed : fixed + d * stride : stride].ljust(_BYTE, b"\0")))
+                continue
+            if not (packed and step.small):
+                pos = repeat(fixed)
+                for x, stride, _ in cols:
+                    pos = [p + y * stride for p, y in zip(pos, x)]
+                out = list(map(step.rows.__getitem__, pos))
+                push(bytes(out) if packed else out)
                 continue
             pos = sum(int.from_bytes(x, "big") * stride for x, stride, _ in cols)
             if fixed:
                 pos += int.from_bytes(_BYTES[fixed] * n, "big")
         push(pos.to_bytes(n, "big").translate(step.padded))
     return stack[-1]
-
-
-def _packed_difference(lhs: Program, rhs: Program, sizes: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """``first_difference`` over the whole product at once, on packed
-    values: slot ``s`` is the column of its index in every tuple, and the
-    first differing byte of the two result columns is read off the bit
-    length of their XOR."""
-    env, outer = [], 1
-    for m in sizes:
-        inner = n // (outer * m)
-        env.append(b"".join([_BYTES[x] * inner for x in range(m)]) * outer)
-        outer *= m
-    a, b = (_packed_run(program, env, n) for program in (lhs, rhs))
-    if a.__class__ is int:
-        a = _BYTES[a] * n
-    if b.__class__ is int:
-        b = _BYTES[b] * n
-    if a == b:
-        return None
-    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return _tuple_at(n - 1 - (diff.bit_length() - 1) // 8, sizes)
 
 
 def _tuple_at(pos: int, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -536,15 +434,17 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     on all of them.
 
     The first two tuples run on scalar indices, so an early difference
-    costs little.  Then, when every index fits a byte, the product has at
-    most ``_MAX_BLOCK`` tuples and every table of both terms has at most
-    256 positions, both terms run once on packed columns over the whole
-    product (``_packed_difference``).  Otherwise each subterm is computed
-    once, as a column over the product of only the slots it reads.  When
-    the whole product is larger than ``_MAX_BLOCK``, both terms run once
-    per assignment of the leading slots, which enter as single indices,
-    over one block of the trailing slots.  Only a block whose value
-    columns differ is scanned.
+    costs little.  Then the product is cut into blocks of at most
+    ``_MAX_BLOCK`` tuples: the leading slots are looped over in Python,
+    each a single index, and both terms run once per block on columns
+    over the trailing slots (``_packed_run``).  Columns are ``bytes``
+    while every index fits a byte, and lists above that.  On ``bytes``, a
+    binary table above 256 positions is planned once per call
+    (``_plan``) and goes through one translate per run of tuples where
+    its arguments read different innermost slots.  The first block whose
+    two result columns differ gives the answer: on ``bytes``, the first
+    differing byte is read off the bit length of their XOR, and a list
+    is scanned.
     """
     sizes = tuple(sizes)
     for t in islice(product(*map(range, sizes)), 2):
@@ -553,26 +453,37 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     n = prod(sizes)
     if n <= 2:  # also when a carrier is empty
         return None
-    steps = [s for s in (*lhs, *rhs) if s.__class__ is _Op]
-    if n <= _MAX_BLOCK and max(sizes) <= _BYTE and None not in [s.padded for s in steps]:
-        return _packed_difference(lhs, rhs, sizes, n)
-    wide = max(sizes) > _BYTE or any(s.wide for s in steps)
-    lead, block = 0, n
-    while block > _MAX_BLOCK and lead < len(sizes):
-        block //= sizes[lead]
+    big = [s for s in (*lhs, *rhs) if s.__class__ is _Op and not s.small]
+    wide = max(sizes) > _BYTE or None in [s.padded for s in big]
+    lead = 0
+    while n > _MAX_BLOCK:
+        n //= sizes[lead]
         lead += 1
-    trailing = tuple(range(lead, len(sizes)))
-    env: list[Value] = [((), 0)] * lead
-    env += [((s,), list(range(sizes[s])) if wide else bytes(range(sizes[s]))) for s in trailing]
-    for t in product(*map(range, sizes[:lead])):
-        env[:lead] = [((), x) for x in t]
-        a = _widen(_run(lhs, env, sizes, wide), trailing, sizes, wide)
-        b = _widen(_run(rhs, env, sizes, wide), trailing, sizes, wide)
-        if a != b:
-            if not trailing:
-                return t
+    if big and not wide:
+        lhs, rhs = _plan(lhs, sizes, lead), _plan(rhs, sizes, lead)
+    env, outer = [0] * lead, 1
+    for m in sizes[lead:]:
+        inner = n // (outer * m)
+        if wide:
+            col = [x for x in range(m) for _ in range(inner)]
+        else:
+            col = bytes(range(m)) if inner == 1 else b"".join([_BYTES[x] * inner for x in range(m)])
+        env.append(col * outer)
+        outer *= m
+    for t in product(*map(range, sizes[:lead])) if lead else [()]:
+        env[:lead] = t
+        a, b = _packed_run(lhs, env, n), _packed_run(rhs, env, n)
+        if a.__class__ is int:
+            a = [a] * n if wide else _BYTES[a] * n
+        if b.__class__ is int:
+            b = [b] * n if wide else _BYTES[b] * n
+        if a == b:
+            continue
+        if wide:
             pos = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-            return t + _tuple_at(pos, sizes[lead:])
+        else:
+            pos = n - 1 - ((int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_length() - 1) // 8
+        return t + _tuple_at(pos, sizes[lead:])
     return None
 
 

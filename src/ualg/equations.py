@@ -8,22 +8,8 @@ equation are enumerated, since the others cannot influence either side.
 ``holds`` works on dense indices: each side is compiled once into a
 machine program over the algebra's index tables, and
 ``algebra.first_difference`` finds the first assignment, in
-lexicographic order, on which the two programs differ.  It tries the
-first two assignments on scalar indices, so an equation that fails at
-once costs little.  Then, when no carrier in play has more than 256
-elements, the assignments number at most a fixed cap (65,536), and
-every table the sides use has at most 256 argument positions, both
-sides run once over all assignments on packed ``bytes`` columns: each
-operation step is a fixed number of C-level calls, and the first
-differing assignment is read off the XOR of the two result columns.
-Otherwise each subterm is computed once over the product of only the
-variables it contains: a ``bytes`` column of indices, sent through
-curried table rows with ``bytes.translate``, or a list column when a
-carrier has more than 256 elements.  Products above the cap are cut
-into blocks of the trailing variables: each block evaluates both sides
-afresh with the leading variables fixed, and only the first block whose
-two value columns differ is scanned.  Only the first differing tuple is
-mapped back to carrier labels.
+lexicographic order, on which the two programs differ; its docstring
+says how.  Only that assignment is mapped back to carrier labels.
 """
 
 from __future__ import annotations
@@ -152,13 +138,17 @@ def holds_sampled(
 
     Returns a counterexample assignment, or None meaning "no
     counterexample found in ``n_samples`` draws" - not a proof that the
-    equation holds.
+    equation holds.  On a finite algebra with an empty carrier for an
+    occurring variable there is no assignment to draw, and None is the
+    answer, as ``holds`` says.
     """
     import random
 
     rng = random.Random(seed)
     occurring = free_vars(eq.lhs, varspec) | free_vars(eq.rhs, varspec)
     names = [v for v in varspec.vars if v in occurring]
+    if isinstance(algebra, FiniteAlgebra) and not all(algebra.elements(varspec.sort_of(v)) for v in names):
+        return None
     for _ in range(n_samples):
         assignment = {v: algebra.sample_element(varspec.sort_of(v), rng) for v in names}
         if evaluate(algebra, assignment, eq.lhs) != evaluate(algebra, assignment, eq.rhs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ualg.algebra import FiniteAlgebra, unit_algebra
+from ualg.algebra import AlgebraError, FiniteAlgebra, unit_algebra
 from ualg.equations import (
     EqSpec,
     EqVerdict,
@@ -194,6 +194,19 @@ def test_holds_sampled_none_when_no_counterexample():
         holds_sampled(additive_mod_algebra(3), eq("lid", "mul e x", "x"), monoid_varspec())
         is None
     )
+
+
+def test_holds_sampled_on_an_empty_carrier_draws_nothing():
+    # no element of s, so no assignment of x: the equation holds vacuously
+    sig = make_signature(["s", "t"], [("f", ["s"], "t"), ("c", [], "t")])
+    vs = make_varspec(sig, [("x", "s")])
+    vsig = vsignature(sig, vs)
+    algebra = FiniteAlgebra(sig, {"s": (), "t": ("a", "b")}, {"f": {}, "c": {(): "a"}})
+    equation = Equation("fc", "t", parse_term(vsig, "f x"), parse_term(vsig, "c"))
+    assert holds(algebra, equation, vs) == EqVerdict(True)
+    assert holds_sampled(algebra, equation, vs) is None
+    with pytest.raises(AlgebraError, match="sort 's'"):
+        algebra.sample_element("s", random.Random(0))
 
 
 # -- holds against a brute-force oracle ------------------------------------------

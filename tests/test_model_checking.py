@@ -1,23 +1,24 @@
 """The model-checking kernel against the label-level oracle.
 
-``holds`` and ``check_hom`` run compiled terms on columns of carrier
-indices: packed ``bytes`` columns over the whole product while every
-table has at most 256 positions and the product is at most the block
-cap, else ``bytes`` columns over each subterm's own slots while every
-carrier has at most 256 elements, lists above that, and blocks of the
-trailing slots once the assignment product passes the block cap.  The
-randomized tests each draw their cases from one seeded generator and
-compare verdicts and exact counterexamples with ``tests/oracle.py``,
-which evaluates parse trees on labels one assignment at a time.  Two
-tests check column widening against index arithmetic, and that no call
-leaves memory behind.  The last ones hold the packed path to the oracle
-at its bounds, and check which path each case took.
+``holds`` and ``check_hom`` run compiled terms on one machine, once per
+block of at most the block cap of assignments, with the leading slots as
+single indices once the product passes the cap.  A value is an index or
+a column over the block: ``bytes`` while every index fits a byte, sent
+through table rows with ``bytes.translate``, and a list above that.  A
+binary table above 256 positions goes one run of tuples at a time when
+its arguments read different innermost slots; the rest select element by
+element.  The randomized tests each draw their cases from one seeded
+generator and compare verdicts and exact counterexamples with
+``tests/oracle.py``, which evaluates parse trees on labels one
+assignment at a time.  One test checks that no call leaves memory
+behind.  The last ones hold the machine to the oracle at its bounds: a
+table of 256 positions, the block cap, constants and zero columns, a
+ternary table, binary tables above 256 positions, and indices above 127.
 """
 
 import gc
 import random
 import tracemalloc
-from itertools import product
 
 from ualg import algebra as algebra_module
 from ualg.algebra import FiniteAlgebra, check_hom
@@ -210,30 +211,6 @@ def test_small_slots_with_results_above_a_byte(monkeypatch):
         assert assert_hom_as_oracle(image, src, dst) is not None
 
 
-def test_widen_repeats_a_column_over_more_slots():
-    # the column over ``have`` read at each assignment of ``want``
-    rng = random.Random(85)
-    for _ in range(300):
-        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
-        want = tuple(sorted(rng.sample(range(len(sizes)), rng.randint(1, len(sizes)))))
-        have = tuple(sorted(rng.sample(want, rng.randint(0, len(want)))))
-        wide = rng.random() < 0.5
-        count = 1
-        for s in have:
-            count *= sizes[s]
-        col = [rng.randrange(256) for _ in range(count)]
-        value = (have, col if wide else bytes(col)) if have else ((), col[0])
-        expected = []
-        for t in product(*(range(sizes[s]) for s in want)):
-            pos = 0
-            for s, x in zip(want, t):
-                if s in have:
-                    pos = pos * sizes[s] + x
-            expected.append(col[pos])
-        got = algebra_module._widen(value, want, sizes, wide)
-        assert list(got) == expected and isinstance(got, list) == wide, (sizes, have, want)
-
-
 def test_model_checking_keeps_no_memory_across_calls():
     # a cache keyed by the identity of a fresh image array would grow here
     z4, z2 = additive_mod_algebra(4), additive_mod_algebra(2)
@@ -246,7 +223,7 @@ def test_model_checking_keeps_no_memory_across_calls():
             assert check_hom({"u": {str(j): str((i * j) % 2) for j in range(4)}}, z4, z2).ok
             assert holds(z2, assoc, vs).holds
 
-    calls(10)  # the algebras build their curried rows once
+    calls(10)  # the first calls may fill caches that later calls reuse
     tracemalloc.start()
     try:
         gc.collect()  # a full collection also empties the interpreter's free lists
@@ -279,19 +256,6 @@ def one_sorted(n, f=lambda a, b: 3 * a + b + 1, k=lambda a: a * a, h=lambda a, b
     return FiniteAlgebra(ONE, {"u": labels}, tables)
 
 
-def packed_sizes(monkeypatch):
-    """The products that ``first_difference`` ran on packed columns, as
-    a list that fills while the test runs."""
-    seen, packed = [], algebra_module._packed_difference
-
-    def spy(lhs, rhs, sizes, n):
-        seen.append(n)
-        return packed(lhs, rhs, sizes, n)
-
-    monkeypatch.setattr(algebra_module, "_packed_difference", spy)
-    return seen
-
-
 def one_equation(text):
     lhs, rhs = (parse_term(ONE_VSIG, side) for side in text.split(" = "))
     return Equation(text, "u", lhs, rhs)
@@ -309,28 +273,9 @@ def assert_one_as_oracle(algebra, equation):
     return found
 
 
-def assert_packed_as_told(monkeypatch, algebra, equations, unpacked):
-    """Each equation gives the oracle's verdict, and ran on packed columns
-    exactly when it got past the scalar probe of the first two
-    assignments and uses none of the operations in ``unpacked``, whose
-    tables are too big to pack."""
-    seen = packed_sizes(monkeypatch)
-    for equation in equations:
-        if isinstance(equation, str):
-            equation = one_equation(equation)
-        before = len(seen)
-        found = assert_one_as_oracle(algebra, equation)
-        past_probe = found is None or rank(algebra, ONE_VARS, found) >= 2
-        uses = not unpacked.isdisjoint(equation.lhs.syms + equation.rhs.syms)
-        assert (len(seen) > before) == (past_probe and not uses), equation
-    monkeypatch.undo()
-    return seen
-
-
-def test_packed_path_at_the_table_bound_of_256_positions(monkeypatch):
-    # f has 16 x 16 = 256 positions on 16 elements and 289 on 17; an
-    # equation without f is packed on both, and h, with 4,096 positions,
-    # on neither
+def test_packed_path_at_the_table_bound_of_256_positions():
+    # f has 16 x 16 = 256 positions on 16 elements and 289 on 17, and h
+    # 4,096 on 16
     rng = random.Random(86)
     texts = [
         "f x y = f y x",
@@ -341,12 +286,12 @@ def test_packed_path_at_the_table_bound_of_256_positions(monkeypatch):
         "k k k x = k x",
         "k y = f c y",
     ]
-    for n, unpacked in ((16, {"h"}), (17, {"f", "h"})):
+    for n in (16, 17):
         algebra = one_sorted(n, f=lambda a, b: rng.randrange(n) if rng.random() < 0.02 else a + b)
-        seen = assert_packed_as_told(monkeypatch, algebra, texts + ["h x y z = h z y x"], unpacked)
-        assert len(seen) >= (6 if n == 16 else 2)
-        equations = [random_equation(rng, ONE_VSIG, "u", i) for i in range(16)]
-        assert_packed_as_told(monkeypatch, algebra, equations, unpacked)
+        for equation in texts + ["h x y z = h z y x"]:
+            assert_one_as_oracle(algebra, equation)
+        for i in range(16):
+            assert_one_as_oracle(algebra, random_equation(rng, ONE_VSIG, "u", i))
 
 
 def test_packed_path_up_to_the_block_cap(monkeypatch):
@@ -356,28 +301,22 @@ def test_packed_path_up_to_the_block_cap(monkeypatch):
     equation = one_equation("f f x y f z w = k f f x y f z w")
     last = dict.fromkeys("xyzw", "15")
     assert algebra_module._MAX_BLOCK == 16**4
-    seen = packed_sizes(monkeypatch)
     assert holds(algebra, equation, ONE_VARS) == EqVerdict(False, last)
-    assert seen == [16**4]
     # one past the cap: blocks of the trailing slots, the same verdict
     monkeypatch.setattr(algebra_module, "_MAX_BLOCK", 16**4 - 1)
     assert holds(algebra, equation, ONE_VARS) == EqVerdict(False, last)
-    assert seen == [16**4]
     assert oracle_eval(algebra, last, equation.lhs) != oracle_eval(algebra, last, equation.rhs)
     for before in ({**last, "w": "14"}, {"x": "14", "y": "15", "z": "15", "w": "15"}):
         assert oracle_eval(algebra, before, equation.lhs) == oracle_eval(algebra, before, equation.rhs)
     # the same at a product of 125 with the cap at 125 and at 124
-    for cap, packed in ((125, [125]), (124, [])):
+    for cap in (125, 124):
         monkeypatch.setattr(algebra_module, "_MAX_BLOCK", cap)
-        seen.clear()
         algebra = one_sorted(5, f=min, k=lambda a: 0 if a == 4 else a)
         assert assert_one_as_oracle(algebra, "f f x y z = k f f x y z") == dict.fromkeys("xyz", "4")
         assert assert_one_as_oracle(algebra, "f f x y z = f x f y z") is None
-        assert seen == packed * 2
 
 
-def test_packed_path_on_zero_columns_constants_and_early_counterexamples(monkeypatch):
-    seen = packed_sizes(monkeypatch)
+def test_packed_path_on_zero_columns_constants_and_early_counterexamples():
     # k sends everything to 0, so k x and k y are all-zero columns and
     # f k x k y sums to the integer 0
     zero = one_sorted(5, k=lambda a: 0)
@@ -397,11 +336,10 @@ def test_packed_path_on_zero_columns_constants_and_early_counterexamples(monkeyp
     assert assert_one_as_oracle(last, "k f x y = f x y") is not None
     assert assert_one_as_oracle(last, "k h x y z = h x y z") == dict.fromkeys("xyz", "5")
     assert assert_one_as_oracle(last, "k x = x") == {"x": "5"}
-    assert set(seen) == {6, 25, 36, 125, 216}
 
 
-def test_packed_path_with_a_ternary_operation(monkeypatch):
-    # h has 6**3 = 216 positions on 6 elements (packed) and 343 on 7
+def test_packed_path_with_a_ternary_operation():
+    # h has 6**3 = 216 positions on 6 elements and 343 on 7
     rng = random.Random(87)
     texts = [
         "h x y z = h z y x",
@@ -412,19 +350,18 @@ def test_packed_path_with_a_ternary_operation(monkeypatch):
         "h h x y z y w = h x h y z w y",
         "k h x y z = h k x y z",
     ]
-    for n, unpacked in ((6, set()), (7, {"h"})):
+    for n in (6, 7):
         algebra = one_sorted(n, h=lambda a, b, c: rng.randrange(n) if rng.random() < 0.01 else a + b * c)
-        seen = assert_packed_as_told(monkeypatch, algebra, texts, unpacked)
-        assert len(seen) >= (2 if n == 6 else 0)
-        equations = [random_equation(rng, ONE_VSIG, "u", i) for i in range(20)]
-        assert_packed_as_told(monkeypatch, algebra, equations, unpacked)
+        for equation in texts:
+            assert_one_as_oracle(algebra, equation)
+        for i in range(20):
+            assert_one_as_oracle(algebra, random_equation(rng, ONE_VSIG, "u", i))
 
 
-def test_check_hom_packed_on_z16_to_z8_and_not_on_z24_to_z12(monkeypatch):
+def test_check_hom_packed_on_z16_to_z8_and_not_on_z24_to_z12():
     # the source table of Z mod 16 has 256 positions, that of Z mod 24 576
     rng = random.Random(88)
-    for k, packed in ((8, True), (12, False)):
-        seen = packed_sizes(monkeypatch)
+    for k in (8, 12):
         src, dst = additive_mod_algebra(2 * k), additive_mod_algebra(k)
         right = [(3 * i) % k for i in range(2 * k)]
         assert assert_hom_as_oracle(right, src, dst) is None
@@ -432,8 +369,58 @@ def test_check_hom_packed_on_z16_to_z8_and_not_on_z24_to_z12(monkeypatch):
             wrong = list(right)
             wrong[w] = (wrong[w] + 1) % k
             assert assert_hom_as_oracle(wrong, src, dst) is not None
-        assert seen == [4 * k * k] * len(seen) and bool(seen) == packed
-        monkeypatch.undo()
+
+
+def test_binary_table_above_256_positions(monkeypatch):
+    # f has 17 x 17 = 289 positions, too many for one translate table.
+    # Where the two arguments of f read different innermost slots, the
+    # one with the outer slot is constant on runs of tuples, and each run
+    # of the other goes through one row of f: the first argument is the
+    # outer one in f x y and f y f x z, the second in f y x and f f x z y.
+    # The run is one slice, reused, in f x y and f x f y z, and a new
+    # slice per run in f y f x z and f f x z y.  A shared innermost slot,
+    # as in f k x x, and h, with 4,913 positions, select element by
+    # element; c reads no slot.
+    rng = random.Random(89)
+    texts = [
+        "f x y = f y x",
+        "f f x z y = f y f x z",
+        "f f x y z = f x f y z",
+        "f k x x = f x k x",
+        "f x c = k x",
+        "f c f x y = f c f y x",
+        "f y k f x z = f k f x z y",
+        "h x f y z y = h f z y x y",
+    ]
+    noisy = one_sorted(17, f=lambda a, b: rng.randrange(17) if rng.random() < 0.02 else a + b)
+    equations = [random_equation(rng, ONE_VSIG, "u", i) for i in range(12)]
+    # f is min, and k sends 16 to 0: the sides differ only at the last tuple
+    last = one_sorted(17, f=min, k=lambda a: 0 if a == 16 else a)
+    cases = [(noisy, one_equation(t) if isinstance(t, str) else t) for t in texts + equations]
+    at_last = ("f y f x z = k f y f x z", "f f x z y = k f f x z y", "f x y = k f y x")
+    cases += [(last, one_equation(t)) for t in at_last]
+    caps, ranks = (algebra_module._MAX_BLOCK, 17 * 17, 3), []
+    for algebra, equation in cases:
+        found = oracle_first_failure(algebra, equation, ONE_VARS)
+        want = EqVerdict(True) if found is None else EqVerdict(False, found)
+        for cap in caps:
+            monkeypatch.setattr(algebra_module, "_MAX_BLOCK", cap)
+            assert holds(algebra, equation, ONE_VARS) == want, (cap, equation)
+        ranks.append(None if found is None else rank(algebra, ONE_VARS, found))
+    monkeypatch.undo()
+    # both verdicts, counterexamples past the scalar probe, and the last
+    # tuple for each equation on ``last``
+    assert None in ranks and any(r is not None and r >= 2 for r in ranks[: len(texts)])
+    assert ranks[-3:] == [17**3 - 1, 17**3 - 1, 17**2 - 1]
+    # the source tables of Z mod 24 and Z mod 40 have 576 and 1,600 positions
+    for k in (12, 20):
+        src, dst = additive_mod_algebra(2 * k), additive_mod_algebra(k)
+        right = [(5 * i) % k for i in range(2 * k)]
+        assert assert_hom_as_oracle(right, src, dst) is None
+        for w in (0, 1, k, 2 * k - 1):
+            wrong = list(right)
+            wrong[w] = (wrong[w] + 1) % k
+            assert assert_hom_as_oracle(wrong, src, dst) is not None
 
 
 def test_packed_path_on_indices_above_127(monkeypatch):
@@ -448,7 +435,5 @@ def test_packed_path_on_indices_above_127(monkeypatch):
         image = {a: changed.get(int(a), int(a)) for a in labels}
         algebra = FiniteAlgebra(sig, {"u": labels}, {"k": {(a,): labels[image[a]] for a in labels}})
         assert_holds_as_oracle(monkeypatch, algebra, equation, vs)  # also at a block cap of 3
-        seen = packed_sizes(monkeypatch)
         want = EqVerdict(False, {"x": str(min(changed))}) if changed else EqVerdict(True)
         assert holds(algebra, equation, vs) == want
-        assert seen == [256]
