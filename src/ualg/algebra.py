@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import islice, product, repeat
 from math import prod
 
-from .signature import Frozen, OpId, Signature, SortId, _set
+from .signature import Frozen, OpId, Signature, SortId
 from .term_vm import Term
 
 
@@ -507,12 +507,11 @@ class Hom(Frozen):
     homomorphism law itself is checked by ``check_hom``.
     """
 
-    __slots__ = _fields = ("source", "target", "maps")
+    __slots__ = ()
+    _fields = ("source", "target", "maps")
 
-    def __init__(self, source: Algebra, target: Algebra, maps: SortMap):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "maps", maps)
+    def __new__(cls, source: Algebra, target: Algebra, maps: SortMap):
+        return tuple.__new__(cls, (source, target, maps))
 
     def apply(self, sort: SortId, x: object) -> object:
         try:
@@ -533,11 +532,11 @@ class HomVerdict(Frozen):
     """Whether a map is a homomorphism; if not, the first counterexample
     as an operation and its source arguments."""
 
-    __slots__ = _fields = ("ok", "counterexample")
+    __slots__ = ()
+    _fields = ("ok", "counterexample")
 
-    def __init__(self, ok: bool, counterexample: tuple[OpId, tuple[object, ...]] | None = None):
-        _set(self, "ok", ok)
-        _set(self, "counterexample", counterexample)
+    def __new__(cls, ok: bool, counterexample: tuple[OpId, tuple[object, ...]] | None = None):
+        return tuple.__new__(cls, (ok, counterexample))
 
 
 def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> HomVerdict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, FiniteAlgebra, first_difference
 from .free_algebra import evaluate
-from .signature import Frozen, Signature, SortId, VarId, VarSpec, _set, is_vsignature, vsignature
+from .signature import Frozen, Signature, SortId, VarId, VarSpec, is_vsignature, vsignature
 from .term_vm import Term
 
 
@@ -28,18 +28,16 @@ class Equation(Frozen):
     """A named pair of terms of the same sort, read as a universally
     quantified identity."""
 
-    __slots__ = _fields = ("name", "sort", "lhs", "rhs")
+    __slots__ = ()
+    _fields = ("name", "sort", "lhs", "rhs")
 
-    def __init__(self, name: str, sort: SortId, lhs: Term, rhs: Term):
+    def __new__(cls, name: str, sort: SortId, lhs: Term, rhs: Term):
         if lhs.signature != rhs.signature:
             raise EquationError(f"equation {name!r}: sides over different signatures")
         for side, t in (("lhs", lhs), ("rhs", rhs)):
             if t.sort != sort:
                 raise EquationError(f"equation {name!r}: {side} has sort {t.sort!r}, expected {sort!r}")
-        _set(self, "name", name)
-        _set(self, "sort", sort)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        return tuple.__new__(cls, (name, sort, lhs, rhs))
 
 
 EqSystem = tuple[Equation, ...]
@@ -48,16 +46,15 @@ EqSystem = tuple[Equation, ...]
 class EqSpec(Frozen):
     """A signature, a variable specification, and equations over them."""
 
-    __slots__ = _fields = ("signature", "varspec", "equations")
+    __slots__ = ()
+    _fields = ("signature", "varspec", "equations")
 
-    def __init__(self, signature: Signature, varspec: VarSpec, equations: EqSystem):
+    def __new__(cls, signature: Signature, varspec: VarSpec, equations: EqSystem):
         vsig = vsignature(signature, varspec)
         for eq in equations:
             if eq.lhs.signature != vsig:
                 raise EquationError(f"equation {eq.name!r} is not over this signature and variable set")
-        _set(self, "signature", signature)
-        _set(self, "varspec", varspec)
-        _set(self, "equations", equations)
+        return tuple.__new__(cls, (signature, varspec, equations))
 
 
 def free_vars(t: Term, varspec: VarSpec) -> set[VarId]:
@@ -68,11 +65,11 @@ def free_vars(t: Term, varspec: VarSpec) -> set[VarId]:
 class EqVerdict(Frozen):
     """Whether an equation holds; if not, the first failing assignment."""
 
-    __slots__ = _fields = ("holds", "counterexample")
+    __slots__ = ()
+    _fields = ("holds", "counterexample")
 
-    def __init__(self, holds: bool, counterexample: dict[VarId, object] | None = None):
-        _set(self, "holds", holds)
-        _set(self, "counterexample", counterexample)
+    def __new__(cls, holds: bool, counterexample: dict[VarId, object] | None = None):
+        return tuple.__new__(cls, (holds, counterexample))
 
 
 def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
@@ -101,10 +98,11 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
 class EqReport(Frozen):
     """Per-equation verdicts, in equation order."""
 
-    __slots__ = _fields = ("verdicts",)
+    __slots__ = ()
+    _fields = ("verdicts",)
 
-    def __init__(self, verdicts: tuple[tuple[str, EqVerdict], ...]):
-        _set(self, "verdicts", verdicts)
+    def __new__(cls, verdicts: tuple[tuple[str, EqVerdict], ...]):
+        return tuple.__new__(cls, (verdicts,))
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ from .signature import (
     Frozen,
     Signature,
     VarSpec,
-    _set,
     make_signature,
     make_signature_single_sorted,
     make_varspec,
@@ -73,21 +72,18 @@ class ListFixture(Frozen):
     """The list datatype's signature and algebra, with one variable per
     element label, of sort elem, assigned that label."""
 
-    __slots__ = _fields = ("signature", "algebra", "varspec", "assignment", "max_len")
+    __slots__ = ()
+    _fields = ("signature", "algebra", "varspec", "assignment", "max_len")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         signature: Signature,
         algebra: FiniteAlgebra,
         varspec: VarSpec,
         assignment: Mapping[str, str],
         max_len: int,
     ):
-        _set(self, "signature", signature)
-        _set(self, "algebra", algebra)
-        _set(self, "varspec", varspec)
-        _set(self, "assignment", assignment)
-        _set(self, "max_len", max_len)
+        return tuple.__new__(cls, (signature, algebra, varspec, assignment, max_len))
 
     @property
     def free(self) -> FreeAlgebra:

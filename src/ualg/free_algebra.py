@@ -38,7 +38,6 @@ from .signature import (
     SignatureError,
     VarId,
     VarSpec,
-    _set,
     extends_by_constants,
     vsignature,
 )
@@ -191,12 +190,11 @@ def universal_map(algebra: Algebra, varspec: VarSpec, assignment: Assignment) ->
 class UniversalityVerdict(Frozen):
     """Whether a candidate map passed; if not, the term it failed at and why."""
 
-    __slots__ = _fields = ("ok", "at", "detail")
+    __slots__ = ()
+    _fields = ("ok", "at", "detail")
 
-    def __init__(self, ok: bool, at: Term | None = None, detail: str | None = None):
-        _set(self, "ok", ok)
-        _set(self, "at", at)
-        _set(self, "detail", detail)
+    def __new__(cls, ok: bool, at: Term | None = None, detail: str | None = None):
+        return tuple.__new__(cls, (ok, at, detail))
 
 
 def check_universality(

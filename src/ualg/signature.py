@@ -8,14 +8,22 @@ deterministic enumeration downstream.  A variable specification assigns
 a sort to each variable and can be merged into a signature, turning
 every variable into a nullary operation symbol of its sort.
 
-``Frozen`` is the base of the library's small immutable value classes,
-here and in the modules built on this one.
+``Frozen`` is the base of the library's immutable values, here and in
+the modules built on this one: each value is the tuple of its fields,
+read by name.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
+from operator import itemgetter
+
+try:  # CPython's C descriptor for one tuple item: half the cost of a property
+    from _collections import _tuplegetter
+except ImportError:  # another interpreter
+    _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
+
 
 SortId = str
 OpId = str
@@ -26,36 +34,39 @@ class SignatureError(ValueError):
     """Raised for ill-formed signatures or variable specifications."""
 
 
-_set = object.__setattr__
+class Frozen(tuple):
+    """An immutable value: the tuple of the fields named in ``_fields``.
 
-
-class Frozen:
-    """An immutable value over the fields named in ``_fields``.
-
-    A subclass lists its fields in ``_fields`` and sets them in its
-    ``__init__`` with ``object.__setattr__``.  Two values are equal, and
-    hash equal, when they are of the same class with equal fields; the
+    A subclass lists its fields in ``_fields``, gets one read-only
+    accessor per name, and builds its value in ``__new__`` with
+    ``tuple.__new__(cls, fields)``.  Two values are equal when they are
+    of the same class and equal as tuples, so no value equals the plain
+    tuple of its fields; the hash is the hash of that tuple.  The
     ``repr`` is ``Name(field=value, ...)``; assigning or deleting an
     attribute raises ``AttributeError``; copy and pickle rebuild a value
-    through its constructor.
+    through its constructor, without any cached state.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"The field {name!r}."))
 
+    # Python tries a subclass's comparison first even when it is the right
+    # operand, so a plain tuple never gets to compare itself with a value:
+    # both methods answer for every other class.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -65,7 +76,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, tuple(self)
 
 
 class Signature(Frozen):
@@ -78,24 +89,21 @@ class Signature(Frozen):
 
     _fields = ("sorts", "ops", "arities", "results")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         sorts: tuple[SortId, ...],
         ops: tuple[OpId, ...],
         arities: tuple[tuple[SortId, ...], ...],
         results: tuple[SortId, ...],
     ):
-        _set(self, "sorts", sorts)
-        _set(self, "ops", ops)
-        _set(self, "arities", arities)
-        _set(self, "results", results)
+        return tuple.__new__(cls, (sorts, ops, arities, results))
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self._values())
+        return tuple.__hash__(self)
 
     @cached_property
     def nargs(self) -> dict[OpId, int]:
@@ -226,9 +234,8 @@ class VarSpec(Frozen):
 
     _fields = ("vars", "sorts")
 
-    def __init__(self, vars: tuple[VarId, ...], sorts: tuple[SortId, ...]):
-        _set(self, "vars", vars)
-        _set(self, "sorts", sorts)
+    def __new__(cls, vars: tuple[VarId, ...], sorts: tuple[SortId, ...]):
+        return tuple.__new__(cls, (vars, sorts))
 
     @cached_property
     def _sort_by_var(self) -> dict[VarId, SortId]:

@@ -22,16 +22,17 @@ diagnostic is rendered.  ``term_from_syms`` runs the same loop once:
 it builds no report when the sequence is a term, and words a failure
 from the report of the failed run or from its residual stack.
 
-Every term has passed the machine.  A ``Term`` is a slotted, immutable
-value: equal and hash equal over (signature, symbols, sort).  The
-public constructor ``Term(...)`` runs the machine through
-``term_from_syms`` and rejects a non-term or a term of another sort.
-The private ``_term`` trusts its arguments, builds the same object at
-a fraction of the cost, and is used only where the machine has checked
-the symbols or construction joins checked terms: ``term_from_syms``,
-``build_term``, ``term_decompose``, ``term_fold``, ``enumerate_terms``
-and ``FreeAlgebra.varterm``.  So no consumer of a term checks it
-again, and a value machine never meets a sequence that is not a term.
+Every term has passed the machine.  A ``Term`` is a ``Frozen`` value,
+the tuple (signature, symbols, sort): equal and hash equal over those
+three fields.  The public constructor ``Term(...)`` runs the machine
+through ``term_from_syms`` and rejects a non-term or a term of another
+sort.  The private ``_term`` trusts its arguments, builds the same
+tuple in one ``tuple.__new__`` call, and is used only where the
+machine has checked the symbols or construction joins checked terms:
+``term_from_syms``, ``build_term``, ``term_decompose``, ``term_fold``,
+``enumerate_terms`` and ``FreeAlgebra.varterm``.  So no consumer of a
+term checks it again, and a value machine never meets a sequence that
+is not a term.
 
 The same machine, run on values in place of sorts, is how a term is
 consumed: ``term_fold`` and ``depth`` make one right-to-left pass over
@@ -49,11 +50,10 @@ so it concatenates their symbols without checking them again.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import product
 
-from .signature import Frozen, OpId, Signature, SignatureError, SortId, _set
+from .signature import Frozen, OpId, Signature, SignatureError, SortId
 
 
 class TermError(ValueError):
@@ -64,7 +64,7 @@ class UnknownSymbolError(TermError):
     """Raised when a symbol sequence names an operation the signature lacks."""
 
 
-class ExecReport(namedtuple("ExecReport", ("stack", "failed_at", "reason"), defaults=(None, None))):
+class ExecReport(Frozen):
     """Outcome of one machine run.
 
     ``stack`` is the final sort stack, top first, or None when the run
@@ -74,6 +74,10 @@ class ExecReport(namedtuple("ExecReport", ("stack", "failed_at", "reason"), defa
     """
 
     __slots__ = ()
+    _fields = ("stack", "failed_at", "reason")
+
+    def __new__(cls, stack: tuple[SortId, ...] | None, failed_at: int | None = None, reason: str | None = None):
+        return tuple.__new__(cls, (stack, failed_at, reason))
 
     @property
     def sort(self) -> SortId | None:
@@ -130,14 +134,7 @@ def infer_sort(sig: Signature, syms: Sequence[OpId]) -> SortId | None:
     return oplistexec(sig, syms).sort
 
 
-class _TermSlots:
-    """The three fields of a term, as writable slots: the storage layout
-    that ``Term`` and ``_OpenTerm`` share."""
-
-    __slots__ = ("signature", "syms", "sort")
-
-
-class Term(_TermSlots, Frozen):
+class Term(Frozen):
     """A symbol sequence together with its machine-verified result sort.
 
     ``Term(signature, syms, sort)`` runs the machine once, through
@@ -146,33 +143,18 @@ class Term(_TermSlots, Frozen):
     ``TermError`` naming both sorts for a term of another sort.  Copy and
     pickle rebuild a term through it.
 
-    Immutable: assigning or deleting a field raises ``AttributeError``.
-    Two terms are equal, and hash equal, when their signatures, symbol
-    tuples and sorts are equal.
+    A ``Frozen`` value: immutable, and equal and hash equal to another
+    term when their signatures, symbol tuples and sorts are equal.
     """
 
     __slots__ = ()
     _fields = ("signature", "syms", "sort")
 
-    def __init__(self, signature: Signature, syms: Sequence[OpId], sort: SortId):
+    def __new__(cls, signature: Signature, syms: Sequence[OpId], sort: SortId):
         t = term_from_syms(signature, syms)
         if t.sort != sort:
             raise TermError(f"the symbols make a term of sort {t.sort!r}, not {sort!r}")
-        _set(self, "signature", signature)
-        _set(self, "syms", t.syms)
-        _set(self, "sort", t.sort)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Term:
-            return NotImplemented
-        return (
-            self.syms == other.syms
-            and self.sort == other.sort
-            and (self.signature is other.signature or self.signature == other.signature)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.signature, self.syms, self.sort))
+        return t
 
     def text(self) -> str:
         return " ".join(self.syms)
@@ -184,30 +166,19 @@ class Term(_TermSlots, Frozen):
         return f"Term({self.text()!r} : {self.sort})"
 
 
-class _OpenTerm(_TermSlots):
-    """A term under construction: the same slots, writable."""
-
-    __slots__ = ()
-
-
-_new = object.__new__
+_new = tuple.__new__
 
 
 def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
-    """The trusted constructor: fills the slots of an ``_OpenTerm`` and
-    retypes it as a ``Term``, without the machine run of ``Term(...)``.
+    """The trusted constructor: the tuple of the three fields, without the
+    machine run of ``Term(...)``.
 
     Only for a tuple ``syms`` that the machine has checked to be a term of
     ``sort`` over ``signature``, or that construction keeps one: the
     callers are ``term_from_syms``, ``build_term``, ``term_decompose``,
     ``term_fold``, ``enumerate_terms`` and ``FreeAlgebra.varterm``.
     """
-    t = _new(_OpenTerm)
-    t.signature = signature
-    t.syms = syms
-    t.sort = sort
-    t.__class__ = Term
-    return t
+    return _new(Term, (signature, syms, sort))
 
 
 def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:

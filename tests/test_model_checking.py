@@ -273,7 +273,7 @@ def assert_one_as_oracle(algebra, equation):
     return found
 
 
-def test_packed_path_at_the_table_bound_of_256_positions():
+def test_holds_at_the_table_bound_of_256_positions():
     # f has 16 x 16 = 256 positions on 16 elements and 289 on 17, and h
     # 4,096 on 16
     rng = random.Random(86)
@@ -294,7 +294,7 @@ def test_packed_path_at_the_table_bound_of_256_positions():
             assert_one_as_oracle(algebra, random_equation(rng, ONE_VSIG, "u", i))
 
 
-def test_packed_path_up_to_the_block_cap(monkeypatch):
+def test_holds_up_to_the_block_cap(monkeypatch):
     # 16**4 = 65,536 assignments, the block cap: the sides differ only at
     # the last one, where the minimum of x, y, z, w is 15
     algebra = one_sorted(16, f=min, k=lambda a: 0 if a == 15 else a)
@@ -316,7 +316,7 @@ def test_packed_path_up_to_the_block_cap(monkeypatch):
         assert assert_one_as_oracle(algebra, "f f x y z = f x f y z") is None
 
 
-def test_packed_path_on_zero_columns_constants_and_early_counterexamples():
+def test_holds_on_zero_columns_constants_and_early_counterexamples():
     # k sends everything to 0, so k x and k y are all-zero columns and
     # f k x k y sums to the integer 0
     zero = one_sorted(5, k=lambda a: 0)
@@ -338,7 +338,7 @@ def test_packed_path_on_zero_columns_constants_and_early_counterexamples():
     assert assert_one_as_oracle(last, "k x = x") == {"x": "5"}
 
 
-def test_packed_path_with_a_ternary_operation():
+def test_holds_with_a_ternary_operation():
     # h has 6**3 = 216 positions on 6 elements and 343 on 7
     rng = random.Random(87)
     texts = [
@@ -358,7 +358,7 @@ def test_packed_path_with_a_ternary_operation():
             assert_one_as_oracle(algebra, random_equation(rng, ONE_VSIG, "u", i))
 
 
-def test_check_hom_packed_on_z16_to_z8_and_not_on_z24_to_z12():
+def test_check_hom_on_z16_to_z8_and_z24_to_z12():
     # the source table of Z mod 16 has 256 positions, that of Z mod 24 576
     rng = random.Random(88)
     for k in (8, 12):
@@ -423,7 +423,7 @@ def test_binary_table_above_256_positions(monkeypatch):
             assert assert_hom_as_oracle(wrong, src, dst) is not None
 
 
-def test_packed_path_on_indices_above_127(monkeypatch):
+def test_holds_on_indices_above_127(monkeypatch):
     # the first differing byte is read off the bit length of an XOR: here
     # the XOR of the two indices has its top bit set, and the last
     # difference is at the last byte of the column

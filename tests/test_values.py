@@ -1,6 +1,7 @@
-"""Value semantics of the small immutable classes: equality and hash over
-their fields within one class, the repr text, immutability, defaults,
-construction checks, and copy and pickle."""
+"""Value semantics of the immutable classes, each the tuple of its fields:
+equality and hash over their fields within one class and never with a
+plain tuple, the repr text, immutability, defaults, construction checks,
+and copy and pickle without cached state."""
 
 import copy
 import pickle
@@ -12,7 +13,7 @@ from ualg.equations import EqReport, EqSpec, EquationError, EqVerdict, Equation
 from ualg.examples import ListFixture, list_fixture
 from ualg.free_algebra import UniversalityVerdict
 from ualg.signature import Signature, VarSpec, make_signature, make_varspec, vsignature
-from ualg.term_vm import parse_term
+from ualg.term_vm import ExecReport, Term, parse_term
 
 SIG = make_signature(["u"], [("mul", ["u", "u"], "u"), ("e", [], "u")])
 VARS = make_varspec(SIG, [("x", "u"), ("y", "u")])
@@ -35,6 +36,8 @@ def fields_of(value):
         UniversalityVerdict: ("ok", "at", "detail"),
         Hom: ("source", "target", "maps"),
         ListFixture: ("signature", "algebra", "varspec", "assignment", "max_len"),
+        Term: ("signature", "syms", "sort"),
+        ExecReport: ("stack", "failed_at", "reason"),
     }[type(value)]
     return tuple(getattr(value, f) for f in names)
 
@@ -54,6 +57,8 @@ HASHABLE = [
     HomVerdict(False, ("mul", ("0", "1"))),
     UniversalityVerdict(False, parse_term(VSIG, "x"), "bad"),
     Hom(ALG, ALG, ("u",)),
+    parse_term(VSIG, "mul e x"),
+    ExecReport(None, 1, "unknown symbol"),
 ]
 UNHASHABLE = [
     EqVerdict(False, {"x": "1"}),
@@ -68,6 +73,14 @@ def test_equal_fields_make_equal_values(value):
     assert twin is not value
     assert twin == value and not twin != value
     assert value != fields_of(value) and fields_of(value) != value
+
+
+@pytest.mark.parametrize("value", HASHABLE + UNHASHABLE, ids=lambda v: type(v).__name__)
+def test_no_value_equals_the_tuple_of_its_fields(value):
+    fields = fields_of(value)
+    assert tuple(value) == fields and value[0] is fields[0]
+    assert not value == fields and not fields == value
+    assert value != fields and fields != value
 
 
 @pytest.mark.parametrize("value", HASHABLE, ids=lambda v: type(v).__name__)
@@ -129,6 +142,9 @@ def test_fields_refuse_assignment(value):
             assert getattr(value, name) is before
             with pytest.raises(AttributeError):
                 delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert not hasattr(value, "extra")
 
 
 def test_verdict_defaults():
@@ -165,3 +181,23 @@ def test_copy_and_pickle_round_trip(value):
         assert repr(other) == repr(value)
     restored = pickle.loads(pickle.dumps(SPEC))
     assert restored.equations[0].lhs.signature == vsignature(restored.signature, restored.varspec)
+
+
+def test_copy_and_pickle_carry_no_cached_state():
+    sig = make_signature(["u"], [("mul", ["u", "u"], "u"), ("e", [], "u")])
+    hash(sig)
+    sig.sort_steps
+    assert sig.__dict__
+    for other in (copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+        assert other == sig and other.__dict__ == {}
+
+
+def test_a_pickled_term_runs_the_machine_once(monkeypatch):
+    import ualg.term_vm as term_vm
+
+    t = parse_term(VSIG, "mul e mul x y")
+    data = pickle.dumps(t)
+    run, calls = term_vm._run, []
+    monkeypatch.setattr(term_vm, "_run", lambda *a: calls.append(a) or run(*a))
+    assert pickle.loads(data) == t
+    assert len(calls) == 1
