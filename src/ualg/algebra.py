@@ -14,11 +14,12 @@ the result index back to its label, and ``tables`` copies it.  Model
 checking and ``evaluate``, failed or not, read the rows only, so they
 never build it.
 
-Exhaustive checks run compiled terms on columns of carrier indices.
-``FiniteAlgebra.compile`` turns a term into a machine program, and
-``first_difference`` returns the lexicographically first index tuple of
-the slot carriers' product on which two programs differ.  It runs the
-first two tuples on a stack of scalar indices.  Then one machine runs
+Exhaustive checks run machine programs on columns of carrier indices:
+one step per symbol, last first, a slot of the assignment tuples or an
+index table.  ``first_difference`` returns the lexicographically first
+index tuple of the slot carriers' product on which two programs differ.
+It runs each program once over the first two tuples together, with
+every value a pair of indices, one per tuple.  Then one machine runs
 both programs once per block of at most ``_MAX_BLOCK`` tuples: once
 the product passes that cap, the leading slots are looped over in
 Python, each a single index, and the trailing slots are columns over
@@ -42,11 +43,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from math import prod
 
 from .signature import Frozen, OpId, Signature, SortId
-from .term_vm import Term
 
 
 class AlgebraError(ValueError):
@@ -134,10 +134,10 @@ class FiniteAlgebra(Algebra):
     The label view, built from those rows on demand by the first ``op``
     or ``tables`` call, maps argument labels to the label of the result
     index: ``op`` is one lookup in it, and ``tables`` returns a copy.
-    ``compile`` turns a term into a machine program over those indices,
-    which ``first_difference`` runs on columns of assignments without
-    touching a label; a binary table above 256 positions builds its
-    per-index translate tables for that on first use.
+    A table is a machine step over those indices, which
+    ``first_difference`` runs on columns of assignments without touching
+    a label; a binary table above 256 positions builds its per-index
+    translate tables for that on first use.
     """
 
     def __init__(
@@ -199,22 +199,12 @@ class FiniteAlgebra(Algebra):
 
         # Algebra.__init__ stores callables; this ``op`` reads the label view
         self.signature = self._term_signature = signature
+        # the last (vsig, varspec) holds accepted, its lookup of variable
+        # slots and operation steps, and each slot's carrier size
+        self._var_steps = (None, None, None, None)
         self.carriers = carr
         self._index = index
         self._steps = steps
-
-    def compile(self, t: Term, slots: Mapping[str, int]) -> Program:
-        """The machine program of ``t`` over carrier indices.
-
-        One step per symbol, last symbol first: an operation's index
-        table, or for a variable its slot, its position in the
-        assignment tuples that ``first_difference`` enumerates.
-        """
-        lookup = {**slots, **self._steps}
-        try:
-            return tuple(map(lookup.__getitem__, reversed(t.syms)))
-        except KeyError as err:
-            raise AlgebraError(f"no slot for variable {err.args[0]!r}") from None
 
     @cached_property
     def _view(self) -> dict[OpId, dict[tuple[str, ...], str]]:
@@ -293,27 +283,21 @@ class FiniteAlgebra(Algebra):
         return f"FiniteAlgebra({sizes}, ops={list(self.signature.ops)})"
 
 
-def _scalar(program: Program, t: Sequence[int]) -> int:
-    """The index of a compiled term under one assignment of its slots."""
-    stack: list[int] = []
+def _probe(program: Program, last: int) -> tuple[int, int]:
+    """The index of a compiled term at the first two tuples of the
+    product at once, as a pair: every slot is 0 in both but slot
+    ``last``, which is 1 in the second."""
+    stack: list[tuple[int, int]] = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
-            push(t[step])
+            push((0, 1) if step == last else (0, 0))
             continue
-        rows, dims = step.rows, step.dims
-        k = len(dims)
-        if k == 2:
-            push(rows[pop() * dims[1] + pop()])
-        elif k == 1:
-            push(rows[pop()])
-        elif k == 0:
-            push(rows[0])
-        else:
-            pos = pop()
-            for d in dims[1:]:
-                pos = pos * d + pop()
-            push(rows[pos])
+        a = b = 0
+        for d in step.dims:
+            x, y = pop()
+            a, b = a * d + x, b * d + y
+        push((step.rows[a], step.rows[b]))
     return stack[-1]
 
 
@@ -332,14 +316,14 @@ def _plan(program: Program, sizes: Sequence[int], lead: int) -> Program:
     goes through the translate table of ``runs(j)`` that the constant
     selects.  ``reuse`` tells whether argument ``j`` reads only slots
     inside the run, so that every run of it is the same slice.  A value's
-    mask has the bit of each slot it reads; the leading slots are indices
-    in every block, so they have none, and a value that reads no slot of
-    the block is an index, not a column."""
+    mask has the bit of each slot it reads; the leading slots and the
+    slots of size 1 are indices in every block, so they have none, and a
+    value that reads no slot of the block is an index, not a column."""
     masks, planned = [], []
     push, pop = masks.append, masks.pop
     for step in program:
         if step.__class__ is int:
-            push(1 << step if step >= lead else 0)
+            push(1 << step if step >= lead and sizes[step] > 1 else 0)
         elif len(step.dims) == 2:
             args = pop(), pop()
             a, b = args[0].bit_length() - 1, args[1].bit_length() - 1
@@ -433,25 +417,35 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     in sizes)`` on which two compiled terms differ, or None when they agree
     on all of them.
 
-    The first two tuples run on scalar indices, so an early difference
-    costs little.  Then the product is cut into blocks of at most
-    ``_MAX_BLOCK`` tuples: the leading slots are looped over in Python,
-    each a single index, and both terms run once per block on columns
-    over the trailing slots (``_packed_run``).  Columns are ``bytes``
-    while every index fits a byte, and lists above that.  On ``bytes``, a
-    binary table above 256 positions is planned once per call
-    (``_plan``) and goes through one translate per run of tuples where
-    its arguments read different innermost slots.  The first block whose
-    two result columns differ gives the answer: on ``bytes``, the first
-    differing byte is read off the bit length of their XOR, and a list
-    is scanned.
+    The first two tuples are built directly: all zeros, then a 1 at the
+    last slot of size above 1.  Each program runs once over both
+    (``_probe``), so an early difference costs little; a product of one
+    tuple passes it twice.  Then the product is cut into blocks of at
+    most ``_MAX_BLOCK`` tuples: the leading slots are looped over in
+    Python, each a single index, and both terms run once per block on
+    columns over the trailing slots (``_packed_run``); a slot of size 1
+    is the index 0 throughout.  Columns are ``bytes`` while every index
+    fits a byte, and lists above that.  On ``bytes``, a binary table
+    above 256 positions is planned once per call (``_plan``) and goes
+    through one translate per run of tuples where its arguments read
+    different innermost slots.  The first block whose two result columns
+    differ gives the answer: on ``bytes``, the first differing byte is
+    read off the bit length of their XOR, and a list is scanned.
     """
     sizes = tuple(sizes)
-    for t in islice(product(*map(range, sizes)), 2):
-        if _scalar(lhs, t) != _scalar(rhs, t):
-            return t
     n = prod(sizes)
-    if n <= 2:  # also when a carrier is empty
+    if not n:  # a carrier is empty
+        return None
+    last = len(sizes) - 1
+    while last >= 0 and sizes[last] == 1:
+        last -= 1
+    (a, b), (c, d) = _probe(lhs, last), _probe(rhs, last)
+    t = (0,) * len(sizes)
+    if a != c:
+        return t
+    if b != d:
+        return (*t[:last], 1, *t[last + 1 :])
+    if n <= 2:
         return None
     big = [s for s in (*lhs, *rhs) if s.__class__ is _Op and not s.small]
     wide = max(sizes) > _BYTE or None in [s.padded for s in big]
@@ -463,6 +457,9 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
         lhs, rhs = _plan(lhs, sizes, lead), _plan(rhs, sizes, lead)
     env, outer = [0] * lead, 1
     for m in sizes[lead:]:
+        if m == 1:  # index 0 at every tuple
+            env.append(0)
+            continue
         inner = n // (outer * m)
         if wide:
             col = [x for x in range(m) for _ in range(inner)]

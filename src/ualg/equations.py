@@ -5,9 +5,9 @@ every assignment of its variables.  Over finite algebras this is decided
 by exhaustive enumeration; only the variables that actually occur in the
 equation are enumerated, since the others cannot influence either side.
 
-``holds`` works on dense indices: each side is compiled once into a
-machine program over the algebra's index tables, and
-``algebra.first_difference`` finds the first assignment, in
+``holds`` works on dense indices: each side becomes a machine program
+over the algebra's index tables, with every declared variable a slot,
+and ``algebra.first_difference`` finds the first assignment, in
 lexicographic order, on which the two programs differ; its docstring
 says how.  Only that assignment is mapped back to carrier labels.
 """
@@ -77,22 +77,35 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
 
     Assignments range over the variables occurring in the equation, in
     variable-declaration order, each over its carrier in carrier order; a
-    false verdict carries the lexicographically first failing assignment.
+    false verdict carries the lexicographically first failing assignment,
+    naming the occurring variables only.
+
+    Each side runs as a program with one step per symbol, last symbol
+    first: a variable's slot, its declaration index, or an operation's
+    index table.  A variable that does not occur keeps its slot with size
+    1, so ``first_difference`` enumerates exactly the occurring ones.
+    The algebra keeps the last ``(vsig, varspec)`` pair whose check
+    passed, with the lookup of slots and steps built from it, so a call
+    with the same pair checks nothing again.
     """
-    if not is_vsignature(eq.lhs.signature, algebra.signature, varspec):
-        raise EquationError(
-            f"equation {eq.name!r} is not over this algebra's signature and variable set"
-        )
-    occurring = set(eq.lhs.syms).union(eq.rhs.syms)
-    names = [v for v in varspec.vars if v in occurring]
-    slots = {v: i for i, v in enumerate(names)}
-    domains = [algebra.elements(varspec.sort_of(v)) for v in names]
-    found = first_difference(
-        algebra.compile(eq.lhs, slots), algebra.compile(eq.rhs, slots), [len(d) for d in domains]
-    )
+    vsig = eq.lhs.signature
+    last, spec, lookup, sizes = algebra._var_steps
+    if vsig is not last or varspec is not spec:
+        if not is_vsignature(vsig, algebra.signature, varspec):
+            raise EquationError(
+                f"equation {eq.name!r} is not over this algebra's signature and variable set"
+            )
+        lookup = {v: i for i, v in enumerate(varspec.vars)} | algebra._steps
+        sizes = [len(algebra.carriers[s]) for s in varspec.sorts]
+        algebra._var_steps = vsig, varspec, lookup, sizes
+    get = lookup.__getitem__
+    lhs, rhs = tuple(map(get, reversed(eq.lhs.syms))), tuple(map(get, reversed(eq.rhs.syms)))
+    occurring = set(lhs).union(rhs)
+    found = first_difference(lhs, rhs, [m if i in occurring else 1 for i, m in enumerate(sizes)])
     if found is None:
         return EqVerdict(True)
-    return EqVerdict(False, {v: d[i] for v, d, i in zip(names, domains, found)})
+    named = enumerate(zip(varspec.vars, varspec.sorts, found))
+    return EqVerdict(False, {v: algebra.carriers[s][x] for i, (v, s, x) in named if i in occurring})
 
 
 class EqReport(Frozen):

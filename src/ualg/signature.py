@@ -41,10 +41,12 @@ class Frozen(tuple):
     accessor per name, and builds its value in ``__new__`` with
     ``tuple.__new__(cls, fields)``.  Two values are equal when they are
     of the same class and equal as tuples, so no value equals the plain
-    tuple of its fields; the hash is the hash of that tuple.  The
-    ``repr`` is ``Name(field=value, ...)``; assigning or deleting an
-    attribute raises ``AttributeError``; copy and pickle rebuild a value
-    through its constructor, without any cached state.
+    tuple of its fields; the hash is the hash of that tuple.  Values are
+    not ordered: ``<``, ``<=``, ``>`` and ``>=`` raise ``TypeError``
+    whatever the other operand.  The ``repr`` is ``Name(field=value,
+    ...)``; assigning or deleting an attribute raises ``AttributeError``;
+    copy and pickle rebuild a value through its constructor, without any
+    cached state.
     """
 
     __slots__ = ()
@@ -64,6 +66,13 @@ class Frozen(tuple):
         return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
     __hash__ = tuple.__hash__
+
+    # Values are not ordered.  ``NotImplemented`` would hand the question
+    # to a plain tuple's own method, which answers, so every operand raises.
+    def __lt__(self, other: object) -> bool:
+        raise TypeError(f"{self.__class__.__qualname__} values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
@@ -230,7 +239,10 @@ def make_signature_single_sorted(
 
 
 class VarSpec(Frozen):
-    """Finite set of variables, each with a sort from a base signature."""
+    """Finite set of variables, each with a sort from a base signature.
+
+    ``len(vs)`` is the number of variables, not of fields:
+    ``tuple(vs)`` is still ``(vars, sorts)``."""
 
     _fields = ("vars", "sorts")
 

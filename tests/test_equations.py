@@ -87,6 +87,30 @@ def test_holds_signature_mismatch():
         holds(bool_algebra(), eq("lid", "mul e x", "x"), monoid_varspec())
 
 
+def test_holds_checks_every_new_signature_and_varspec():
+    # the algebra keeps the last pair whose check passed; any other pair is
+    # checked again, and a failed check keeps nothing
+    algebra, vs = additive_mod_algebra(3), monoid_varspec()
+    lid = eq("lid", "mul e x", "x")
+    xy = make_varspec(MONOID, [("x", "u"), ("y", "u")])
+    lid_xy = Equation("lid", "u", parse_term(vsignature(MONOID, xy), "mul e x"), parse_term(vsignature(MONOID, xy), "x"))
+    assert holds(algebra, lid, vs).holds
+    kept = dict(vars(algebra))
+    for _ in range(2):
+        with pytest.raises(EquationError):
+            holds(algebra, lid, xy)  # another varspec
+        with pytest.raises(EquationError):
+            holds(algebra, lid_xy, vs)  # an equation over another vsig
+        assert vars(algebra).keys() == kept.keys()
+        assert all(vars(algebra)[k] is v for k, v in kept.items())
+    assert holds(algebra, lid, vs).holds
+    # an accepted pair replaces the kept one, and the old one is checked again
+    assert holds(algebra, lid_xy, xy).holds
+    assert holds(algebra, eq("comm", "mul x y", "mul y x"), monoid_varspec()).holds
+    with pytest.raises(EquationError):
+        holds(algebra, lid, xy)
+
+
 def test_holds_counterexample_is_lexicographically_first():
     verdict = holds(
         subtraction_mod_algebra(3),

@@ -14,14 +14,18 @@ assignment at a time.  One test checks that no call leaves memory
 behind.  The last ones hold the machine to the oracle at its bounds: a
 table of 256 positions, the block cap, constants and zero columns, a
 ternary table, binary tables above 256 positions, and indices above 127.
+Then ``first_difference`` meets a brute-force oracle on products of 0 to
+3 tuples and more, and ``check_hom`` a broken constant, whose product
+has one tuple: the probe of the first two tuples at its edges.
 """
 
 import gc
 import random
 import tracemalloc
+from itertools import product
 
 from ualg import algebra as algebra_module
-from ualg.algebra import FiniteAlgebra, check_hom
+from ualg.algebra import FiniteAlgebra, HomVerdict, check_hom, first_difference
 from ualg.equations import Equation, EqVerdict, holds
 from ualg.examples import additive_mod_algebra, list_fixture, monoid_signature, monoid_varspec
 from ualg.free_algebra import FreeAlgebra
@@ -328,7 +332,7 @@ def test_holds_on_zero_columns_constants_and_early_counterexamples():
     texts = ("f x c = c", "h x c y = h c x y", "h c x x = f c c", "f c f x y = f c f y x", "h x y f c c = h y x f c c")
     for text in texts:
         assert_one_as_oracle(algebra, text)
-    # the third tuple, the first past the two the scalar probe runs, and the last
+    # the third tuple, the first past the two the probe runs, and the last
     third = one_sorted(6, k=lambda a: 5 if a == 2 else a)
     assert assert_one_as_oracle(third, "f x k y = f x y") == {"x": "0", "y": "2"}
     assert assert_one_as_oracle(third, "k x = x") == {"x": "2"}
@@ -408,7 +412,7 @@ def test_binary_table_above_256_positions(monkeypatch):
             assert holds(algebra, equation, ONE_VARS) == want, (cap, equation)
         ranks.append(None if found is None else rank(algebra, ONE_VARS, found))
     monkeypatch.undo()
-    # both verdicts, counterexamples past the scalar probe, and the last
+    # both verdicts, counterexamples past the probe, and the last
     # tuple for each equation on ``last``
     assert None in ranks and any(r is not None and r >= 2 for r in ranks[: len(texts)])
     assert ranks[-3:] == [17**3 - 1, 17**3 - 1, 17**2 - 1]
@@ -437,3 +441,64 @@ def test_holds_on_indices_above_127(monkeypatch):
         assert_holds_as_oracle(monkeypatch, algebra, equation, vs)  # also at a block cap of 3
         want = EqVerdict(False, {"x": str(min(changed))}) if changed else EqVerdict(True)
         assert holds(algebra, equation, vs) == want
+
+
+def program(algebra, t):
+    """The machine program of a term over ``ONE_VARS``, slot i being the
+    i-th variable: what ``holds`` runs."""
+    steps = algebra._steps
+    return tuple(steps[nm] if nm in steps else ONE_VARS.vars.index(nm) for nm in reversed(t.syms))
+
+
+def brute_first_difference(algebra, equation, sizes):
+    """The first tuple of the product on which the oracle evaluates the two
+    sides differently, slot i ranging over the first ``sizes[i]`` elements."""
+    labels = algebra.elements("u")
+    for t in product(*map(range, sizes)):
+        alpha = {v: labels[i] for v, i in zip(ONE_VARS.vars, t)}
+        if oracle_eval(algebra, alpha, equation.lhs) != oracle_eval(algebra, alpha, equation.rhs):
+            return t
+    return None
+
+
+def test_first_difference_probe_matches_brute_force():
+    # products of 0, 1, 2 and 3 tuples and bigger ones, with slots of size
+    # 1 first, in the middle and last; the first two tuples are the probe's
+    rng = random.Random(90)
+    shapes = [
+        (0, 4, 4, 4), (4, 4, 0, 1),
+        (1, 1, 1, 1),
+        (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2),
+        (3, 1, 1, 1), (1, 1, 3, 1), (1, 1, 1, 3),
+        (1, 4, 3, 4), (4, 1, 1, 3), (4, 3, 4, 1), (2, 3, 1, 1), (4, 4, 4, 4),
+    ]
+    seen = set()
+    for _ in range(6):
+        algebra = one_sorted(4, f=lambda a, b: rng.randrange(4), k=lambda a: rng.randrange(4))
+        texts = ["k x = x", "k w = w", "f x y = f y x", "f z w = f w z", "c = k c", "f y c = k y"]
+        equations = [one_equation(t) for t in texts] + [random_equation(rng, ONE_VSIG, "u", i) for i in range(12)]
+        for equation in equations:
+            lhs, rhs = program(algebra, equation.lhs), program(algebra, equation.rhs)
+            for sizes in shapes:
+                want = brute_first_difference(algebra, equation, sizes)
+                assert first_difference(lhs, rhs, sizes) == want, (sizes, equation)
+                tuples = list(product(*map(range, sizes)))
+                rank = None if want is None else min(tuples.index(want), 2)
+                seen.add((min(len(tuples), 4), rank))
+    # a difference at tuple 0 and at tuple 1 of two-tuple products, at
+    # tuple 0 of a one-tuple product, and past the probe
+    for case in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (1, None), (0, None)]:
+        assert case in seen, case
+
+
+def test_check_hom_on_a_broken_constant():
+    # every element goes to "a", which mul keeps, but the constant e goes
+    # to "a" where the target's e is "b": the law fails on the one tuple,
+    # the empty one, of the product for e
+    src = additive_mod_algebra(2)
+    dst = FiniteAlgebra(
+        monoid_signature(), {"u": ("a", "b")}, {"mul": dict.fromkeys(product("ab", repeat=2), "a"), "e": {(): "b"}}
+    )
+    maps = {"u": dict.fromkeys(src.elements("u"), "a")}
+    assert check_hom(maps, src, dst) == HomVerdict(False, ("e", ()))
+    assert oracle_hom_counterexample(maps, src, dst) == ("e", ())

@@ -153,6 +153,12 @@ def test_varspec_basics():
     assert len(vs) == 2
 
 
+def test_varspec_len_counts_variables():
+    vs = make_varspec(monoid_signature(), {"x": "u", "y": "u", "z": "u"})
+    assert len(vs) == 3
+    assert tuple(vs) == (("x", "y", "z"), ("u", "u", "u"))
+
+
 def test_varspec_rejects_bad_input():
     sig = monoid_signature()
     with pytest.raises(SignatureError):

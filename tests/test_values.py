@@ -4,6 +4,7 @@ plain tuple, the repr text, immutability, defaults, construction checks,
 and copy and pickle without cached state."""
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -102,6 +103,21 @@ def test_a_different_field_or_class_makes_a_different_value():
     assert VarSpec(("x",), ("u",)) != VarSpec(("x",), ("v",))
     assert SIG != VSIG
     assert Hom(ALG, ALG, ("u",)) != Hom(ALG, ALG, ("v",))
+
+
+def test_values_are_not_ordered():
+    t = parse_term(VSIG, "mul e x")
+    with pytest.raises(TypeError):
+        sorted([t, t])
+    with pytest.raises(TypeError):
+        EqVerdict(True) < HomVerdict(False)
+    with pytest.raises(TypeError):
+        t < (1,)
+    for value in HASHABLE + UNHASHABLE:  # every operator, the value on either side
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            for a, b in ((value, value), (value, ()), ((), value)):
+                with pytest.raises(TypeError):
+                    compare(a, b)
 
 
 def test_repr_text():
