@@ -20,29 +20,31 @@ index table.  ``first_difference`` returns the lexicographically first
 index tuple of the slot carriers' product on which two programs differ.
 It runs each program once over the first two tuples together, with
 every value a pair of indices, one per tuple.  Then one machine runs
-both programs once per block of at most ``_MAX_BLOCK`` tuples: once
-the product passes that cap, the leading slots are looped over in
-Python, each a single index, and the trailing slots are columns over
-the block.  A value is a scalar index or such a column, ``bytes`` while
-every index fits a byte and a list above that.  On ``bytes`` columns,
-a step with one column among its arguments is one translate through
-the table row that the others select.  With more, a table of at most
-256 positions takes a fixed number of C-level calls: one big-endian
-integer per column, scaled by its mixed-radix stride and summed into
-the column of table positions (no byte can carry), sent through the
-result row.  A binary table above 256 positions whose arguments read
-different innermost slots goes one run of tuples at a time: the
-argument with the outer slot is constant on each run, and the run of
-the other goes through one translate table, the row that constant
-selects.  Every other step selects the rows element by element.  The first differing byte of the two result columns
-is read off their XOR.  ``check_hom`` decides the homomorphism law with
-two such programs per operation, each sort map being a one-row table.
+both programs once per block of at most ``_MAX_BLOCK`` tuples: once the
+product passes that cap, the leading slots are looped over in Python,
+each a single index, and the trailing slots are columns over the block,
+kept per size pattern of the block.  A value is a scalar index or such
+a column, ``bytes`` while every index fits a byte and a list above
+that.  On ``bytes`` columns, a step with one column among its arguments
+is one translate through the table row that the others select; a unary
+step's row is its padded rows as they are.  With more, a table of at
+most 256 positions takes a fixed number of C-level calls: one
+big-endian integer per column, scaled by its mixed-radix stride and
+summed into the column of table positions (no byte can carry), sent
+through the result row.  A binary table above 256 positions whose
+arguments read different innermost slots goes one run of tuples at a
+time: the argument with the outer slot is constant on each run, and the
+run of the other goes through one translate table, the row that
+constant selects.  Every other step selects the rows element by
+element.  The first differing byte of the two result columns is read
+off their XOR.  ``check_hom`` decides the homomorphism law with two
+such programs per operation, each sort map being a one-row table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import prod
 
@@ -200,8 +202,9 @@ class FiniteAlgebra(Algebra):
         # Algebra.__init__ stores callables; this ``op`` reads the label view
         self.signature = self._term_signature = signature
         # the last (vsig, varspec) holds accepted, its lookup of variable
-        # slots and operation steps, and each slot's carrier size
-        self._var_steps = (None, None, None, None)
+        # slots and operation steps, each slot's carrier size, and each
+        # slot's (index, variable, carrier), which label a counterexample
+        self._var_steps = (None, None, None, None, None)
         self.carriers = carr
         self._index = index
         self._steps = steps
@@ -286,18 +289,25 @@ class FiniteAlgebra(Algebra):
 def _probe(program: Program, last: int) -> tuple[int, int]:
     """The index of a compiled term at the first two tuples of the
     product at once, as a pair: every slot is 0 in both but slot
-    ``last``, which is 1 in the second."""
+    ``last``, which is 1 in the second.  A binary step, the common one,
+    unpacks both argument pairs at once; any other loops over its
+    dimensions."""
     stack: list[tuple[int, int]] = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
             push((0, 1) if step == last else (0, 0))
             continue
+        rows, dims = step.rows, step.dims
+        if len(dims) == 2:
+            (a, b), (x, y), d = pop(), pop(), dims[1]
+            push((rows[a * d + x], rows[b * d + y]))
+            continue
         a = b = 0
-        for d in step.dims:
+        for d in dims:
             x, y = pop()
             a, b = a * d + x, b * d + y
-        push((step.rows[a], step.rows[b]))
+        push((rows[a], rows[b]))
     return stack[-1]
 
 
@@ -347,12 +357,13 @@ def _packed_run(program: Program, env: list, n: int):
     of ``env``, an operation pops its arguments, the first on top.
 
     The fixed arguments select a position in the table, the sum of each
-    index times its mixed-radix stride.  On ``bytes`` columns, a step with
-    one column is one translate through the row that column selects from
-    there.  With more, on a table of at most 256 positions, each column,
-    read as one big-endian integer, times its stride, plus the fixed share
-    in every byte, sums to the column of table positions; no byte carries.
-    That column goes through the padded result row.  A step that
+    index times its mixed-radix stride.  On ``bytes`` columns, a unary
+    step is one translate through its padded rows, and any other step
+    with one column is one translate through the row that column selects
+    from there.  With more, on a table of at most 256 positions, each
+    column, read as one big-endian integer, times its stride, plus the
+    fixed share in every byte, sums to the column of table positions; no
+    byte carries.  That column goes through the padded result row.  A step that
     ``_plan`` marked does one translate per run of tuples.  Every other
     step selects the rows element by element."""
     stack: list = []
@@ -369,6 +380,10 @@ def _packed_run(program: Program, env: list, n: int):
             push(b"".join(map(bytes.translate, parts, map(step.runs(j).__getitem__, other[::run]))))
             continue
         dims = step.dims
+        if len(dims) == 1 and stack[-1].__class__ is bytes:
+            # its padded rows are the translate table of its one argument
+            push(pop().translate(step.padded))
+            continue
         if step.small and len(dims) == 2 and stack[-1].__class__ is bytes and stack[-2].__class__ is bytes:
             # the common step, two columns: first argument times its stride plus the second
             pos = int.from_bytes(pop(), "big") * dims[1] + int.from_bytes(pop(), "big")
@@ -403,6 +418,35 @@ def _packed_run(program: Program, env: list, n: int):
     return stack[-1]
 
 
+# The number of size patterns whose slot columns ``_slot_columns`` keeps.
+_KEPT = 32
+
+
+@lru_cache(maxsize=_KEPT)
+def _slot_columns(sizes: tuple[int, ...]) -> tuple[bytes | int, ...]:
+    """The entries of the slots of a block over ``sizes``, each at most
+    256: the index 0 for a slot of size 1, else a ``bytes`` column with
+    the slot's index at each tuple of their lexicographic product.
+
+    They depend on the sizes alone, so the last ``_KEPT`` size patterns
+    keep theirs, and every call and block over the same sizes shares
+    them; ``bytes`` cannot change.  A pattern keeps one column of
+    ``prod(sizes)`` bytes per slot of size above 1.  A block has at most
+    ``_MAX_BLOCK`` = 65,536 tuples, so at most 16 such slots: at worst
+    1 MiB per pattern and 32 MiB in all.  Z mod 14 with three variables
+    keeps 8 KiB."""
+    n, outer, cols = prod(sizes), 1, []
+    for m in sizes:
+        inner = n // (outer * m)
+        if m == 1:  # index 0 at every tuple
+            cols.append(0)
+            continue
+        col = bytes(range(m)) if inner == 1 else b"".join([_BYTES[x] * inner for x in range(m)])
+        cols.append(col * outer)
+        outer *= m
+    return tuple(cols)
+
+
 def _tuple_at(pos: int, sizes: Sequence[int]) -> tuple[int, ...]:
     """The index tuple at position ``pos`` of the lexicographic product."""
     rest = []
@@ -425,12 +469,16 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     Python, each a single index, and both terms run once per block on
     columns over the trailing slots (``_packed_run``); a slot of size 1
     is the index 0 throughout.  Columns are ``bytes`` while every index
-    fits a byte, and lists above that.  On ``bytes``, a binary table
-    above 256 positions is planned once per call (``_plan``) and goes
-    through one translate per run of tuples where its arguments read
-    different innermost slots.  The first block whose two result columns
-    differ gives the answer: on ``bytes``, the first differing byte is
-    read off the bit length of their XOR, and a list is scanned.
+    fits a byte, and lists above that.  The ``bytes`` slot columns
+    depend on the block's sizes alone and come from ``_slot_columns``,
+    which keeps them for the last ``_KEPT`` size patterns; list columns
+    are built per call.  On ``bytes``, a
+    binary table above 256 positions is planned once per call
+    (``_plan``) and goes through one translate per run of tuples where
+    its arguments read different innermost slots.  The first block whose
+    two result columns differ gives the answer: on ``bytes``, the first
+    differing byte is read off the bit length of their XOR, and a list
+    is scanned.
     """
     sizes = tuple(sizes)
     n = prod(sizes)
@@ -455,18 +503,18 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
         lead += 1
     if big and not wide:
         lhs, rhs = _plan(lhs, sizes, lead), _plan(rhs, sizes, lead)
-    env, outer = [0] * lead, 1
-    for m in sizes[lead:]:
-        if m == 1:  # index 0 at every tuple
-            env.append(0)
-            continue
-        inner = n // (outer * m)
-        if wide:
-            col = [x for x in range(m) for _ in range(inner)]
-        else:
-            col = bytes(range(m)) if inner == 1 else b"".join([_BYTES[x] * inner for x in range(m)])
-        env.append(col * outer)
-        outer *= m
+    block = sizes[lead:]
+    if wide:  # list columns, built per call
+        env, outer = [0] * lead, 1
+        for m in block:
+            if m == 1:  # index 0 at every tuple
+                env.append(0)
+                continue
+            inner = n // (outer * m)
+            env.append([x for x in range(m) for _ in range(inner)] * outer)
+            outer *= m
+    else:
+        env = [0] * lead + [*_slot_columns(block)]
     for t in product(*map(range, sizes[:lead])) if lead else [()]:
         env[:lead] = t
         a, b = _packed_run(lhs, env, n), _packed_run(rhs, env, n)
@@ -480,7 +528,7 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
             pos = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
         else:
             pos = n - 1 - ((int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_length() - 1) // 8
-        return t + _tuple_at(pos, sizes[lead:])
+        return t + _tuple_at(pos, block)
     return None
 
 

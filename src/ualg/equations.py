@@ -85,27 +85,36 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     index table.  A variable that does not occur keeps its slot with size
     1, so ``first_difference`` enumerates exactly the occurring ones.
     The algebra keeps the last ``(vsig, varspec)`` pair whose check
-    passed, with the lookup of slots and steps built from it, so a call
-    with the same pair checks nothing again.
+    passed, with the lookup of slots and steps built from it and each
+    slot's variable and carrier, so a call with the same pair checks
+    nothing again and labels a counterexample from that table.  An
+    algebra that is not a ``FiniteAlgebra`` cannot be enumerated:
+    ``holds_sampled`` searches one that can sample its elements.
     """
+    if not isinstance(algebra, FiniteAlgebra):
+        raise EquationError(
+            f"holds needs a FiniteAlgebra to enumerate assignments, got {type(algebra).__name__}; "
+            "holds_sampled searches an algebra that can sample its elements"
+        )
     vsig = eq.lhs.signature
-    last, spec, lookup, sizes = algebra._var_steps
+    last, spec, lookup, sizes, slots = algebra._var_steps
     if vsig is not last or varspec is not spec:
         if not is_vsignature(vsig, algebra.signature, varspec):
             raise EquationError(
                 f"equation {eq.name!r} is not over this algebra's signature and variable set"
             )
         lookup = {v: i for i, v in enumerate(varspec.vars)} | algebra._steps
-        sizes = [len(algebra.carriers[s]) for s in varspec.sorts]
-        algebra._var_steps = vsig, varspec, lookup, sizes
+        carriers = [algebra.carriers[s] for s in varspec.sorts]
+        sizes = list(map(len, carriers))
+        slots = tuple((i, v, c) for i, (v, c) in enumerate(zip(varspec.vars, carriers)))
+        algebra._var_steps = vsig, varspec, lookup, sizes, slots
     get = lookup.__getitem__
     lhs, rhs = tuple(map(get, reversed(eq.lhs.syms))), tuple(map(get, reversed(eq.rhs.syms)))
     occurring = set(lhs).union(rhs)
     found = first_difference(lhs, rhs, [m if i in occurring else 1 for i, m in enumerate(sizes)])
     if found is None:
         return EqVerdict(True)
-    named = enumerate(zip(varspec.vars, varspec.sorts, found))
-    return EqVerdict(False, {v: algebra.carriers[s][x] for i, (v, s, x) in named if i in occurring})
+    return EqVerdict(False, {v: carrier[found[i]] for i, v, carrier in slots if i in occurring})
 
 
 class EqReport(Frozen):

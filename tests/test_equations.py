@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ualg.algebra import AlgebraError, FiniteAlgebra, unit_algebra
+from ualg.algebra import Algebra, AlgebraError, FiniteAlgebra, unit_algebra
 from ualg.equations import (
     EqSpec,
     EqVerdict,
@@ -109,6 +109,38 @@ def test_holds_checks_every_new_signature_and_varspec():
     assert holds(algebra, eq("comm", "mul x y", "mul y x"), monoid_varspec()).holds
     with pytest.raises(EquationError):
         holds(algebra, lid, xy)
+
+
+def test_holds_needs_a_finite_algebra():
+    # an algebra of callables cannot be enumerated; holds_sampled searches it
+    algebra = Algebra(MONOID, {"mul": lambda a, b: (a - b) % 3, "e": lambda: 0})
+    with pytest.raises(EquationError, match="FiniteAlgebra.*holds_sampled"):
+        holds(algebra, eq("lid", "mul e x", "x"), monoid_varspec())
+
+
+def test_holds_labels_counterexamples_by_the_varspec_of_the_call():
+    # two sorts with carriers of 3 and 2 elements, in an order that is not
+    # label order, and two varspecs that give x, y and w other slots and w
+    # another sort; w never occurs.  Calls alternate between the varspecs,
+    # so a label table kept from the other one names the wrong variables
+    # or reads the wrong carrier.
+    sig = make_signature(["a", "b"], [("f", ["a", "b"], "a")])
+    carriers = {"a": ("a2", "a0", "a1"), "b": ("b1", "b0")}
+    broken = {("a1", "b1"), ("a0", "b0")}
+    f = {(x, y): "a2" if (x, y) in broken else x for x in carriers["a"] for y in carriers["b"]}
+    algebra = FiniteAlgebra(sig, carriers, {"f": f})
+    first = make_varspec(sig, [("x", "a"), ("w", "b"), ("y", "b")])
+    second = make_varspec(sig, [("y", "b"), ("w", "a"), ("x", "a")])
+    cases = []
+    for vs, want in ((first, {"x": "a0", "y": "b0"}), (second, {"y": "b1", "x": "a1"})):
+        vsig_ = vsignature(sig, vs)
+        equation = Equation("fx", "a", parse_term(vsig_, "f x y"), parse_term(vsig_, "x"))
+        assert oracle_first_failure(algebra, equation, vs) == want
+        cases.append((vs, equation, want))
+    for vs, equation, want in cases * 3:
+        verdict = holds(algebra, equation, vs)
+        assert verdict == EqVerdict(False, want)
+        assert list(verdict.counterexample) == [v for v in vs.vars if v in want]
 
 
 def test_holds_counterexample_is_lexicographically_first():

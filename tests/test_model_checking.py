@@ -16,7 +16,11 @@ table of 256 positions, the block cap, constants and zero columns, a
 ternary table, binary tables above 256 positions, and indices above 127.
 Then ``first_difference`` meets a brute-force oracle on products of 0 to
 3 tuples and more, and ``check_hom`` a broken constant, whose product
-has one tuple: the probe of the first two tuples at its edges.
+has one tuple: the probe of the first two tuples at its edges.  The
+slot columns kept per size pattern meet brute force across calls that
+share sizes, and what they keep stays within their bound; unary steps,
+one translate each on ``bytes``, meet the oracle at carriers of 256 and
+257.
 """
 
 import gc
@@ -260,8 +264,8 @@ def one_sorted(n, f=lambda a, b: 3 * a + b + 1, k=lambda a: a * a, h=lambda a, b
     return FiniteAlgebra(ONE, {"u": labels}, tables)
 
 
-def one_equation(text):
-    lhs, rhs = (parse_term(ONE_VSIG, side) for side in text.split(" = "))
+def one_equation(text, vsig=ONE_VSIG):
+    lhs, rhs = (parse_term(vsig, side) for side in text.split(" = "))
     return Equation(text, "u", lhs, rhs)
 
 
@@ -443,19 +447,20 @@ def test_holds_on_indices_above_127(monkeypatch):
         assert holds(algebra, equation, vs) == want
 
 
-def program(algebra, t):
-    """The machine program of a term over ``ONE_VARS``, slot i being the
+def program(algebra, t, varspec=ONE_VARS):
+    """The machine program of a term over ``varspec``, slot i being the
     i-th variable: what ``holds`` runs."""
     steps = algebra._steps
-    return tuple(steps[nm] if nm in steps else ONE_VARS.vars.index(nm) for nm in reversed(t.syms))
+    return tuple(steps[nm] if nm in steps else varspec.vars.index(nm) for nm in reversed(t.syms))
 
 
-def brute_first_difference(algebra, equation, sizes):
+def brute_first_difference(algebra, equation, sizes, varspec=ONE_VARS):
     """The first tuple of the product on which the oracle evaluates the two
-    sides differently, slot i ranging over the first ``sizes[i]`` elements."""
+    sides differently, slot i ranging over the first ``sizes[i]`` elements
+    of the carrier of sort ``u``."""
     labels = algebra.elements("u")
     for t in product(*map(range, sizes)):
-        alpha = {v: labels[i] for v, i in zip(ONE_VARS.vars, t)}
+        alpha = {v: labels[i] for v, i in zip(varspec.vars, t)}
         if oracle_eval(algebra, alpha, equation.lhs) != oracle_eval(algebra, alpha, equation.rhs):
             return t
     return None
@@ -502,3 +507,108 @@ def test_check_hom_on_a_broken_constant():
     maps = {"u": dict.fromkeys(src.elements("u"), "a")}
     assert check_hom(maps, src, dst) == HomVerdict(False, ("e", ()))
     assert oracle_hom_counterexample(maps, src, dst) == ("e", ())
+
+
+# ``ONE`` without its ternary h, so that carriers above a byte stay cheap
+PAIR = make_signature(["u"], [("f", ["u", "u"], "u"), ("k", ["u"], "u")])
+PAIR_VARS = make_varspec(PAIR, [("x", "u"), ("y", "u"), ("z", "u"), ("w", "u")])
+PAIR_VSIG = vsignature(PAIR, PAIR_VARS)
+
+
+def pair_algebra(n, f, k):
+    """``PAIR`` on the indices 0 .. n - 1, each table's values taken mod n."""
+    labels = tuple(map(str, range(n)))
+    tables = {
+        "f": {(labels[a], labels[b]): labels[f(a, b) % n] for a in range(n) for b in range(n)},
+        "k": {(labels[a],): labels[k(a) % n] for a in range(n)},
+    }
+    return FiniteAlgebra(PAIR, {"u": labels}, tables)
+
+
+def test_kept_slot_columns_match_brute_force(monkeypatch):
+    # The slot columns of a block are kept per size pattern and shared by
+    # every call over it.  Interleaved with calls over the same sizes and
+    # other programs: the same sizes cut at another block cap (another
+    # leading slot and block length), the same block behind another
+    # leading slot, the same small slots under tables whose results pass a
+    # byte (list columns), and a slot above a byte.  Each call meets brute
+    # force.
+    rng = random.Random(91)
+    narrow = pair_algebra(5, f=lambda a, b: rng.randrange(5) if rng.random() < 0.1 else a + b, k=lambda a: 2 * a)
+    wide = pair_algebra(300, f=lambda a, b: 299 - a if rng.random() < 0.05 else 299 - b, k=lambda a: 299 - a)
+    texts = ["f x y = f y x", "f f x y z = f x f y z", "k f x w = f k w k x", "k k z = z"]
+    equations = [one_equation(t, PAIR_VSIG) for t in texts]
+    equations += [random_equation(rng, PAIR_VSIG, "u", i) for i in range(8)]
+    cap = algebra_module._MAX_BLOCK
+    calls = []
+    for equation in equations:
+        for algebra in (narrow, wide):
+            for sizes, caps in (((4, 4, 4, 1), (cap, 16, 3)), ((2, 4, 4, 1), (16,)), ((3, 4, 1, 4), (cap, 16))):
+                calls += [(algebra, equation, sizes, c) for c in caps]
+        calls.append((wide, equation, (2, 257, 1, 1) if len(calls) % 2 else (257, 2, 1, 1), cap))
+    # 17**4 tuples pass the block cap: blocks of 17**3 behind x, which a
+    # product of 3 * 17**3 tuples shares at a cap of 17**3; min(x, y, z, w)
+    # is 1 first at tuple (1, 1, 1, 1), in the second block
+    steep = pair_algebra(17, f=min, k=lambda a: 0 if a == 1 else a)
+    equation = one_equation("k f f x y f z w = f f x y f z w", PAIR_VSIG)
+    for sizes, c in (((17,) * 4, cap), ((3, 17, 17, 17), 17**3), ((17,) * 4, cap), ((3, 17, 17, 17), cap)):
+        calls.insert(rng.randrange(len(calls)), (steep, equation, sizes, c))
+    differences = 0
+    for algebra, equation, sizes, c in calls:
+        monkeypatch.setattr(algebra_module, "_MAX_BLOCK", c)
+        lhs, rhs = (program(algebra, t, PAIR_VARS) for t in (equation.lhs, equation.rhs))
+        want = brute_first_difference(algebra, equation, sizes, PAIR_VARS)
+        assert first_difference(lhs, rhs, sizes) == want, (sizes, c, equation)
+        differences += want is not None
+    monkeypatch.undo()
+    assert len(calls) > differences > 20
+
+
+def test_kept_slot_columns_stay_within_their_bound():
+    # calls over three times as many size patterns as the store keeps, each
+    # with two columns of most of a full block: the store keeps the last
+    # _KEPT patterns, so what stays after the calls is at most _KEPT such
+    # patterns, one column of the block's length per slot, not one per call
+    kept = algebra_module._KEPT
+    sizes = [(256, 255 - i) for i in range(3 * kept)]
+    algebra_module._slot_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for s in sizes:
+            assert first_difference((0,), (0,), s) is None
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    bound = 2 * sum(a * b for a, b in sizes[-kept:])
+    assert bound < 2 * sum(a * b for a, b in sizes) / 3
+    assert grown < bound + 64 * 1024
+
+
+def test_unary_steps_at_carriers_of_256_and_257():
+    # a unary step on a bytes column is one translate through its padded
+    # rows; at 256 elements the rows fill the translate table, and at 257
+    # the columns are lists
+    rng = random.Random(92)
+    vs = make_varspec(PAIR, [("x", "u"), ("y", "u")])
+    vsig = vsignature(PAIR, vs)
+    texts = ["k x = x", "k k x = x", "k f x x = f k x k x", "f x k x = k x", "k x = k y"]
+    for n in (256, 257):
+        perm = rng.sample(range(n), n)
+        for k in (perm.__getitem__, lambda a: a if a != n - 1 else 0, lambda a: a):
+            algebra = pair_algebra(n, f=lambda a, b: a if a == b else n - 1, k=k)
+            for text in texts:
+                equation = one_equation(text, vsig)
+                found = oracle_first_failure(algebra, equation, vs)
+                assert holds(algebra, equation, vs) == EqVerdict(found is None, found), (n, text)
+        # each sort map is a unary step on the source's slot columns and
+        # on the result column of its table
+        zn = additive_mod_algebra(n)
+        right = [(3 * i) % n for i in range(n)]
+        assert assert_hom_as_oracle(right, zn, zn) is None
+        for w in (0, n - 1, rng.randrange(n)):
+            wrong = list(right)
+            wrong[w] = (wrong[w] + 1) % n
+            assert assert_hom_as_oracle(wrong, zn, zn) is not None
