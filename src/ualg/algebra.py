@@ -205,6 +205,7 @@ class FiniteAlgebra(Algebra):
         # slots and operation steps, each slot's carrier size, and each
         # slot's (index, variable, carrier), which label a counterexample
         self._var_steps = (None, None, None, None, None)
+        self._symbols = None  # evaluate's table for _term_signature, built on first use
         self.carriers = carr
         self._index = index
         self._steps = steps

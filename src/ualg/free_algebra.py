@@ -101,6 +101,7 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
                 "the term is not over the algebra's signature extended by variables"
             )
         algebra._term_signature = sig
+        algebra._symbols = None  # a FiniteAlgebra rebuilds its symbol table for the new signature
     if isinstance(algebra, FiniteAlgebra):
         try:
             return _run_on_indices(algebra, assignment, t)
@@ -114,32 +115,42 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
     pushes the index of its label, an operation pops its argument
     indices (the first on top) and pushes the row they select.  Only the
     final index is mapped back to a label."""
-    steps, index = algebra._steps, algebra._index
-    decl = t.signature.decl
+    table = algebra._symbols
+    if table is None:
+        table = algebra._symbols = _symbol_table(algebra, t.signature)
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     for nm in reversed(t.syms):
-        step = steps.get(nm)
-        if step is None:
-            push(index[decl[nm][1]][assignment[nm]])
-            continue
-        rows, dims = step.rows, step.dims
-        k = len(dims)
+        k, rows, stride = table[nm]
         if k == 2:
-            push(rows[pop() * dims[1] + pop()])
+            push(rows[pop() * stride + pop()])
         elif k == 1:
             push(rows[pop()])
         elif k == 0:
             push(rows[0])
+        elif k < 0:  # a variable: rows is its carrier's index
+            push(rows[assignment[nm]])
         else:
             pos = pop()
-            for d in dims[1:]:
+            for d in stride[1:]:
                 pos = pos * d + pop()
             push(rows[pos])
     top = t.syms[0]
-    if top in steps:
-        return algebra.carriers[decl[top][1]][stack[-1]]
+    if top in algebra._steps:
+        return algebra.carriers[t.signature.decl[top][1]][stack[-1]]
     return assignment[top]  # a lone variable evaluates to its binding as given
+
+
+def _symbol_table(algebra: FiniteAlgebra, sig: Signature) -> dict[OpId, tuple[int, object, object]]:
+    """What the index pass reads of each symbol of the term signature
+    ``sig``: an operation's argument count, index rows and the size of
+    its second argument (all its sizes above two arguments), and a
+    variable's -1 and the index of its carrier."""
+    table = {nm: (-1, algebra._index[s], None) for nm, s in zip(sig.ops, sig.results)}
+    for nm, step in algebra._steps.items():
+        k = len(step.dims)
+        table[nm] = (k, step.rows, step.dims[1] if k == 2 else step.dims)
+    return table
 
 
 def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> object:

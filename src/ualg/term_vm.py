@@ -13,7 +13,12 @@ operation its number of arguments ``k``, its arity reversed and its
 result sort; a step compares the stack's top ``k`` entries with the
 reversed arity in one slice and replaces them by the result.  The
 reason of a failure (an unknown symbol, a stack underflow or a sort
-mismatch) is worked out only once a step has failed.  ``oplistexec``
+mismatch) is worked out only once a step has failed.  Over a signature
+with a single sort, from a stack holding only that sort, no step can
+meet a wrong sort: the stack is that sort repeated, so the run keeps
+its height alone, an integer, and a step of ``k`` arguments fails by
+underflow when ``k`` exceeds it.  Both forms give the same report,
+position and reason.  ``oplistexec``
 returns an ``ExecReport`` holding either the final stack or the
 execution-order position and the reason of the first failure; a run
 stops at its first failure, so the failure absorbs whatever would
@@ -42,7 +47,7 @@ recurses or decomposes, and a term's depth is bounded by memory alone,
 not by the interpreter's recursion limit.  ``term_decompose`` remains as
 the inverse of ``build_term``: one left-to-right pass over the symbols
 after the head, counting the sorts each argument still has to produce,
-finds every argument boundary.
+finds where each argument but the last ends; the last is the rest.
 
 ``enumerate_terms`` builds each term from terms it has already built,
 so it concatenates their symbols without checking them again.
@@ -97,11 +102,31 @@ class ExecReport(Frozen):
 def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> ExecReport | None:
     """Execute ``syms``, last symbol first, on ``st`` (top last) in place.
 
-    Returns None when every symbol ran, else the failure report; ``st``
-    is then the stack the failing symbol met.  A step compares the top
-    of the stack with the symbol's reversed arity in one slice, so the
-    reason of a failure is worked out only once a step has failed.
+    Returns None when every symbol ran, and ``st`` is then the final
+    stack; else the report of the first failure.
+
+    When the signature has one sort and every entry of ``st`` is that
+    sort, no step can meet a wrong sort, so the run keeps the stack as
+    its height ``h`` alone: a step of ``k`` arguments underflows when
+    ``k > h`` and otherwise sets ``h += 1 - k``.  Otherwise a step
+    compares the top of the list with the symbol's reversed arity in one
+    slice, so the reason of a failure is worked out only once a step has
+    failed.  Both give the same report and the same final stack.
     """
+    sorts = sig.sorts
+    if len(sorts) == 1 and st.count(sorts[0]) == len(st):
+        nargs, h, i = sig.nargs, len(st), 0
+        for nm in reversed(syms):
+            try:
+                k = nargs[nm]
+            except (KeyError, TypeError):  # not an operation, or not hashable
+                return ExecReport(None, i, "unknown symbol")
+            if k > h:
+                return ExecReport(None, i, "stack underflow")
+            h += 1 - k
+            i += 1
+        st[:] = sorts * h
+        return None
     steps = sig.sort_steps
     push = st.append
     for i, nm in enumerate(reversed(syms)):
@@ -240,25 +265,28 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
 
     Inverse of ``build_term``: the arguments are the consecutive segments
     after the head, each the shortest prefix of what remains that
-    executes to a single sort.  One pass over the symbols after the head
-    finds every segment: ``pending`` counts the sorts the current segment
-    still has to produce, and as a run's stack drops by at most one per
-    symbol, the segment closes where it first reaches zero.  Every
-    ``Term`` has passed the machine, so each segment is a term of its
-    arity sort and the last one ends with the symbols: nothing is
-    checked again.
+    executes to a single sort.  Every ``Term`` has passed the machine,
+    so each segment is a term of its arity sort and the last one is the
+    rest of the symbols: only the arguments before it are scanned, and
+    nothing is checked again.  One pass finds their ends: ``pending``
+    counts the sorts the current segment still has to produce, as the
+    height of a run, and as that height drops by at most one per symbol,
+    the segment closes where it first reaches zero.
     """
     sig, syms = t.signature, t.syms
     nargs = sig.nargs
     nm = syms[0]
+    arity = sig.decl[nm][0]
     args = []
     i = 1
-    for want in sig.decl[nm][0]:
+    for want in arity[:-1]:
         start, pending = i, 1
         while pending:
             pending += nargs[syms[i]] - 1
             i += 1
         args.append(_term(sig, syms[start:i], want))
+    if arity:
+        args.append(_term(sig, syms[i:], arity[-1]))
     return nm, tuple(args)
 
 

@@ -145,24 +145,35 @@ def test_error_absorption(syms, cut):
 # -- the machine against a one-sort-at-a-time reference ------------------
 
 @st.composite
-def mixed_sequences(draw):
+def mixed_sequences(draw, sig=MIXED, unknown=("q", "zz")):
     # loose symbols, unknown ones among them, and whole random terms
-    symbol = st.sampled_from(MIXED.ops + ("q", "zz")).map(lambda nm: (nm,))
+    symbol = st.sampled_from(sig.ops + unknown).map(lambda nm: (nm,))
     term = st.builds(
-        lambda seed, sort: random_term(random.Random(seed), MIXED, sort, 3).syms,
+        lambda seed, sort: random_term(random.Random(seed), sig, sort, 3).syms,
         st.integers(0, 2**32),
-        st.sampled_from(MIXED.sorts),
+        st.sampled_from(sig.sorts),
     )
     pieces = draw(st.lists(st.one_of(symbol, term), max_size=5))
     return [nm for piece in pieces for nm in piece]
 
 
-@given(mixed_sequences(), st.lists(st.sampled_from(MIXED.sorts), max_size=4))
-@settings(max_examples=400)
-def test_machine_matches_one_sort_at_a_time_reference(syms, stack):
-    want = oracle_exec(MIXED, syms, stack)
-    assert tuple(oplistexec(MIXED, syms, tuple(stack))) == want
-    assert tuple(oplistexec(MIXED, tuple(syms), stack)) == want
+@st.composite
+def machine_runs(draw):
+    # MIXED runs on the list of sorts; a one-sorted signature runs on the
+    # stack height alone unless the start stack holds a foreign sort "z"
+    sig = draw(st.sampled_from((MIXED, BOOL, MONOID)))
+    syms = draw(mixed_sequences(sig, ("q", "zz", ["c"])))
+    stack = draw(st.lists(st.sampled_from(sig.sorts + ("z",)), max_size=4))
+    return sig, syms, stack
+
+
+@given(machine_runs())
+@settings(max_examples=600)
+def test_machine_matches_one_sort_at_a_time_reference(run):
+    sig, syms, stack = run
+    want = oracle_exec(sig, syms, stack)
+    assert tuple(oplistexec(sig, syms, tuple(stack))) == want
+    assert tuple(oplistexec(sig, tuple(syms), stack)) == want
 
 
 @given(mixed_sequences())
