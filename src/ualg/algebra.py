@@ -121,7 +121,10 @@ class Algebra:
             raise AlgebraError(f"unknown operation {nm!r}") from None
         return fn(*args)
 
-    def sample_element(self, sort: SortId, rng: random.Random) -> object:
+    def sample_element(self, sort: SortId, rng: object) -> object:
+        """An element of ``sort`` drawn with ``rng``, any object with a
+        ``choice(sequence)`` method such as a ``random.Random``; an
+        abstract algebra has none to draw."""
         raise AlgebraError(
             "cannot sample elements of an abstract algebra; "
             "use a finite algebra or override sample_element"
@@ -265,7 +268,10 @@ class FiniteAlgebra(Algebra):
         except KeyError:
             raise AlgebraError(f"unknown sort {sort!r}") from None
 
-    def sample_element(self, sort: SortId, rng: random.Random) -> str:
+    def sample_element(self, sort: SortId, rng: object) -> str:
+        """A label of ``sort``'s carrier, ``rng.choice`` of it; ``rng`` is
+        any object with a ``choice(sequence)`` method such as a
+        ``random.Random``."""
         carrier = self.elements(sort)
         if not carrier:
             raise AlgebraError(f"the carrier of sort {sort!r} is empty")

@@ -121,6 +121,13 @@ class Signature(Frozen):
         return {nm: len(self.arities[i]) for i, nm in enumerate(self.ops)}
 
     @cached_property
+    def height_steps(self) -> dict[OpId, int]:
+        """The ``1 - k`` of each operation of ``k`` arguments: how a step
+        changes the height of a stack, which is all a run over a single
+        sort keeps."""
+        return {nm: 1 - len(a) for nm, a in zip(self.ops, self.arities)}
+
+    @cached_property
     def decl(self) -> dict[OpId, tuple[tuple[SortId, ...], SortId]]:
         """The (arity, result sort) of each operation: what a machine step
         pops and pushes."""

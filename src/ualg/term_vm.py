@@ -16,9 +16,9 @@ reason of a failure (an unknown symbol, a stack underflow or a sort
 mismatch) is worked out only once a step has failed.  Over a signature
 with a single sort, from a stack holding only that sort, no step can
 meet a wrong sort: the stack is that sort repeated, so the run keeps
-its height alone, an integer, and a step of ``k`` arguments fails by
-underflow when ``k`` exceeds it.  Both forms give the same report,
-position and reason.  ``oplistexec``
+its height alone, an integer: a step of ``k`` arguments adds ``1 - k``
+to it and fails by underflow when the height drops below 1.  Both
+forms give the same report, position and reason.  ``oplistexec``
 returns an ``ExecReport`` holding either the final stack or the
 execution-order position and the reason of the first failure; a run
 stops at its first failure, so the failure absorbs whatever would
@@ -31,11 +31,12 @@ Every term has passed the machine.  A ``Term`` is a ``Frozen`` value,
 the tuple (signature, symbols, sort): equal and hash equal over those
 three fields.  The public constructor ``Term(...)`` runs the machine
 through ``term_from_syms`` and rejects a non-term or a term of another
-sort.  The private ``_term`` trusts its arguments, builds the same
-tuple in one ``tuple.__new__`` call, and is used only where the
-machine has checked the symbols or construction joins checked terms:
-``term_from_syms``, ``build_term``, ``term_decompose``, ``term_fold``,
-``enumerate_terms`` and ``FreeAlgebra.varterm``.  So no consumer of a
+sort.  The private ``_term`` trusts its arguments and builds the same
+tuple in one ``tuple.__new__`` call, which ``term_from_syms``,
+``build_term``, ``term_decompose`` and ``enumerate_terms`` write out
+in place of the call.  Both are used only where the machine has
+checked the symbols or construction joins checked terms: those four,
+``term_fold`` and ``FreeAlgebra.varterm``.  So no consumer of a
 term checks it again, and a value machine never meets a sequence that
 is not a term.
 
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from itertools import product
+from operator import length_hint
 
 from .signature import Frozen, OpId, Signature, SignatureError, SortId
 
@@ -99,7 +101,7 @@ class ExecReport(Frozen):
         return None
 
 
-def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> ExecReport | None:
+def _run(sig: Signature, syms: tuple[OpId, ...] | list[OpId], st: list[SortId]) -> ExecReport | None:
     """Execute ``syms``, last symbol first, on ``st`` (top last) in place.
 
     Returns None when every symbol ran, and ``st`` is then the final
@@ -107,24 +109,26 @@ def _run(sig: Signature, syms: Sequence[OpId], st: list[SortId]) -> ExecReport |
 
     When the signature has one sort and every entry of ``st`` is that
     sort, no step can meet a wrong sort, so the run keeps the stack as
-    its height ``h`` alone: a step of ``k`` arguments underflows when
-    ``k > h`` and otherwise sets ``h += 1 - k``.  Otherwise a step
-    compares the top of the list with the symbol's reversed arity in one
-    slice, so the reason of a failure is worked out only once a step has
-    failed.  Both give the same report and the same final stack.
+    its height ``h`` alone: a step of ``k`` arguments adds ``1 - k``
+    (``Signature.height_steps``) and has underflowed when ``h`` drops
+    below 1.  The run counts no positions: a failure's is read off how
+    many symbols the reversed iterator of a tuple or a list still holds.
+    Otherwise a step compares the top of the list with the symbol's
+    reversed arity in one slice, so the reason of a failure is worked
+    out only once a step has failed.  Both give the same report and the
+    same final stack.
     """
     sorts = sig.sorts
-    if len(sorts) == 1 and st.count(sorts[0]) == len(st):
-        nargs, h, i = sig.nargs, len(st), 0
-        for nm in reversed(syms):
+    if len(sorts) == 1 and (not st or st.count(sorts[0]) == len(st)):
+        steps, h = sig.height_steps, len(st)
+        rest = reversed(syms)
+        for nm in rest:
             try:
-                k = nargs[nm]
+                h += steps[nm]
             except (KeyError, TypeError):  # not an operation, or not hashable
-                return ExecReport(None, i, "unknown symbol")
-            if k > h:
-                return ExecReport(None, i, "stack underflow")
-            h += 1 - k
-            i += 1
+                return ExecReport(None, len(syms) - 1 - length_hint(rest), "unknown symbol")
+            if h < 1:
+                return ExecReport(None, len(syms) - 1 - length_hint(rest), "stack underflow")
         st[:] = sorts * h
         return None
     steps = sig.sort_steps
@@ -149,6 +153,8 @@ def oplistexec(sig: Signature, syms: Sequence[OpId], stack: Sequence[SortId] = (
     equals executing ``l1`` from the stack that ``l2`` leaves on ``s``,
     with a failure inside ``l1`` counted ``len(l2)`` positions later.
     """
+    if type(syms) is not tuple and type(syms) is not list:
+        syms = tuple(syms)  # ``_run`` reads a failure's position off the reversed iterator
     st = list(reversed(stack))  # top last
     return _run(sig, syms, st) or ExecReport(tuple(reversed(st)))
 
@@ -200,8 +206,9 @@ def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
 
     Only for a tuple ``syms`` that the machine has checked to be a term of
     ``sort`` over ``signature``, or that construction keeps one: the
-    callers are ``term_from_syms``, ``build_term``, ``term_decompose``,
-    ``term_fold``, ``enumerate_terms`` and ``FreeAlgebra.varterm``.
+    callers are ``term_fold`` and ``FreeAlgebra.varterm``, and
+    ``term_from_syms``, ``build_term``, ``term_decompose`` and
+    ``enumerate_terms`` write out its one ``_new`` call.
     """
     return _new(Term, (signature, syms, sort))
 
@@ -218,7 +225,7 @@ def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
     st: list[SortId] = []
     failure = _run(sig, syms, st)
     if failure is None and len(st) == 1:
-        return _term(sig, syms, st[0])
+        return _new(Term, (sig, syms, st[0]))
     for nm in syms:
         if not sig.is_op(nm):
             raise UnknownSymbolError(f"unknown symbol {nm!r}")
@@ -234,20 +241,36 @@ def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
     """Apply ``nm`` to argument terms matching its arity.
 
     The result is ``nm`` followed by the argument sequences in order; it
-    is a valid term by construction and is not re-validated.
+    is a valid term by construction and is not re-validated.  Up to two
+    arguments are read by unpacking each term as its tuple (signature,
+    symbols, sort), and the symbols are one concatenation.
     """
     try:
         arity, res = sig.decl[nm]
     except (KeyError, TypeError):  # not an operation, or not hashable
         raise SignatureError(f"unknown operation {nm!r}") from None
-    if len(args) != len(arity):
-        raise TermError(f"{nm!r} expects {len(arity)} argument(s), got {len(args)}")
+    k = len(arity)
+    if len(args) != k:
+        raise TermError(f"{nm!r} expects {k} argument(s), got {len(args)}")
+    if k == 2:
+        (a_sig, a, a_sort), (b_sig, b, b_sort) = args
+        if (
+            (a_sig is not sig and a_sig != sig) or a_sort != arity[0]
+            or (b_sig is not sig and b_sig != sig) or b_sort != arity[1]
+        ):
+            _reject_arguments(sig, nm, args, arity)
+        return _new(Term, (sig, (nm,) + a + b, res))
+    if k == 1:
+        ((a_sig, a, a_sort),) = args
+        if (a_sig is not sig and a_sig != sig) or a_sort != arity[0]:
+            _reject_arguments(sig, nm, args, arity)
+        return _new(Term, (sig, (nm,) + a, res))
     syms = [nm]
     for a, want in zip(args, arity):
         if (a.signature is not sig and a.signature != sig) or a.sort != want:
             _reject_arguments(sig, nm, args, arity)
         syms += a.syms
-    return _term(sig, tuple(syms), res)
+    return _new(Term, (sig, tuple(syms), res))
 
 
 def _reject_arguments(sig: Signature, nm: OpId, args: Sequence[Term], arity: tuple[SortId, ...]) -> None:
@@ -271,22 +294,32 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
     nothing is checked again.  One pass finds their ends: ``pending``
     counts the sorts the current segment still has to produce, as the
     height of a run, and as that height drops by at most one per symbol,
-    the segment closes where it first reaches zero.
+    the segment closes where it first reaches zero.  A unary head is one
+    slice, and a binary head scans its first argument alone.
     """
-    sig, syms = t.signature, t.syms
-    nargs = sig.nargs
+    sig, syms, _ = t
     nm = syms[0]
     arity = sig.decl[nm][0]
+    k = len(arity)
+    if k == 1:
+        return nm, (_new(Term, (sig, syms[1:], arity[0])),)
+    steps = sig.height_steps
+    if k == 2:
+        i, pending = 1, 1
+        while pending:
+            pending -= steps[syms[i]]
+            i += 1
+        return nm, (_new(Term, (sig, syms[1:i], arity[0])), _new(Term, (sig, syms[i:], arity[1])))
     args = []
     i = 1
     for want in arity[:-1]:
         start, pending = i, 1
         while pending:
-            pending += nargs[syms[i]] - 1
+            pending -= steps[syms[i]]
             i += 1
-        args.append(_term(sig, syms[start:i], want))
+        args.append(_new(Term, (sig, syms[start:i], want)))
     if arity:
-        args.append(_term(sig, syms[i:], arity[-1]))
+        args.append(_new(Term, (sig, syms[i:], arity[-1])))
     return nm, tuple(args)
 
 
@@ -369,7 +402,7 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
         for nm, arity, res in zip(sig.ops, sig.arities, sig.results):
             if d == 1:
                 if not arity:
-                    yield _term(sig, (nm,), res), res
+                    yield _new(Term, (sig, (nm,), res)), res
                 continue
             if not arity or not all(pools[a][0] for a in arity):
                 continue
@@ -379,9 +412,14 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
             head = (nm,)
             combos = product(*(pools[a][0] for a in arity))
             depths = product(*(pools[a][1] for a in arity))
+            if len(arity) == 2:
+                for (a, b), deps in zip(combos, depths):
+                    if d - 1 in deps:
+                        yield _new(Term, (sig, head + a + b, res)), res
+                continue
             for combo, deps in zip(combos, depths):
                 if d - 1 in deps:
-                    yield _term(sig, sum(combo, head), res), res
+                    yield _new(Term, (sig, sum(combo, head), res)), res
 
     for d in range(1, max_depth + 1):
         if d == max_depth:

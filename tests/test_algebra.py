@@ -1,4 +1,5 @@
 import random
+import typing
 from itertools import product
 
 import pytest
@@ -489,3 +490,10 @@ def test_an_unhashable_operation_name_is_an_unknown_operation():
     with pytest.raises(AlgebraError) as err:
         alg.op(["e"])
     assert str(err.value) == "unknown operation ['e']"
+
+
+def test_sample_element_type_hints_resolve():
+    # the hints name nothing the module does not import
+    for method, result in ((Algebra.sample_element, object), (FiniteAlgebra.sample_element, str)):
+        assert typing.get_type_hints(method) == {"sort": str, "rng": object, "return": result}
+    assert bool_algebra().sample_element("u", random.Random(0)) in ("false", "true")

@@ -83,3 +83,16 @@ def test_eval_loads_no_equations_or_examples():
     assert {"ualg.algebra", "ualg.free_algebra"} <= added
     for name in ("ualg.equations", "ualg.examples", "dataclasses"):
         assert name not in added
+
+
+def test_eval_without_site_loads_no_random():
+    # an interpreter started with -S loads neither random nor typing, and
+    # the sample_element hints ask for neither
+    bare = set(python("-S", "-c", "import sys; print(' '.join(sys.modules))").stdout.split())
+    proc = python("-S", "-c", WRAPPER, "eval", "--alg", ALG, "--vars", EQS, "--assign", "x=1,y=2", "mul x y")
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    assert out == ["0"]
+    added = set(modules.split()) - bare
+    assert "ualg.algebra" in added
+    assert not {"random", "typing"} & added

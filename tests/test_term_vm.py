@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import UserList
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,28 @@ def test_term_from_syms_runs_the_machine_once(monkeypatch):
         assert len(calls) == 1, text
 
 
+def test_a_list_a_tuple_and_a_user_list_fail_alike():
+    # each failure at the first (0) and at the last executed position, on
+    # the one-sorted run that keeps only a height and on the sort run
+    cases = [
+        (BOOL, "top foo", ExecReport(None, 0, "unknown symbol"), "unknown symbol 'foo'"),
+        (BOOL, "foo neg top", ExecReport(None, 2, "unknown symbol"), "unknown symbol 'foo'"),
+        (BOOL, "top conj", ExecReport(None, 0, "stack underflow"), "stack underflow at symbol 0"),
+        (BOOL, "conj neg top", ExecReport(None, 2, "stack underflow"), "stack underflow at symbol 2"),
+        (MIXED, "c foo", ExecReport(None, 0, "unknown symbol"), "unknown symbol 'foo'"),
+        (MIXED, "foo n c", ExecReport(None, 2, "unknown symbol"), "unknown symbol 'foo'"),
+        (MIXED, "c n", ExecReport(None, 0, "stack underflow"), "stack underflow at symbol 0"),
+        (MIXED, "p n c", ExecReport(None, 2, "stack underflow"), "stack underflow at symbol 2"),
+    ]
+    for sig, text, report, message in cases:
+        syms = text.split()
+        for seq in (syms, tuple(syms), UserList(syms)):
+            assert oplistexec(sig, seq) == report, (text, type(seq))
+            with pytest.raises(TermError) as info:
+                term_from_syms(sig, seq)
+            assert str(info.value) == message, (text, type(seq))
+
+
 def test_a_long_term_survives_pickle_and_copy():
     t = parse_term(BOOL, "neg " * 4999 + "top")
     assert len(t.syms) == 5000
@@ -411,6 +434,17 @@ def test_build_term_messages_name_the_first_bad_argument():
     with pytest.raises(TermError) as info:
         build_term(MIXED, "h", [u, v])
     assert str(info.value) == "'h' expects 3 argument(s), got 2"
+    # the binary operation p(u, v) -> w
+    binary = [
+        ([top, v], "argument 0 of 'p' belongs to a different signature"),
+        ([u, u], "argument 1 of 'p' has sort 'u', expected 'v'"),
+        ([v, top], "argument 0 of 'p' has sort 'v', expected 'u'"),
+        ([u, v, w], "'p' expects 2 argument(s), got 3"),
+    ]
+    for args, message in binary:
+        with pytest.raises(TermError) as info:
+            build_term(MIXED, "p", args)
+        assert str(info.value) == message
     # an equal signature built apart is not foreign
     twin = make_signature(MIXED.sorts, zip(MIXED.ops, MIXED.arities, MIXED.results))
     assert build_term(twin, "p", [u, v]) == parse_term(twin, "p c k")
