@@ -15,8 +15,7 @@ says how.  Only that assignment is mapped back to carrier labels.
 from __future__ import annotations
 
 from .algebra import Algebra, FiniteAlgebra, first_difference
-from .free_algebra import evaluate
-from .signature import Frozen, Signature, SortId, VarId, VarSpec, is_vsignature, vsignature
+from .signature import Frozen, Signature, SortId, VarId, VarSpec, vsignature
 from .term_vm import Term
 
 
@@ -84,11 +83,20 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     first: a variable's slot, its declaration index, or an operation's
     index table.  A variable that does not occur keeps its slot with size
     1, so ``first_difference`` enumerates exactly the occurring ones.
-    The algebra keeps the last ``(vsig, varspec)`` pair whose check
-    passed, with the lookup of slots and steps built from it and each
-    slot's variable and carrier, so a call with the same pair checks
-    nothing again and labels a counterexample from that table.  An
-    algebra that is not a ``FiniteAlgebra`` cannot be enumerated:
+
+    The algebra keeps one record, for the last ``(vsig, varspec)`` pair
+    whose check passed, compared by identity: a call with the same pair
+    checks nothing again.  The record keeps each equation it has
+    compiled, keyed by the symbols of both sides: both programs, the
+    slot sizes, and the slots of the occurring variables, which label a
+    counterexample.  So a call that checks the same equation again under
+    the same pair looks it up and runs ``first_difference`` at once.
+    Another pair that passes its check replaces the record with an empty
+    one; a failed check keeps the old one.  The record keeps at most
+    ``_KEPT_EQUATIONS`` equations and drops the oldest first;
+    ``algebra._Equations`` gives its worst-case memory.  The table pays
+    only when the same equation is checked again under the same pair.
+    An algebra that is not a ``FiniteAlgebra`` cannot be enumerated:
     ``holds_sampled`` searches one that can sample its elements.
     """
     if not isinstance(algebra, FiniteAlgebra):
@@ -97,24 +105,18 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
             "holds_sampled searches an algebra that can sample its elements"
         )
     vsig = eq.lhs.signature
-    last, spec, lookup, sizes, slots = algebra._var_steps
-    if vsig is not last or varspec is not spec:
-        if not is_vsignature(vsig, algebra.signature, varspec):
+    record = algebra._equations
+    if vsig is not record.vsig or varspec is not record.varspec:
+        record = algebra._accept(vsig, varspec)
+        if record is None:
             raise EquationError(
                 f"equation {eq.name!r} is not over this algebra's signature and variable set"
             )
-        lookup = {v: i for i, v in enumerate(varspec.vars)} | algebra._steps
-        carriers = [algebra.carriers[s] for s in varspec.sorts]
-        sizes = list(map(len, carriers))
-        slots = tuple((i, v, c) for i, (v, c) in enumerate(zip(varspec.vars, carriers)))
-        algebra._var_steps = vsig, varspec, lookup, sizes, slots
-    get = lookup.__getitem__
-    lhs, rhs = tuple(map(get, reversed(eq.lhs.syms))), tuple(map(get, reversed(eq.rhs.syms)))
-    occurring = set(lhs).union(rhs)
-    found = first_difference(lhs, rhs, [m if i in occurring else 1 for i, m in enumerate(sizes)])
+    lhs, rhs, sizes, slots = record[eq.lhs.syms, eq.rhs.syms]
+    found = first_difference(lhs, rhs, sizes)
     if found is None:
         return EqVerdict(True)
-    return EqVerdict(False, {v: carrier[found[i]] for i, v, carrier in slots if i in occurring})
+    return EqVerdict(False, {v: carrier[found[i]] for i, v, carrier in slots})
 
 
 class EqReport(Frozen):
@@ -163,6 +165,8 @@ def holds_sampled(
     answer, as ``holds`` says.
     """
     import random
+
+    from .free_algebra import evaluate
 
     rng = random.Random(seed)
     occurring = free_vars(eq.lhs, varspec) | free_vars(eq.rhs, varspec)

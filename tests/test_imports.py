@@ -85,6 +85,14 @@ def test_eval_loads_no_equations_or_examples():
         assert name not in added
 
 
+def test_check_eqs_loads_no_free_algebra_or_examples():
+    out, added = added_modules("check-eqs", "--alg", ALG, "--eqs", EQS)
+    assert out == ["lid: HOLDS", "rid: HOLDS", "assoc: HOLDS"]
+    assert {"ualg.algebra", "ualg.equations"} <= added
+    for name in ("ualg.free_algebra", "ualg.examples", "dataclasses"):
+        assert name not in added
+
+
 def test_eval_without_site_loads_no_random():
     # an interpreter started with -S loads neither random nor typing, and
     # the sample_element hints ask for neither

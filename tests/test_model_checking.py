@@ -18,9 +18,10 @@ Then ``first_difference`` meets a brute-force oracle on products of 0 to
 3 tuples and more, and ``check_hom`` a broken constant, whose product
 has one tuple: the probe of the first two tuples at its edges.  The
 slot columns kept per size pattern meet brute force across calls that
-share sizes, and what they keep stays within their bound; unary steps,
-one translate each on ``bytes``, meet the oracle at carriers of 256 and
-257.
+share sizes, and what they keep stays within their bound, as do the
+compiled equations an algebra keeps, whose verdicts meet the oracle;
+unary steps, one translate each on ``bytes``, meet the oracle at
+carriers of 256 and 257.
 """
 
 import gc
@@ -31,8 +32,8 @@ from itertools import product
 from ualg import algebra as algebra_module
 from ualg.algebra import FiniteAlgebra, HomVerdict, check_hom, first_difference
 from ualg.equations import Equation, EqVerdict, holds
-from ualg.examples import additive_mod_algebra, list_fixture, monoid_signature, monoid_varspec
-from ualg.free_algebra import FreeAlgebra
+from ualg.examples import additive_mod_algebra, list_fixture, monoid_signature, monoid_varspec, subtraction_mod_algebra
+from ualg.free_algebra import FreeAlgebra, enumerate_terms
 from ualg.signature import make_signature, make_varspec, vsignature
 from ualg.term_vm import Term, parse_term, term_from_syms
 
@@ -585,6 +586,32 @@ def test_kept_slot_columns_stay_within_their_bound():
     bound = 2 * sum(a * b for a, b in sizes[-kept:])
     assert bound < 2 * sum(a * b for a, b in sizes) / 3
     assert grown < bound + 64 * 1024
+
+
+def test_kept_equations_stay_within_their_cap():
+    # more distinct equations than the record keeps, checked twice round on
+    # one algebra under one (vsig, varspec) pair: every verdict is the
+    # oracle's, and the one record never holds more than the cap, so the
+    # second round compiles again what the first dropped
+    cap = algebra_module._KEPT_EQUATIONS
+    algebra, vs = subtraction_mod_algebra(3), monoid_varspec()
+    vsig = vsignature(monoid_signature(), vs)
+    terms = list(enumerate_terms(vsig, "u", 3))
+    count = cap + 40
+    assert count <= len(terms)
+    cases = []
+    for i in range(count):  # distinct left sides, so distinct equations
+        equation = Equation(f"e{i}", "u", terms[i], terms[(7 * i + 3) % len(terms)])
+        cases.append((equation, oracle_first_failure(algebra, equation, vs)))
+    assert 0 < sum(found is None for _, found in cases) < count
+    holds(algebra, cases[0][0], vs)
+    record = algebra._equations
+    for _ in range(2):
+        for equation, found in cases:
+            assert holds(algebra, equation, vs) == EqVerdict(found is None, found), equation.name
+            assert algebra._equations is record
+            assert len(record) <= cap
+    assert len(record) == cap
 
 
 def test_unary_steps_at_carriers_of_256_and_257():
