@@ -25,20 +25,25 @@ product passes that cap, the leading slots are looped over in Python,
 each a single index, and the trailing slots are columns over the block,
 kept per size pattern of the block.  A value is a scalar index or such
 a column, ``bytes`` while every index fits a byte and a list above
-that.  On ``bytes`` columns, a step with one column among its arguments
-is one translate through the table row that the others select; a unary
-step's row is its padded rows as they are.  With more, a table of at
-most 256 positions takes a fixed number of C-level calls: one
-big-endian integer per column, scaled by its mixed-radix stride and
-summed into the column of table positions (no byte can carry), sent
-through the result row.  A binary table above 256 positions whose
-arguments read different innermost slots goes one run of tuples at a
-time: the argument with the outer slot is constant on each run, and the
-run of the other goes through one translate table, the row that
-constant selects.  Every other step selects the rows element by
-element.  The first differing byte of the two result columns is read
-off their XOR.  ``check_hom`` decides the homomorphism law with two
-such programs per operation, each sort map being a one-row table.
+that.  The blocks run a plan of both programs, which depends on the
+programs, the sizes and the cut into blocks alone, so ``holds`` keeps
+it with each compiled equation.  On ``bytes`` columns, a step whose
+arguments are all slots of the block is one translate of a kept column
+of table positions; when the positions are the identity, it is the
+table's own rows.  A step with one column among its arguments is one
+translate through the table row that the others select; a unary step's
+row is its padded rows as they are.  With more, a table of at most 256
+positions takes a fixed number of C-level calls: one big-endian integer
+per column, scaled by its mixed-radix stride and summed into the column
+of table positions (no byte can carry), sent through the result row.  A
+binary table above 256 positions whose arguments read different
+innermost slots goes one run of tuples at a time: the argument with the
+outer slot is constant on each run, and the run of the other goes
+through one translate table, the row that constant selects.  Every
+other step selects the rows element by element.  The first differing
+byte of the two result columns is read off their XOR.  ``check_hom``
+decides the homomorphism law with two such programs per operation, each
+sort map being a one-row table, and plans them itself.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import prod
 
-from .signature import Frozen, OpId, Signature, SortId, VarSpec, is_vsignature
+from .signature import Frozen, OpId, Signature, SortId, VarSpec, extends_by_constants, is_vsignature
 
 
 class AlgebraError(ValueError):
@@ -109,16 +114,21 @@ class _Equations(dict):
     keyed by the symbols of both sides, the equations compiled so far.
 
     A compiled equation is both programs, the slot sizes with each
-    variable that does not occur at 1, and the slots of the variables
-    that occur, which label a counterexample.  A missing key is compiled
-    and kept; past ``_KEPT_EQUATIONS`` the oldest entry goes first.  An
-    entry holds two programs of one pointer per symbol and keeps the two
-    symbol tuples of its key alive: about 16 bytes per symbol of both
-    sides, plus about 450 bytes with three variables (measured with
-    ``tracemalloc`` on CPython 3.11).  So a full record of equations of
-    s symbols keeps about ``_KEPT_EQUATIONS * (16 * s + 450)`` bytes:
-    150 KiB for laws of 10 symbols such as associativity, 1.1 MiB at
-    250 symbols."""
+    variable that does not occur at 1, the slots of the variables that
+    occur, which label a counterexample, and the plan ``first_difference``
+    runs its blocks by, made for the cut into blocks at compile time
+    (``_plan``).  A missing key is compiled and kept; past
+    ``_KEPT_EQUATIONS`` the oldest entry goes first.  An entry holds the
+    two programs and the two planned ones, of one pointer per symbol, and
+    per step fed by slots only a key of its slots and sizes, but no
+    column: the position column it reads stays in ``_positions``'s
+    bounded store, and a step at the identity positions pushes its
+    table's rows, at most 256 bytes or the table's own.  That is about
+    45 bytes per symbol of both sides, plus about 600 bytes with three
+    variables (measured with ``tracemalloc`` on CPython 3.11, on random
+    monoid terms).  So a full record of equations of s symbols keeps
+    about ``_KEPT_EQUATIONS * (45 * s + 600)`` bytes: 260 KiB for laws
+    of 10 symbols such as associativity, 2.8 MiB at 250 symbols."""
 
     __slots__ = ("vsig", "varspec", "lookup", "sizes", "slots")
 
@@ -132,7 +142,8 @@ class _Equations(dict):
         sizes = tuple(m if i in occurring else 1 for i, m in enumerate(self.sizes))
         if len(self) >= _KEPT_EQUATIONS:
             self.pop(next(iter(self)), None)  # another thread may have dropped it
-        self[key] = compiled = lhs, rhs, sizes, tuple(slot for slot in self.slots if slot[0] in occurring)
+        slots = tuple(slot for slot in self.slots if slot[0] in occurring)
+        self[key] = compiled = lhs, rhs, sizes, slots, _plan(lhs, rhs, sizes, _cut(sizes))
         return compiled
 
 
@@ -149,7 +160,18 @@ class Algebra:
             raise AlgebraError(f"no interpretation for operation(s) {missing}")
         self.signature = signature
         self._ops = dict(ops)
-        self._term_signature = signature  # the last one evaluate accepted
+        self._term_signature = None  # the last one evaluate accepted, through _accept_terms
+
+    def _accept_terms(self, sig: Signature) -> None:
+        """Keep ``sig`` as the signature of the terms ``evaluate`` runs,
+        once it is this algebra's signature extended by constants, the
+        variables; ``AlgebraError`` otherwise, keeping the last one.
+        ``evaluate`` calls this only when a term brings another
+        signature, so a loop over terms of one signature pays one
+        identity test per term."""
+        if not extends_by_constants(sig, self.signature):
+            raise AlgebraError("the term is not over the algebra's signature extended by variables")
+        self._term_signature = sig
 
     def op(self, nm: OpId, *args: object) -> object:
         try:
@@ -240,12 +262,25 @@ class FiniteAlgebra(Algebra):
             steps[nm] = _Op(rows, dims, len(carr[res]))  # type: ignore[arg-type]
 
         # Algebra.__init__ stores callables; this ``op`` reads the label view
-        self.signature = self._term_signature = signature
+        self.signature, self._term_signature = signature, None
         self._equations = _Equations()  # holds's record of the last pair _accept took
-        self._symbols = None  # evaluate's table for _term_signature, built on first use
+        self._symbols = None  # evaluate's table for _term_signature, built by _accept_terms
         self.carriers = carr
         self._index = index
         self._steps = steps
+
+    def _accept_terms(self, sig: Signature) -> None:
+        """``Algebra._accept_terms``, and the table that ``evaluate``'s
+        index pass reads for ``sig``: per operation its argument count,
+        index rows and the size of its second argument (all its sizes
+        above two arguments), and per variable -1 and the index of its
+        carrier."""
+        super()._accept_terms(sig)
+        table = {nm: (-1, self._index[s], None) for nm, s in zip(sig.ops, sig.results)}
+        for nm, step in self._steps.items():
+            k = len(step.dims)
+            table[nm] = (k, step.rows, step.dims[1] if k == 2 else step.dims)
+        self._symbols = table
 
     def _accept(self, vsig: Signature, varspec: VarSpec) -> _Equations | None:
         """A new, empty record of compiled equations for ``(vsig,
@@ -374,36 +409,75 @@ def _probe(program: Program, last: int) -> tuple[int, int]:
 _BYTES = [bytes((x,)) for x in range(_BYTE)]
 
 
-def _plan(program: Program, sizes: Sequence[int], lead: int) -> Program:
-    """``program`` with each binary step above 256 positions whose two
-    arguments read different innermost slots of the block replaced by
-    ``(step, j, run, reuse)``.
+def _cut(sizes: tuple[int, ...]) -> int:
+    """The number of leading slots looped over in Python, so that the
+    block of the trailing ones holds at most ``_MAX_BLOCK`` tuples."""
+    n, lead = prod(sizes), 0
+    while n > _MAX_BLOCK:
+        n //= sizes[lead]
+        lead += 1
+    return lead
 
-    The argument whose innermost slot is the outer one is constant on
-    runs of ``run`` tuples, so each run of the other, argument ``j``,
-    goes through the translate table of ``runs(j)`` that the constant
+
+def _plan(lhs: Program, rhs: Program, sizes: tuple[int, ...], lead: int) -> tuple:
+    """``(lead, wide, lhs, rhs)``: how both programs run over the blocks
+    behind ``lead`` leading slots.  ``wide`` tells whether columns are
+    lists, because a slot or a table's index passes a byte; then the
+    programs run as they are, and otherwise each as ``_planned`` makes
+    it.  The plan depends on the programs, the sizes and the cut alone."""
+    if max(sizes, default=0) > _BYTE or None in [s.padded for s in (*lhs, *rhs) if s.__class__ is _Op]:
+        return lead, True, lhs, rhs
+    return lead, False, _planned(lhs, sizes, lead), _planned(rhs, sizes, lead)
+
+
+def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
+    """``program`` on ``bytes`` columns, with each table step that gains
+    from knowing which slots its arguments read rewritten.
+
+    A step whose arguments are all slots of the block reads a column of
+    table positions fixed by the block's sizes, its slots and its dims.
+    When its slots are the block's, in order, and the block is its dims,
+    the positions are the identity, and the step is its own rows as
+    ``bytes``, pushed as they are.  Otherwise, on a table of at most 256
+    positions, it is ``((block, slots, dims), padded)``: the column of
+    ``_positions`` sent through the padded rows, one translate.
+
+    A binary step above 256 positions whose two arguments read different
+    innermost slots of the block is ``(step, j, run, reuse)``.  The
+    argument whose innermost slot is the outer one is constant on runs
+    of ``run`` tuples, so each run of the other, argument ``j``, goes
+    through the translate table of ``runs(j)`` that the constant
     selects.  ``reuse`` tells whether argument ``j`` reads only slots
-    inside the run, so that every run of it is the same slice.  A value's
-    mask has the bit of each slot it reads; the leading slots and the
-    slots of size 1 are indices in every block, so they have none, and a
-    value that reads no slot of the block is an index, not a column."""
-    masks, planned = [], []
-    push, pop = masks.append, masks.pop
+    inside the run, so that every run of it is the same slice.
+
+    A value's mask has the bit of each slot it reads; the leading slots
+    and the slots of size 1 are indices in every block, so they have
+    none, and a value that reads no slot of the block is an index, not a
+    column."""
+    block, masks, planned = sizes[lead:], [], []
     for step in program:
         if step.__class__ is int:
-            push(1 << step if step >= lead and sizes[step] > 1 else 0)
-        elif len(step.dims) == 2:
-            args = pop(), pop()
+            masks.append(1 << step if step >= lead and sizes[step] > 1 else 0)
+            planned.append(step)
+            continue
+        k = len(step.dims)
+        args = masks[len(masks) - k :][::-1]  # first argument first
+        del masks[len(masks) - k :]
+        mask = 0
+        for m in args:
+            mask |= m
+        fed = planned[len(planned) - k :][::-1]  # the arguments, if all are slot pushes
+        slots = tuple([s - lead for s in fed if s.__class__ is int and s >= lead])
+        identity = block == step.dims and slots == tuple(range(k))
+        if mask and len(slots) == k and (identity or k > 1 and step.small):
+            del planned[-k:]
+            step = step.padded[: len(step.rows)] if identity else ((block, slots, step.dims), step.padded)
+        elif k == 2 and not step.small:
             a, b = args[0].bit_length() - 1, args[1].bit_length() - 1
-            if a != b and a >= 0 and b >= 0 and not step.small:
+            if a != b and a >= 0 and b >= 0:
                 j, cut = (1, a) if a < b else (0, b)
                 step = (step, j, prod(sizes[cut + 1 :]), args[j] & -args[j] > 1 << cut)
-            push(args[0] | args[1])
-        else:
-            mask = 0
-            for _ in step.dims:
-                mask |= pop()
-            push(mask)
+        masks.append(mask)
         planned.append(step)
     return tuple(planned)
 
@@ -421,16 +495,25 @@ def _packed_run(program: Program, env: list, n: int):
     from there.  With more, on a table of at most 256 positions, each
     column, read as one big-endian integer, times its stride, plus the
     fixed share in every byte, sums to the column of table positions; no
-    byte carries.  That column goes through the padded result row.  A step that
-    ``_plan`` marked does one translate per run of tuples.  Every other
-    step selects the rows element by element."""
+    byte carries.  That column goes through the padded result row.  Of
+    the steps that ``_planned`` rewrote, a table's rows are pushed as
+    they are, a step fed by slots only sends its kept position column
+    through its padded rows, and a binary step above 256 positions does
+    one translate per run of tuples.  Every other step selects the rows
+    element by element."""
     stack: list = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
             push(env[step])
             continue
+        if step.__class__ is bytes:  # a table's rows at the identity positions
+            push(step)
+            continue
         if step.__class__ is tuple:
+            if len(step) == 2:  # a step fed by slots only
+                push(_positions(*step[0]).translate(step[1]))
+                continue
             step, j, run, reuse = step
             args = pop(), pop()
             col, other = args[j], args[1 - j]
@@ -505,6 +588,29 @@ def _slot_columns(sizes: tuple[int, ...]) -> tuple[bytes | int, ...]:
     return tuple(cols)
 
 
+# The number of position columns ``_positions`` keeps.
+_KEPT_POSITIONS = 64
+
+
+@lru_cache(maxsize=_KEPT_POSITIONS)
+def _positions(block: tuple[int, ...], slots: tuple[int, ...], dims: tuple[int, ...]) -> bytes:
+    """The column of positions in a table over ``dims`` of at most 256
+    positions, whose argument i is slot ``slots[i]`` of a block over
+    ``block``: the sum of each slot column, read as one big-endian
+    integer, times the argument's mixed-radix stride (no byte can carry).
+
+    It depends on its arguments alone, so the last ``_KEPT_POSITIONS``
+    argument patterns keep theirs, one byte per tuple of the block: at
+    worst 64 KiB each and 4 MiB in all.  A modelcheck pass of the
+    benchmark meets 33 patterns, of at most 2,744 bytes each."""
+    cols, pos, stride = _slot_columns(block), 0, prod(dims)
+    for s, d in zip(slots, dims):
+        stride //= d
+        if cols[s].__class__ is bytes:  # a slot of size 1 is the index 0
+            pos += int.from_bytes(cols[s], "big") * stride
+    return pos.to_bytes(prod(block), "big")
+
+
 def _tuple_at(pos: int, sizes: Sequence[int]) -> tuple[int, ...]:
     """The index tuple at position ``pos`` of the lexicographic product."""
     rest = []
@@ -514,7 +620,9 @@ def _tuple_at(pos: int, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(rest))
 
 
-def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[int, ...] | None:
+def first_difference(
+    lhs: Program, rhs: Program, sizes: Sequence[int], plan: tuple | None = None
+) -> tuple[int, ...] | None:
     """The lexicographically first index tuple of ``product(range(n) for n
     in sizes)`` on which two compiled terms differ, or None when they agree
     on all of them.
@@ -530,13 +638,16 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
     fits a byte, and lists above that.  The ``bytes`` slot columns
     depend on the block's sizes alone and come from ``_slot_columns``,
     which keeps them for the last ``_KEPT`` size patterns; list columns
-    are built per call.  On ``bytes``, a
-    binary table above 256 positions is planned once per call
-    (``_plan``) and goes through one translate per run of tuples where
-    its arguments read different innermost slots.  The first block whose
-    two result columns differ gives the answer: on ``bytes``, the first
-    differing byte is read off the bit length of their XOR, and a list
-    is scanned.
+    are built per call.  The blocks run the programs of a plan
+    (``_plan``): whether columns are lists, and on ``bytes`` each
+    program with its slot-fed steps and its binary steps above 256
+    positions rewritten (``_planned``).  A caller that keeps the plan of
+    its programs and sizes hands it in, as ``holds`` does with the plan
+    its compiled equation keeps, and ``check_hom`` with its own; a plan
+    made for another cut into blocks, or none, is made for this call.
+    The first block whose two result columns differ gives the answer: on
+    ``bytes``, the first differing byte is read off the bit length of
+    their XOR, and a list is scanned.
     """
     sizes = tuple(sizes)
     n = prod(sizes)
@@ -553,15 +664,12 @@ def first_difference(lhs: Program, rhs: Program, sizes: Sequence[int]) -> tuple[
         return (*t[:last], 1, *t[last + 1 :])
     if n <= 2:
         return None
-    big = [s for s in (*lhs, *rhs) if s.__class__ is _Op and not s.small]
-    wide = max(sizes) > _BYTE or None in [s.padded for s in big]
-    lead = 0
-    while n > _MAX_BLOCK:
-        n //= sizes[lead]
-        lead += 1
-    if big and not wide:
-        lhs, rhs = _plan(lhs, sizes, lead), _plan(rhs, sizes, lead)
+    lead = _cut(sizes)
+    if plan is None or plan[0] != lead:
+        plan = _plan(lhs, rhs, sizes, lead)
+    _, wide, lhs, rhs = plan
     block = sizes[lead:]
+    n = prod(block)
     if wide:  # list columns, built per call
         env, outer = [0] * lead, 1
         for m in block:
@@ -667,7 +775,11 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     a one-row table.  The law for an operation ``f`` of arity ``a_1 .. a_k``
     and result sort ``r`` is then two programs over slots ``x_1 .. x_k``,
     compared by ``first_difference``: ``h_r(f_src(x_1, .., x_k))`` and
-    ``f_dst(h_a1(x_1), .., h_ak(x_k))``.
+    ``f_dst(h_a1(x_1), .., h_ak(x_k))``.  The product of the slots is
+    ``f_src``'s own argument positions, so on ``bytes`` columns the left
+    side is ``f_src``'s rows sent through ``h_r``, one translate, while
+    the product fits one block; ``check_hom`` hands ``first_difference``
+    that plan.  A constant's law compares two indices.
     """
     if isinstance(maps, Hom):
         maps = maps.maps
@@ -707,12 +819,21 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
         if None in images:
             raise AlgebraError(f"maps[{s!r}]: no image for {labels[images.index(None)]!r}")
         send[s] = _Op(images, (len(images),), len(dst.elements(s)))
-    for nm in sig.ops:
-        arity = sig.arity_of(nm)
-        slots = range(len(arity) - 1, -1, -1)  # programs run the last symbol first
-        lhs = (*slots, src._steps[nm], send[sig.sort_of(nm)])
-        rhs = (*(step for i in slots for step in (i, send[arity[i]])), dst._steps[nm])
-        found = first_difference(lhs, rhs, [len(src.elements(a)) for a in arity])
+    for nm, (arity, res) in sig.decl.items():
+        f, g, h = src._steps[nm], dst._steps[nm], send[res]
+        if not arity:  # a constant: two indices
+            if h.rows[f.rows[0]] != g.rows[0]:
+                return HomVerdict(False, (nm, ()))
+            continue
+        lhs, rhs = [*range(len(arity) - 1, -1, -1), f, h], []  # programs run the last symbol first
+        for i in lhs[:-2]:
+            rhs += i, send[arity[i]]
+        rhs.append(g)
+        plan = None  # list columns: first_difference plans
+        if f.padded is not None and g.padded is not None:  # so every map's too
+            # over one block, the product itself, f_src's positions are the identity
+            plan = 0, False, (f.padded[: len(f.rows)], h), rhs if g.small else _planned(rhs, f.dims, 0)
+        found = first_difference(lhs, rhs, f.dims, plan)
         if found is not None:
             return HomVerdict(False, (nm, tuple(src.elements(a)[i] for a, i in zip(arity, found))))
     return HomVerdict(True)

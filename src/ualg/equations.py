@@ -88,9 +88,11 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     whose check passed, compared by identity: a call with the same pair
     checks nothing again.  The record keeps each equation it has
     compiled, keyed by the symbols of both sides: both programs, the
-    slot sizes, and the slots of the occurring variables, which label a
-    counterexample.  So a call that checks the same equation again under
-    the same pair looks it up and runs ``first_difference`` at once.
+    slot sizes, the slots of the occurring variables, which label a
+    counterexample, and the plan ``first_difference`` runs its blocks
+    by.  So a call that checks the same equation again under the same
+    pair looks it up and runs ``first_difference`` at once, which plans
+    nothing unless the block cap has changed since.
     Another pair that passes its check replaces the record with an empty
     one; a failed check keeps the old one.  The record keeps at most
     ``_KEPT_EQUATIONS`` equations and drops the oldest first;
@@ -112,8 +114,8 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
             raise EquationError(
                 f"equation {eq.name!r} is not over this algebra's signature and variable set"
             )
-    lhs, rhs, sizes, slots = record[eq.lhs.syms, eq.rhs.syms]
-    found = first_difference(lhs, rhs, sizes)
+    lhs, rhs, sizes, slots, plan = record[eq.lhs.syms, eq.rhs.syms]
+    found = first_difference(lhs, rhs, sizes, plan)
     if found is None:
         return EqVerdict(True)
     return EqVerdict(False, {v: carrier[found[i]] for i, v, carrier in slots})

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .algebra import Algebra, AlgebraError, FiniteAlgebra, Hom
+from .algebra import Algebra, FiniteAlgebra, Hom
 from .signature import (
     Frozen,
     OpId,
@@ -38,7 +38,6 @@ from .signature import (
     SignatureError,
     VarId,
     VarSpec,
-    extends_by_constants,
     vsignature,
 )
 from .term_vm import Term, _term, build_term, term_decompose
@@ -93,15 +92,14 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
     a carrier, the term is evaluated again in fold order, through the
     same rows, which raises the error.  Any other algebra evaluates in
     fold order only.
+
+    The algebra keeps the last term signature it accepted; only a term
+    over another one calls ``_accept_terms``, which checks it and builds
+    what the index pass reads, so a call over the same signature pays
+    one identity test and one read.
     """
-    sig = t.signature
-    if sig is not algebra._term_signature:
-        if not extends_by_constants(sig, algebra.signature):
-            raise AlgebraError(
-                "the term is not over the algebra's signature extended by variables"
-            )
-        algebra._term_signature = sig
-        algebra._symbols = None  # a FiniteAlgebra rebuilds its symbol table for the new signature
+    if t.signature is not algebra._term_signature:
+        algebra._accept_terms(t.signature)
     if isinstance(algebra, FiniteAlgebra):
         try:
             return _run_on_indices(algebra, assignment, t)
@@ -114,10 +112,9 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
     """One right-to-left pass on a stack of carrier indices: a variable
     pushes the index of its label, an operation pops its argument
     indices (the first on top) and pushes the row they select.  Only the
-    final index is mapped back to a label."""
+    final index is mapped back to a label.  The symbol table is the one
+    ``FiniteAlgebra._accept_terms`` built for the term's signature."""
     table = algebra._symbols
-    if table is None:
-        table = algebra._symbols = _symbol_table(algebra, t.signature)
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     for nm in reversed(t.syms):
@@ -139,18 +136,6 @@ def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> 
     if top in algebra._steps:
         return algebra.carriers[t.signature.decl[top][1]][stack[-1]]
     return assignment[top]  # a lone variable evaluates to its binding as given
-
-
-def _symbol_table(algebra: FiniteAlgebra, sig: Signature) -> dict[OpId, tuple[int, object, object]]:
-    """What the index pass reads of each symbol of the term signature
-    ``sig``: an operation's argument count, index rows and the size of
-    its second argument (all its sizes above two arguments), and a
-    variable's -1 and the index of its carrier."""
-    table = {nm: (-1, algebra._index[s], None) for nm, s in zip(sig.ops, sig.results)}
-    for nm, step in algebra._steps.items():
-        k = len(step.dims)
-        table[nm] = (k, step.rows, step.dims[1] if k == 2 else step.dims)
-    return table
 
 
 def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> object:

@@ -1,6 +1,7 @@
 """The arithmetic of ``scripts/ab.py`` on fixed samples: quartiles, wins
 with ties, the bound and the claim rule, over even and odd numbers of
-pairs."""
+pairs; and, for ``--pytest``, a test's duration read off a JUnit XML
+report and compared without a bound."""
 
 import sys
 from pathlib import Path
@@ -75,3 +76,33 @@ def test_unequal_or_empty_samples_are_refused():
         ab.summarize(OPS, [1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         ab.summarize(OPS, [], [])
+
+
+REPORT = """<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest" tests="2">
+<testcase classname="tests.test_x" name="test_y[a]" time="1.500" />
+<testcase classname="tests.test_x" name="test_y[b]" time="0.250"><system-out>noise</system-out></testcase>
+</testsuite></testsuites>"""
+
+
+def test_a_junit_report_sums_the_times_of_passed_cases():
+    assert ab.junit_seconds(REPORT) == 1.75
+    for tag in ("failure", "error", "skipped"):
+        bad = REPORT.replace("<system-out>noise</system-out>", f'<{tag} message="m">m</{tag}>')
+        with pytest.raises(ValueError, match=tag):
+            ab.junit_seconds(bad)
+    with pytest.raises(ValueError, match="no test case"):
+        ab.junit_seconds('<testsuites><testsuite name="pytest" tests="0"></testsuite></testsuites>')
+
+
+def test_a_test_duration_has_no_bound_but_may_claim_a_gain():
+    base = [10.0, 10.5, 11.0, 9.5, 10.2, 10.8, 9.9, 10.1, 10.4, 10.6]
+    s = ab.summarize(ab.DURATION, base, [b - 3 for b in base])
+    assert s["bound"] is None
+    assert (s["base_wins"], s["work_wins"]) == (0, 10) and s["claim"]
+    assert s["ratio"] == pytest.approx((s["base"][1] - 3) / s["base"][1])
+    # a loss is reported, never judged against a bound
+    assert ab.summarize(ab.DURATION, base, [2 * b for b in base])["bound"] is None
+    runs = {side: [{"metrics": {"duration_s": {"value": v}}} for v in values]
+            for side, values in (("base", base), ("work", [b - 3 for b in base]))}
+    header, row = ab.report([ab.DURATION], runs)
+    assert row.split()[0] == "duration_s" and row.split()[-2:] == ["-", "yes"]

@@ -21,7 +21,12 @@ slot columns kept per size pattern meet brute force across calls that
 share sizes, and what they keep stays within their bound, as do the
 compiled equations an algebra keeps, whose verdicts meet the oracle;
 unary steps, one translate each on ``bytes``, meet the oracle at
-carriers of 256 and 257.
+carriers of 256 and 257.  Steps fed by slots only, out of order, twice
+or beside slots of size 1, meet the oracle through the plans an
+equation keeps, and the position columns those plans read stay within
+their store's cap.  ``check_hom`` meets the oracle on a ternary
+operation, on a constant per sort, and above a byte, where it runs
+without its own plan.
 """
 
 import gc
@@ -639,3 +644,154 @@ def test_unary_steps_at_carriers_of_256_and_257():
             wrong = list(right)
             wrong[w] = (wrong[w] + 1) % n
             assert assert_hom_as_oracle(wrong, zn, zn) is not None
+
+
+def test_holds_on_steps_fed_by_slots_only(monkeypatch):
+    # A step whose arguments are all slots reads a kept column of table
+    # positions: slots out of order (f y x), one slot twice (f x x), and
+    # blocks with slots of size 1 for variables that do not occur (y in
+    # f z x).  With x and y alone, f x y is over the whole block, whose
+    # positions are f's own; on 17 elements f has 289 positions, too many
+    # for a position column, but f x y is still f's own rows.  Each verdict is the oracle's, at the block cap and at a
+    # cap of 3, which cuts the product again after the plan was kept.
+    rng = random.Random(93)
+    xy = make_varspec(PAIR, [("x", "u"), ("y", "u")])
+    texts = [
+        "f y x = f x y", "f x x = k x", "f z x = f x z", "f y y = f w x",
+        "k f x x = f k x k x", "f f y x z = f y f x z", "f x f x y = f f x x y",
+    ]
+    kinds = set()
+    for n in (5, 16, 17):
+        algebra = pair_algebra(n, f=lambda a, b: rng.randrange(n) if rng.random() < 0.05 else a * b + 1, k=lambda a: 2 * a)
+        equations = [(one_equation(t, PAIR_VSIG), PAIR_VARS) for t in texts]
+        equations += [(one_equation(t, vsignature(PAIR, xy)), xy) for t in ("f x y = f y x", "f x y = k f y x")]
+        equations += [(random_equation(rng, PAIR_VSIG, "u", i), PAIR_VARS) for i in range(8)]
+        for equation, vs in equations:
+            assert_holds_as_oracle(monkeypatch, algebra, equation, vs)
+            holds(algebra, equation, vs)  # the record keeps its plan
+            planned = algebra._equations[equation.lhs.syms, equation.rhs.syms][-1][2:]  # lhs and rhs
+            kinds.update((n, type(step).__name__, len(step) if type(step) is tuple else 0)
+                         for program in planned for step in program)
+    # kept position columns up to 256 positions, the identity at every size
+    assert {(5, "tuple", 2), (16, "tuple", 2), (5, "bytes", 0), (16, "bytes", 0), (17, "bytes", 0)} <= kinds
+    assert (17, "tuple", 2) not in kinds
+
+
+def test_kept_position_columns_stay_within_their_cap():
+    # f x y = y over blocks of 16 x 16 x m tuples, for three times as many
+    # values of m as the store keeps columns: the store ends at its cap,
+    # and what stays is the last columns, not one per call
+    cap = algebra_module._positions.cache_info().maxsize
+    right = algebra_module._Op([b for a in range(16) for b in range(16)], (16, 16), 16)
+    ms = range(1, 3 * cap + 1)
+    algebra_module._positions.cache_clear()
+    algebra_module._slot_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for m in ms:
+            assert first_difference((1, 0, right), (1,), (16, 16, m)) is None
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert algebra_module._positions.cache_info().currsize == cap
+    # the last ``cap`` position columns and the last ``_KEPT`` patterns of
+    # three slot columns, each of 256 * m bytes
+    bound = 256 * (sum(ms[-cap:]) + 3 * sum(ms[-algebra_module._KEPT :]))
+    assert bound < 2 * 256 * 4 * sum(ms) / 3
+    assert grown < bound + 64 * 1024
+
+
+def test_check_hom_on_a_ternary_operation(monkeypatch):
+    # a + b * c is kept by x -> x mod k from Z mod 2k to Z mod k; the left
+    # side of the law is t's own rows through the map, 4,096 positions on 16
+    # elements, and at 48 elements the product passes the block cap
+    sig = make_signature(["u"], [("t", ["u", "u", "u"], "u"), ("f", ["u", "u"], "u")])
+
+    def ring(n):
+        labels = tuple(map(str, range(n)))
+        tables = {
+            "t": {(labels[a], labels[b], labels[c]): labels[(a + b * c) % n] for a, b, c in product(range(n), repeat=3)},
+            "f": {(labels[a], labels[b]): labels[(a * b) % n] for a, b in product(range(n), repeat=2)},
+        }
+        return FiniteAlgebra(sig, {"u": labels}, tables)
+
+    rng = random.Random(94)
+    failing = 0
+    for k in (2, 3, 8, 24):
+        src, dst = ring(2 * k), ring(k)
+        right = [i % k for i in range(2 * k)]
+        maps = [right] + [[(v + (j == w)) % k for j, v in enumerate(right)] for w in (0, 2 * k - 1, rng.randrange(2 * k))]
+        for image in maps[: 2 if k == 24 else 4]:
+            m = {"u": {str(i): str(v) for i, v in enumerate(image)}}
+            want = oracle_hom_counterexample(m, src, dst)
+            assert tuple(check_hom(m, src, dst)) == (want is None, want), (k, image)
+            failing += want is not None
+    assert failing > 4
+    monkeypatch.setattr(algebra_module, "_MAX_BLOCK", 3)  # a plan of one block does not fit
+    src, dst = ring(6), ring(3)
+    for image in ([0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1, 1]):
+        m = {"u": dict(zip(src.elements("u"), map(str, image)))}
+        want = oracle_hom_counterexample(m, src, dst)
+        assert tuple(check_hom(m, src, dst)) == (want is None, want)
+
+
+def test_check_hom_with_a_constant_per_sort():
+    # sorts a and b, operations in the order m, c, q, d: x -> x mod 2 on a
+    # and y -> y mod 3 on b is a homomorphism from (Z4, Z6) to (Z2, Z3)
+    sig = make_signature(
+        ["a", "b"], [("m", ["a", "a"], "a"), ("c", [], "a"), ("q", ["a", "b"], "b"), ("d", [], "b")]
+    )
+
+    def algebra(na, nb):
+        la, lb = tuple(f"a{i}" for i in range(na)), tuple(f"b{i}" for i in range(nb))
+        tables = {
+            "m": {(la[x], la[y]): la[(x + y) % na] for x in range(na) for y in range(na)},
+            "c": {(): la[1]},
+            "q": {(la[x], lb[y]): lb[(y + 3 * x) % nb] for x in range(na) for y in range(nb)},
+            "d": {(): lb[2]},
+        }
+        return FiniteAlgebra(sig, {"a": la, "b": lb}, tables)
+
+    src, dst = algebra(4, 6), algebra(2, 3)
+
+    def maps(ha, hb):
+        return {"a": {f"a{i}": f"a{v}" for i, v in enumerate(ha)}, "b": {f"b{i}": f"b{v}" for i, v in enumerate(hb)}}
+
+    cases = [
+        (maps([0, 1, 0, 1], [0, 1, 2, 0, 1, 2]), None),
+        (maps([0, 0, 0, 0], [0, 1, 2, 0, 1, 2]), ("c", ())),  # m holds, the constant of a fails
+        (maps([0, 1, 0, 1], [0, 1, 2, 0, 1, 1]), ("q", ("a1", "b2"))),  # c holds, then q fails
+        (maps([0, 1, 0, 1], [0, 0, 0, 0, 0, 0]), ("d", ())),  # q holds, the constant of b fails
+        (maps([0, 1, 1, 1], [0, 1, 2, 0, 1, 2]), ("m", ("a1", "a1"))),
+    ]
+    for m, want in cases:
+        assert oracle_hom_counterexample(m, src, dst) == want
+        assert tuple(check_hom(m, src, dst)) == (want is None, want)
+
+
+def test_check_hom_above_a_byte_runs_without_the_identity_rule(monkeypatch):
+    # carriers above 256 elements make list columns, for which check_hom
+    # hands first_difference no plan; at 256 elements and below it hands
+    # the plan whose left side is the source table's own rows
+    plans = []
+
+    def spy(lhs, rhs, sizes, plan=None):
+        plans.append(plan)
+        return first_difference(lhs, rhs, sizes, plan)
+
+    monkeypatch.setattr(algebra_module, "first_difference", spy)
+    for k, wide in ((150, True), (128, False), (3, False)):
+        src, dst = additive_mod_algebra(2 * k), additive_mod_algebra(k)
+        for image in ([(7 * i) % k for i in range(2 * k)], [(7 * i + (i == 2 * k - 1)) % k for i in range(2 * k)]):
+            plans.clear()
+            m = {"u": {str(i): str(v) for i, v in enumerate(image)}}
+            want = oracle_hom_counterexample(m, src, dst)
+            assert tuple(check_hom(m, src, dst)) == (want is None, want), k
+            assert len(plans) == 1  # mul; the constant e compares two indices
+            if wide:
+                assert plans == [None]
+            else:
+                assert plans[0][2][0] == bytes(src._steps["mul"].rows)
