@@ -19,13 +19,12 @@ _EXPORTS = {
         "AlgebraError",
         "FiniteAlgebra",
         "Hom",
-        "HomVerdict",
         "UNIT_ELEMENT",
-        "check_hom",
         "compose_hom",
         "hom_to_unit",
         "unit_algebra",
     ),
+    "modelcheck": ("HomVerdict", "check_hom"),
     "equations": (
         "EqReport",
         "EqSpec",

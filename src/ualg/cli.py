@@ -10,16 +10,25 @@ input errors.  Output is byte-deterministic for identical inputs.
 
 A subcommand imports what it runs when it runs: ``term`` and
 ``enumerate`` load only ``signature``, ``term_vm`` and ``jsonio``, and
-the modules of algebras, evaluation, equations and examples load with
-the commands that use them.
+the modules of algebras, evaluation, model checking, equations and
+examples load with the commands that use them.
+
+``COMMANDS`` is the one grammar of the command line.  ``main`` matches a
+command line in its canonical spelling against it directly: the command
+words, then each flag at most once with its value, and the positionals,
+none of them starting with ``-``.  Any other command line, among them
+every request for help and every usage error, goes to ``build_parser``,
+which builds an ``argparse`` parser from the same table; so ``argparse``
+loads only for those, and on a command line that both accept the match
+gives the namespace the parser gives.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .jsonio import (
     FormatError,
@@ -33,15 +42,7 @@ from .jsonio import (
     varspec_from_obj,
 )
 from .signature import make_varspec, vsignature
-from .term_vm import (
-    TermError,
-    UnknownSymbolError,
-    depth,
-    enumerate_terms,
-    parse_term,
-    term_decompose,
-    term_from_syms,
-)
+from .term_vm import TermError, UnknownSymbolError, depth, enumerate_terms, parse_term, term_decompose, term_from_syms
 
 
 def _show_check(args, t) -> int:
@@ -141,7 +142,7 @@ def cmd_check_eqs(args) -> int:
 
 
 def cmd_check_hom(args) -> int:
-    from .algebra import check_hom
+    from .modelcheck import check_hom
 
     src = load_algebra(args.src)
     dst = load_algebra(args.dst)
@@ -212,57 +213,86 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ualg", description="multi-sorted universal algebra toolkit"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _required(*flags: str) -> tuple:
+    return tuple((flag, True, str, None) for flag in flags)
 
-    term = sub.add_parser("term", help="validate and inspect terms")
-    term_sub = term.add_subparsers(dest="term_command", required=True)
-    for name in TERM_SHOWS:
-        p = term_sub.add_parser(name)
-        p.add_argument("--sig", required=True, help="signature JSON file")
-        if name == "check":
-            p.add_argument("--sort", help="expected sort")
-        p.add_argument("term", help="whitespace-separated symbol sequence")
-        p.set_defaults(handler=cmd_term)
 
-    p = sub.add_parser("eval", help="evaluate a term in a finite algebra")
-    p.add_argument("--alg", required=True, help="algebra JSON file")
-    p.add_argument("--vars", help="equations JSON file providing the variable block")
-    p.add_argument("--assign", help="comma-separated name=label bindings")
-    p.add_argument("--assign-file", help="assignment JSON file")
-    p.add_argument("term")
-    p.set_defaults(handler=cmd_eval)
+# The command grammar, per command or group of commands (handler None): its
+# help text, its handler, its flags as (flag, required, type, help) and its
+# positionals as (dest, help, choices).
+_SIG, _TERM = ("--sig", True, str, "signature JSON file"), ("term", "whitespace-separated symbol sequence", None)
+COMMANDS = {
+    ("term",): ("validate and inspect terms", None, (), ()),
+    ("term", "check"): (None, cmd_term, (_SIG, ("--sort", False, str, "expected sort")), (_TERM,)),
+    **{("term", name): (None, cmd_term, (_SIG,), (_TERM,)) for name in TERM_SHOWS if name != "check"},
+    ("eval",): ("evaluate a term in a finite algebra", cmd_eval, (
+        ("--alg", True, str, "algebra JSON file"),
+        ("--vars", False, str, "equations JSON file providing the variable block"),
+        ("--assign", False, str, "comma-separated name=label bindings"),
+        ("--assign-file", False, str, "assignment JSON file"),
+    ), (("term", None, None),)),
+    ("check-eqs",): ("check equations against a finite algebra", cmd_check_eqs, _required("--alg", "--eqs"), ()),
+    ("check-hom",): ("check a homomorphism candidate", cmd_check_hom, _required("--src", "--dst", "--map"), ()),
+    ("enumerate",): ("enumerate terms up to a depth bound", cmd_enumerate,
+                     (*_required("--sig", "--sort"), ("--max-depth", True, int, None)), ()),
+    ("examples",): ("run a bundled example", cmd_examples, (), (("name", None, ("list", "monoid", "bool")),)),
+}
 
-    p = sub.add_parser("check-eqs", help="check equations against a finite algebra")
-    p.add_argument("--alg", required=True)
-    p.add_argument("--eqs", required=True)
-    p.set_defaults(handler=cmd_check_eqs)
 
-    p = sub.add_parser("check-hom", help="check a homomorphism candidate")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    p.add_argument("--map", required=True)
-    p.set_defaults(handler=cmd_check_hom)
+def build_parser():
+    """The ``argparse`` parser of ``COMMANDS``, which words help and usage errors."""
+    import argparse
 
-    p = sub.add_parser("enumerate", help="enumerate terms up to a depth bound")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--sort", required=True)
-    p.add_argument("--max-depth", type=int, required=True)
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("examples", help="run a bundled example")
-    p.add_argument("name", choices=["list", "monoid", "bool"])
-    p.set_defaults(handler=cmd_examples)
-
+    parser = argparse.ArgumentParser(prog="ualg", description="multi-sorted universal algebra toolkit")
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (text, handler, flags, positionals) in COMMANDS.items():
+        p = groups[words[:-1]].add_parser(words[-1], **({"help": text} if text else {}))
+        if handler is None:
+            groups[words] = p.add_subparsers(dest=f"{words[-1]}_command", required=True)
+        for flag, required, kind, text in flags:
+            p.add_argument(flag, required=required, type=kind, help=text)
+        for dest, text, choices in positionals:
+            p.add_argument(dest, help=text, choices=choices)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _match(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, for a
+    command line in the canonical spelling; None for any other."""
+    words = tuple(argv[:1])
+    if words in COMMANDS and COMMANDS[words][1] is None:  # a group: the next word names the command
+        words = tuple(argv[:2])
+    _, handler, flags, positionals = COMMANDS.get(words, (None, None, (), ()))
+    if handler is None:
+        return None
+    args = {"command": words[0], "handler": handler, **{f"{words[0]}_command": w for w in words[1:]}}
+    flags = {flag: (flag[2:].replace("-", "_"), required, kind) for flag, required, kind, _ in flags}
+    args.update(dict.fromkeys(dest for dest, _, _ in flags.values()))
+    rest, given = iter(argv[len(words) :]), []
+    for word in rest:
+        dest, _, kind = flags.pop(word, (None, False, str))  # a flag given twice is not one the second time
+        value = word if dest is None else next(rest, "-")
+        if value.startswith("-"):
+            return None
+        if dest is None:
+            given.append(value)
+            continue
+        try:
+            args[dest] = kind(value)
+        except ValueError:  # argparse words the error
+            return None
+    if any(required for _, required, _ in flags.values()) or len(given) != len(positionals):
+        return None
+    if any(choices and word not in choices for (_, _, choices), word in zip(positionals, given)):
+        return None
+    args.update(zip((dest for dest, _, _ in positionals), given))
+    return SimpleNamespace(**args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, json.JSONDecodeError, ValueError) as err:

@@ -7,14 +7,15 @@ equation are enumerated, since the others cannot influence either side.
 
 ``holds`` works on dense indices: each side becomes a machine program
 over the algebra's index tables, with every declared variable a slot,
-and ``algebra.first_difference`` finds the first assignment, in
+and ``modelcheck.first_difference`` finds the first assignment, in
 lexicographic order, on which the two programs differ; its docstring
 says how.  Only that assignment is mapped back to carrier labels.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, FiniteAlgebra, first_difference
+from .algebra import Algebra, FiniteAlgebra
+from .modelcheck import first_difference
 from .signature import Frozen, Signature, SortId, VarId, VarSpec, vsignature
 from .term_vm import Term
 
@@ -96,7 +97,7 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     Another pair that passes its check replaces the record with an empty
     one; a failed check keeps the old one.  The record keeps at most
     ``_KEPT_EQUATIONS`` equations and drops the oldest first;
-    ``algebra._Equations`` gives its worst-case memory.  The table pays
+    ``modelcheck._Equations`` gives its worst-case memory.  The table pays
     only when the same equation is checked again under the same pair.
     An algebra that is not a ``FiniteAlgebra`` cannot be enumerated:
     ``holds_sampled`` searches one that can sample its elements.
@@ -108,7 +109,7 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
         )
     vsig = eq.lhs.signature
     record = algebra._equations
-    if vsig is not record.vsig or varspec is not record.varspec:
+    if record is None or vsig is not record.vsig or varspec is not record.varspec:
         record = algebra._accept(vsig, varspec)
         if record is None:
             raise EquationError(

@@ -237,7 +237,7 @@ def test_check_hom_needs_one_total_map_per_sort(monkeypatch):
     def no_operation_is_checked(*args):
         raise AssertionError("an operation was checked")
 
-    monkeypatch.setattr("ualg.algebra.first_difference", no_operation_is_checked)
+    monkeypatch.setattr("ualg.modelcheck.first_difference", no_operation_is_checked)
     for match, m in bad:
         with pytest.raises(AlgebraError, match=match):
             check_hom(m, src, dst)

@@ -1,10 +1,17 @@
 """Golden-file tests for the command line interface: byte-exact output
-and the 0/1/2 exit code contract."""
+and the 0/1/2 exit code contract.
+
+Every command line that ``run`` and ``run_quiet`` pass is matched twice: by the fast match
+of ``cli._match``, and by the ``argparse`` parser that ``build_parser``
+builds from the same table; the match either declines or gives the
+parser's namespace.  Help texts and usage errors are golden too."""
 
 import copy
+import functools
 import io
 import json
 import random
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -13,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ualg.cli import main
+from ualg.cli import _match, build_parser, main
 from ualg.jsonio import load_algebra, load_json, load_signature
 from ualg.signature import make_varspec, vsignature
 from ualg.term_vm import parse_term
@@ -25,13 +32,29 @@ def data(name):
     return str(resources.files("ualg") / "data" / name)
 
 
+@functools.cache
+def parser():
+    return build_parser()
+
+
+def matched(argv):
+    """The fast match of ``argv``, after checking that it declines or
+    gives the namespace ``argparse`` gives."""
+    fast = _match(argv)
+    if fast is not None:
+        assert vars(fast) == vars(parser().parse_args(argv)), argv
+    return fast
+
+
 def run(capsys, *argv):
+    matched(list(argv))
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def run_quiet(argv):
+    matched(argv)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -602,6 +625,149 @@ def test_examples_unknown_name_fails_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["examples", "groups"])
     assert exc.value.code == 2
+
+
+# -- the fast match and argparse -------------------------------------------------
+
+def canonical_argvs():
+    sig, alg, eqs = data("monoid_signature.json"), data("monoid_z3.json"), data("monoid_equations.json")
+    argvs = [["term", name, "--sig", sig, "mul e e"] for name in ("check", "sort", "depth", "decompose")]
+    argvs += [
+        ["term", "check", "--sig", sig, "--sort", "u", "mul e e"],
+        ["term", "check", "mul e e", "--sort", "u", "--sig", sig],
+        ["term", "depth", "--sig", sig, ""],
+        ["eval", "--alg", alg, "--vars", eqs, "--assign", "x=1,y=2", "--assign-file", eqs, "mul x y"],
+        ["eval", "mul e e", "--alg", alg],
+        ["check-eqs", "--alg", alg, "--eqs", eqs],
+        ["check-hom", "--src", data("monoid_z4.json"), "--dst", data("monoid_z2.json"), "--map", data("hom_z4_to_z2.json")],
+        ["enumerate", "--sig", sig, "--sort", "u", "--max-depth", "2"],
+        ["enumerate", "--max-depth", "0", "--sort", "u", "--sig", sig],
+        ["enumerate", "--sig", sig, "--sort", "u", "--max-depth", "+2"],
+    ]
+    return argvs + [["examples", name] for name in ("list", "monoid", "bool")]
+
+
+def declined_argvs():
+    """Command lines outside the canonical spelling: argparse alone parses
+    them, or words their usage error or help."""
+    sig, alg, eqs = data("monoid_signature.json"), data("monoid_z3.json"), data("monoid_equations.json")
+    argvs = [
+        ["enumerate", "--sig", sig, "--sort", "u", "--max", "2"],
+        ["term", "check", f"--sig={sig}", "mul e e"],
+        ["check-eqs", "--alg", alg, "--alg", alg, "--eqs", eqs],
+        ["check-eqs", "--alg", alg],
+        ["check-eqs", "--alg", alg, "--eqs", eqs, "extra"],
+        ["term", "check", "--sig", sig, "mul e e", "e"],
+        ["term", "check", "--sig"],
+        ["enumerate", "--sig", sig, "--sort", "u", "--max-depth", "x"],
+        ["enumerate", "--sig", sig, "--sort", "u", "--max-depth", "-1"],
+        ["term", "check", "--sig", sig, "--sort", "-u", "mul e e"],
+        ["term", "check", "--sig", sig, "--", "mul e e"],
+        ["examples", "groups"],
+        [], ["term"], ["term", "nope"], ["nope"],
+    ]
+    for argv in canonical_argvs():
+        argvs += [argv[:i] + ["-h"] + argv[i:] for i in range(len(argv) + 1)]
+    return argvs
+
+
+def test_the_fast_match_is_argparse_on_canonical_command_lines():
+    for argv in canonical_argvs():
+        assert matched(argv) is not None, argv
+
+
+def test_the_fast_match_leaves_every_other_command_line_to_argparse():
+    for argv in declined_argvs():
+        assert matched(argv) is None, argv
+
+
+def test_an_int_that_int_refuses_is_left_to_argparse():
+    # past the interpreter's limit on int digits, int() raises ValueError;
+    # the match declines, and argparse words the usage error
+    argv = ["enumerate", "--sig", data("monoid_signature.json"), "--sort", "u", "--max-depth", "9" * 5000]
+    fast = matched(argv)
+    if hasattr(sys, "get_int_max_str_digits"):  # the limit came with 3.10.7 and 3.11
+        assert fast is None
+
+
+HELP = {
+    ("--help",): (
+        "usage: ualg [-h] {term,eval,check-eqs,check-hom,enumerate,examples} ...\n"
+        "\n"
+        "multi-sorted universal algebra toolkit\n"
+        "\n"
+        "positional arguments:\n"
+        "  {term,eval,check-eqs,check-hom,enumerate,examples}\n"
+        "    term                validate and inspect terms\n"
+        "    eval                evaluate a term in a finite algebra\n"
+        "    check-eqs           check equations against a finite algebra\n"
+        "    check-hom           check a homomorphism candidate\n"
+        "    enumerate           enumerate terms up to a depth bound\n"
+        "    examples            run a bundled example\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    ("term", "check", "--help"): (
+        "usage: ualg term check [-h] --sig SIG [--sort SORT] term\n"
+        "\n"
+        "positional arguments:\n"
+        "  term         whitespace-separated symbol sequence\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --sig SIG    signature JSON file\n"
+        "  --sort SORT  expected sort\n"
+    ),
+    ("eval", "--help"): (
+        "usage: ualg eval [-h] --alg ALG [--vars VARS] [--assign ASSIGN]\n"
+        "                 [--assign-file ASSIGN_FILE]\n"
+        "                 term\n"
+        "\n"
+        "positional arguments:\n"
+        "  term\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --alg ALG             algebra JSON file\n"
+        "  --vars VARS           equations JSON file providing the variable block\n"
+        "  --assign ASSIGN       comma-separated name=label bindings\n"
+        "  --assign-file ASSIGN_FILE\n"
+        "                        assignment JSON file\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP), ids=" ".join)
+def test_help_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[argv], "")
+
+
+USAGE_ERRORS = [
+    (
+        ["enumerate", "--sig", "S", "--sort", "u", "--max-depth", "x"],
+        "usage: ualg enumerate [-h] --sig SIG --sort SORT --max-depth MAX_DEPTH\n"
+        "ualg enumerate: error: argument --max-depth: invalid int value: 'x'\n",
+    ),
+    (
+        ["term", "check", "--sig", "S"],
+        "usage: ualg term check [-h] --sig SIG [--sort SORT] term\n"
+        "ualg term check: error: the following arguments are required: term\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", USAGE_ERRORS, ids=["invalid-int", "missing-positional"])
+def test_usage_error_text(capsys, monkeypatch, argv, want):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", want)
 
 
 def test_missing_file_is_input_error(capsys):

@@ -1,5 +1,7 @@
 """The package's import diet: lazy exports, and the modules a command
-line loads beyond a bare interpreter."""
+line loads beyond a bare interpreter.  A well-formed command line loads
+no ``argparse``, and only the commands that check something load the
+model checker."""
 
 import os
 import subprocess
@@ -15,6 +17,8 @@ SRC = str(Path(ualg.__file__).resolve().parent.parent)
 SIG = str(resources.files("ualg") / "data" / "monoid_signature.json")
 ALG = str(resources.files("ualg") / "data" / "monoid_z3.json")
 EQS = str(resources.files("ualg") / "data" / "monoid_equations.json")
+Z4, Z2 = (str(resources.files("ualg") / "data" / f"monoid_z{n}.json") for n in (4, 2))
+HOM = str(resources.files("ualg") / "data" / "hom_z4_to_z2.json")
 
 # Run one command line through ``ualg.cli.main`` as ``python -m ualg``
 # does, then print the names of the loaded modules on a last line.
@@ -57,6 +61,16 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="nosuch"):
         ualg.nosuch
     assert not hasattr(ualg, "cli_main")
+
+
+def test_the_checker_stays_importable_from_algebra():
+    from ualg import algebra, modelcheck
+
+    for name in ("HomVerdict", "check_hom", "first_difference"):
+        assert getattr(algebra, name) is getattr(modelcheck, name)
+    assert ualg.check_hom is modelcheck.check_hom
+    with pytest.raises(AttributeError, match="nosuch"):
+        algebra.nosuch
 
 
 def test_term_check_loads_no_algebra_equations_or_dataclasses():
@@ -104,3 +118,40 @@ def test_eval_without_site_loads_no_random():
     added = set(modules.split()) - bare
     assert "ualg.algebra" in added
     assert not {"random", "typing"} & added
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("term", "check", "--sig", SIG, "mul e e"),
+        ("enumerate", "--sig", SIG, "--sort", "u", "--max-depth", "2"),
+        ("eval", "--alg", ALG, "--vars", EQS, "--assign", "x=1,y=2", "mul x y"),
+        ("check-eqs", "--alg", ALG, "--eqs", EQS),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_well_formed_command_lines_load_no_argparse(argv):
+    _, added = added_modules(*argv)
+    assert "ualg.cli" in added
+    assert not {"argparse", "gettext"} & added
+
+
+def test_eval_loads_no_model_checker():
+    # neither the module that defines the checker nor the one that defines
+    # its machine, wherever they are
+    from ualg.algebra import first_difference
+
+    out, added = added_modules("eval", "--alg", ALG, "--assign", "", "mul e e")
+    assert out == ["0"]
+    assert {"ualg.algebra", "ualg.free_algebra"} <= added
+    assert not {ualg.check_hom.__module__, first_difference.__module__, "ualg.modelcheck"} & added
+
+
+def test_check_eqs_and_check_hom_load_the_model_checker():
+    out, added = added_modules("check-eqs", "--alg", ALG, "--eqs", EQS)
+    assert out == ["lid: HOLDS", "rid: HOLDS", "assoc: HOLDS"]
+    assert "ualg.modelcheck" in added
+    out, added = added_modules("check-hom", "--src", Z4, "--dst", Z2, "--map", HOM)
+    assert out == ["OK"]
+    assert {"ualg.algebra", "ualg.modelcheck"} <= added
+    assert not {"ualg.equations", "ualg.free_algebra", "argparse"} & added

@@ -34,11 +34,12 @@ import random
 import tracemalloc
 from itertools import product
 
-from ualg import algebra as algebra_module
-from ualg.algebra import FiniteAlgebra, HomVerdict, check_hom, first_difference
+from ualg import modelcheck
+from ualg.algebra import FiniteAlgebra, _Op
 from ualg.equations import Equation, EqVerdict, holds
 from ualg.examples import additive_mod_algebra, list_fixture, monoid_signature, monoid_varspec, subtraction_mod_algebra
 from ualg.free_algebra import FreeAlgebra, enumerate_terms
+from ualg.modelcheck import HomVerdict, check_hom, first_difference
 from ualg.signature import make_signature, make_varspec, vsignature
 from ualg.term_vm import Term, parse_term, term_from_syms
 
@@ -120,8 +121,8 @@ def assert_holds_as_oracle(monkeypatch, algebra, equation, varspec):
     blocks; the oracle's first failing assignment, or None."""
     found = oracle_first_failure(algebra, equation, varspec)
     want = EqVerdict(True) if found is None else EqVerdict(False, found)
-    for cap in (algebra_module._MAX_BLOCK, 3):
-        monkeypatch.setattr(algebra_module, "_MAX_BLOCK", cap)
+    for cap in (modelcheck._MAX_BLOCK, 3):
+        monkeypatch.setattr(modelcheck, "_MAX_BLOCK", cap)
         assert holds(algebra, equation, varspec) == want, (cap, equation)
     monkeypatch.undo()
     return found
@@ -314,17 +315,17 @@ def test_holds_up_to_the_block_cap(monkeypatch):
     algebra = one_sorted(16, f=min, k=lambda a: 0 if a == 15 else a)
     equation = one_equation("f f x y f z w = k f f x y f z w")
     last = dict.fromkeys("xyzw", "15")
-    assert algebra_module._MAX_BLOCK == 16**4
+    assert modelcheck._MAX_BLOCK == 16**4
     assert holds(algebra, equation, ONE_VARS) == EqVerdict(False, last)
     # one past the cap: blocks of the trailing slots, the same verdict
-    monkeypatch.setattr(algebra_module, "_MAX_BLOCK", 16**4 - 1)
+    monkeypatch.setattr(modelcheck, "_MAX_BLOCK", 16**4 - 1)
     assert holds(algebra, equation, ONE_VARS) == EqVerdict(False, last)
     assert oracle_eval(algebra, last, equation.lhs) != oracle_eval(algebra, last, equation.rhs)
     for before in ({**last, "w": "14"}, {"x": "14", "y": "15", "z": "15", "w": "15"}):
         assert oracle_eval(algebra, before, equation.lhs) == oracle_eval(algebra, before, equation.rhs)
     # the same at a product of 125 with the cap at 125 and at 124
     for cap in (125, 124):
-        monkeypatch.setattr(algebra_module, "_MAX_BLOCK", cap)
+        monkeypatch.setattr(modelcheck, "_MAX_BLOCK", cap)
         algebra = one_sorted(5, f=min, k=lambda a: 0 if a == 4 else a)
         assert assert_one_as_oracle(algebra, "f f x y z = k f f x y z") == dict.fromkeys("xyz", "4")
         assert assert_one_as_oracle(algebra, "f f x y z = f x f y z") is None
@@ -413,12 +414,12 @@ def test_binary_table_above_256_positions(monkeypatch):
     cases = [(noisy, one_equation(t) if isinstance(t, str) else t) for t in texts + equations]
     at_last = ("f y f x z = k f y f x z", "f f x z y = k f f x z y", "f x y = k f y x")
     cases += [(last, one_equation(t)) for t in at_last]
-    caps, ranks = (algebra_module._MAX_BLOCK, 17 * 17, 3), []
+    caps, ranks = (modelcheck._MAX_BLOCK, 17 * 17, 3), []
     for algebra, equation in cases:
         found = oracle_first_failure(algebra, equation, ONE_VARS)
         want = EqVerdict(True) if found is None else EqVerdict(False, found)
         for cap in caps:
-            monkeypatch.setattr(algebra_module, "_MAX_BLOCK", cap)
+            monkeypatch.setattr(modelcheck, "_MAX_BLOCK", cap)
             assert holds(algebra, equation, ONE_VARS) == want, (cap, equation)
         ranks.append(None if found is None else rank(algebra, ONE_VARS, found))
     monkeypatch.undo()
@@ -545,7 +546,7 @@ def test_kept_slot_columns_match_brute_force(monkeypatch):
     texts = ["f x y = f y x", "f f x y z = f x f y z", "k f x w = f k w k x", "k k z = z"]
     equations = [one_equation(t, PAIR_VSIG) for t in texts]
     equations += [random_equation(rng, PAIR_VSIG, "u", i) for i in range(8)]
-    cap = algebra_module._MAX_BLOCK
+    cap = modelcheck._MAX_BLOCK
     calls = []
     for equation in equations:
         for algebra in (narrow, wide):
@@ -561,7 +562,7 @@ def test_kept_slot_columns_match_brute_force(monkeypatch):
         calls.insert(rng.randrange(len(calls)), (steep, equation, sizes, c))
     differences = 0
     for algebra, equation, sizes, c in calls:
-        monkeypatch.setattr(algebra_module, "_MAX_BLOCK", c)
+        monkeypatch.setattr(modelcheck, "_MAX_BLOCK", c)
         lhs, rhs = (program(algebra, t, PAIR_VARS) for t in (equation.lhs, equation.rhs))
         want = brute_first_difference(algebra, equation, sizes, PAIR_VARS)
         assert first_difference(lhs, rhs, sizes) == want, (sizes, c, equation)
@@ -575,9 +576,9 @@ def test_kept_slot_columns_stay_within_their_bound():
     # with two columns of most of a full block: the store keeps the last
     # _KEPT patterns, so what stays after the calls is at most _KEPT such
     # patterns, one column of the block's length per slot, not one per call
-    kept = algebra_module._KEPT
+    kept = modelcheck._KEPT
     sizes = [(256, 255 - i) for i in range(3 * kept)]
-    algebra_module._slot_columns.cache_clear()
+    modelcheck._slot_columns.cache_clear()
     tracemalloc.start()
     try:
         gc.collect()
@@ -598,7 +599,7 @@ def test_kept_equations_stay_within_their_cap():
     # one algebra under one (vsig, varspec) pair: every verdict is the
     # oracle's, and the one record never holds more than the cap, so the
     # second round compiles again what the first dropped
-    cap = algebra_module._KEPT_EQUATIONS
+    cap = modelcheck._KEPT_EQUATIONS
     algebra, vs = subtraction_mod_algebra(3), monoid_varspec()
     vsig = vsignature(monoid_signature(), vs)
     terms = list(enumerate_terms(vsig, "u", 3))
@@ -681,11 +682,11 @@ def test_kept_position_columns_stay_within_their_cap():
     # f x y = y over blocks of 16 x 16 x m tuples, for three times as many
     # values of m as the store keeps columns: the store ends at its cap,
     # and what stays is the last columns, not one per call
-    cap = algebra_module._positions.cache_info().maxsize
-    right = algebra_module._Op([b for a in range(16) for b in range(16)], (16, 16), 16)
+    cap = modelcheck._positions.cache_info().maxsize
+    right = _Op([b for a in range(16) for b in range(16)], (16, 16), 16)
     ms = range(1, 3 * cap + 1)
-    algebra_module._positions.cache_clear()
-    algebra_module._slot_columns.cache_clear()
+    modelcheck._positions.cache_clear()
+    modelcheck._slot_columns.cache_clear()
     tracemalloc.start()
     try:
         gc.collect()
@@ -696,10 +697,10 @@ def test_kept_position_columns_stay_within_their_cap():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert algebra_module._positions.cache_info().currsize == cap
+    assert modelcheck._positions.cache_info().currsize == cap
     # the last ``cap`` position columns and the last ``_KEPT`` patterns of
     # three slot columns, each of 256 * m bytes
-    bound = 256 * (sum(ms[-cap:]) + 3 * sum(ms[-algebra_module._KEPT :]))
+    bound = 256 * (sum(ms[-cap:]) + 3 * sum(ms[-modelcheck._KEPT :]))
     assert bound < 2 * 256 * 4 * sum(ms) / 3
     assert grown < bound + 64 * 1024
 
@@ -730,7 +731,7 @@ def test_check_hom_on_a_ternary_operation(monkeypatch):
             assert tuple(check_hom(m, src, dst)) == (want is None, want), (k, image)
             failing += want is not None
     assert failing > 4
-    monkeypatch.setattr(algebra_module, "_MAX_BLOCK", 3)  # a plan of one block does not fit
+    monkeypatch.setattr(modelcheck, "_MAX_BLOCK", 3)  # a plan of one block does not fit
     src, dst = ring(6), ring(3)
     for image in ([0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1, 1]):
         m = {"u": dict(zip(src.elements("u"), map(str, image)))}
@@ -782,7 +783,7 @@ def test_check_hom_above_a_byte_runs_without_the_identity_rule(monkeypatch):
         plans.append(plan)
         return first_difference(lhs, rhs, sizes, plan)
 
-    monkeypatch.setattr(algebra_module, "first_difference", spy)
+    monkeypatch.setattr(modelcheck, "first_difference", spy)
     for k, wide in ((150, True), (128, False), (3, False)):
         src, dst = additive_mod_algebra(2 * k), additive_mod_algebra(k)
         for image in ([(7 * i) % k for i in range(2 * k)], [(7 * i + (i == 2 * k - 1)) % k for i in range(2 * k)]):
