@@ -11,8 +11,6 @@ command line that only checks terms never loads the algebra and
 equation modules.
 """
 
-from importlib import import_module as _import_module
-
 _EXPORTS = {
     "algebra": (
         "Algebra",
@@ -46,34 +44,23 @@ _EXPORTS = {
         "evaluate",
         "universal_map",
     ),
-    "signature": (
-        "OpId",
-        "Signature",
-        "SignatureError",
-        "SortId",
-        "VarId",
-        "VarSpec",
-        "make_signature",
-        "make_signature_simple",
-        "make_signature_single_sorted",
-        "make_varspec",
-        "vsignature",
-    ),
+    "signature": ("OpId", "Signature", "SignatureError", "SortId", "VarId", "make_signature"),
+    "shorthand": ("make_signature_simple", "make_signature_single_sorted"),
+    "varspec": ("VarSpec", "make_varspec", "vsignature"),
     "term_vm": (
         "ExecReport",
         "Term",
         "TermError",
         "UnknownSymbolError",
-        "build_term",
         "depth",
         "enumerate_terms",
         "infer_sort",
         "oplistexec",
         "parse_term",
         "term_decompose",
-        "term_fold",
         "term_from_syms",
     ),
+    "terms": ("build_term", "term_fold"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -81,18 +68,26 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
-def __getattr__(name: str):
-    """Import the submodule that defines ``name``, or the submodule
-    ``name`` itself, and keep the name here for its next use."""
-    module = _MODULE_OF.get(name, name)
-    if module not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = _import_module(f".{module}", __name__)
-    if module != name:
-        value = getattr(value, name)
-        globals()[name] = value
-    return value
+def _lazy(namespace: dict, where: dict[str, str]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the module whose
+    globals are ``namespace``: a name that ``where`` maps to a submodule
+    of this package is imported from it on first use and kept in
+    ``namespace``; a name that ``where`` maps to itself is that
+    submodule.  The import is a relative import statement's, so
+    ``python -X importtime`` lists it."""
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = __import__(where[name], namespace, None, (name,), 1)
+        if where[name] != name:
+            value = namespace[name] = getattr(value, name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace).union(where))
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()).union(__all__, _EXPORTS))
+__getattr__, __dir__ = _lazy(globals(), {**_MODULE_OF, **{module: module for module in _EXPORTS}})

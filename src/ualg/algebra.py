@@ -29,7 +29,8 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
-from .signature import Frozen, OpId, Signature, SortId, VarSpec, extends_by_constants, is_vsignature
+from .signature import Frozen, OpId, Signature, SortId
+from .varspec import VarSpec, extends_by_constants, is_vsignature
 
 
 class AlgebraError(ValueError):

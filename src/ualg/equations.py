@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from .algebra import Algebra, FiniteAlgebra
 from .modelcheck import first_difference
-from .signature import Frozen, Signature, SortId, VarId, VarSpec, vsignature
+from .signature import Frozen, Signature, SortId, VarId
 from .term_vm import Term
+from .varspec import VarSpec, vsignature
 
 
 class EquationError(ValueError):

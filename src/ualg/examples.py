@@ -1,5 +1,6 @@
 """Ready-made example structures: the two-sorted list datatype, additive
-monoids modulo n, and boolean connectives with truth-table semantics."""
+monoids modulo n, and boolean connectives with truth-table semantics;
+and what ``ualg examples`` prints for each."""
 
 from __future__ import annotations
 
@@ -9,15 +10,10 @@ from itertools import product
 from .algebra import AlgebraError, FiniteAlgebra
 from .equations import EqReport, EqSpec, Equation, is_eqalgebra
 from .free_algebra import FreeAlgebra, evaluate
-from .signature import (
-    Frozen,
-    Signature,
-    VarSpec,
-    make_signature,
-    make_signature_single_sorted,
-    make_varspec,
-)
+from .shorthand import make_signature_single_sorted
+from .signature import Frozen, Signature, make_signature
 from .term_vm import Term, parse_term
+from .varspec import VarSpec, make_varspec
 
 # -- list datatype -----------------------------------------------------
 
@@ -213,3 +209,42 @@ def tarski_interp(assignment: Mapping[str, bool], t: Term) -> bool:
     """Truth-table evaluation of a boolean formula term."""
     labels = {v: (TRUE if b else FALSE) for v, b in assignment.items()}
     return evaluate(bool_algebra(), labels, t) == TRUE
+
+
+# -- what ``ualg examples`` prints ----------------------------------------
+
+def print_list() -> None:
+    fix = list_fixture(("a", "b"), max_len=4)
+    print("list datatype over elements [a, b], lists materialized up to length 4")
+    for text in ("nil", "cons a nil", "cons b cons a nil"):
+        print(f"{text} -> {list_eval(fix, text)}")
+    arity = " ".join(fix.signature.arity_of("cons"))
+    print(f"arity of cons: {arity} -> {fix.signature.sort_of('cons')}")
+
+
+def print_monoid() -> None:
+    from .commands import report_equations
+
+    spec, algebra, _ = monoid_fixture(3)
+    for name, alg in (("+", algebra), ("-", subtraction_mod_algebra(3))):
+        print(f"monoid equations on (Z mod 3, {name}, 0)")
+        report_equations(alg, spec)
+
+
+def print_bool() -> None:
+    free = bool_free()
+    print("boolean connectives under truth-table semantics")
+    formula = parse_term(free.vsig, "conj x impl z neg y")
+    value = tarski_interp({"x": True, "y": True, "z": False}, formula)
+    print(f"conj x impl z neg y | x=true y=true z=false -> {str(value).lower()}")
+    ground = parse_term(free.vsig, "impl bot top")
+    print(f"impl bot top -> {str(tarski_interp({}, ground)).lower()}")
+    dummett = parse_term(free.vsig, "disj impl x y impl y x")
+    if all(
+        tarski_interp({"x": a, "y": b}, dummett)
+        for a in (False, True)
+        for b in (False, True)
+    ):
+        print("dummett: disj impl x y impl y x holds under all 4 assignments of x, y")
+    else:
+        print("dummett: disj impl x y impl y x FAILS")

@@ -31,17 +31,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .algebra import Algebra, FiniteAlgebra, Hom
-from .signature import (
-    Frozen,
-    OpId,
-    Signature,
-    SignatureError,
-    VarId,
-    VarSpec,
-    vsignature,
-)
-from .term_vm import Term, _term, build_term, term_decompose
+from .signature import Frozen, OpId, Signature, SignatureError, VarId
+from .term_vm import Term, term_decompose
 from .term_vm import enumerate_terms  # noqa: F401  still importable from here
+from .terms import _term, build_term
+from .varspec import VarSpec, vsignature
 
 Assignment = Mapping[VarId, object]
 

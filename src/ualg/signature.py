@@ -1,23 +1,29 @@
-"""Multi-sorted signatures and variable specifications.
+"""Multi-sorted signatures.
 
 Sorts, operation symbols and variables are identified by plain interned
 strings.  A signature fixes an ordered list of operation symbols, each
 with an arity (the list of argument sorts) and a result sort; the
 declaration order defines operation indices and drives every
-deterministic enumeration downstream.  A variable specification assigns
-a sort to each variable and can be merged into a signature, turning
-every variable into a nullary operation symbol of its sort.
+deterministic enumeration downstream.
 
 ``Frozen`` is the base of the library's immutable values, here and in
 the modules built on this one: each value is the tuple of its fields,
 read by name.
+
+This module holds what checking a term needs: ``Frozen``, ``Signature``
+and ``make_signature``.  The shorthand constructors live in
+``shorthand``, and variable specifications and the signatures they
+extend in ``varspec``; both stay importable from here, and their first
+use loads their module (PEP 562).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import itemgetter
+
+from . import _lazy
 
 try:  # CPython's C descriptor for one tuple item: half the cost of a property
     from _collections import _tuplegetter
@@ -200,142 +206,7 @@ def make_signature(
     return Signature(sorts, tuple(names), tuple(arities), tuple(results))
 
 
-def make_signature_simple(
-    ns: int,
-    decls: Sequence[tuple[Sequence[int], int]],
-    sort_names: Sequence[SortId] | None = None,
-    op_names: Sequence[OpId] | None = None,
-) -> Signature:
-    """Compile index-based declarations into a signature.
-
-    Sorts are the indices ``0 .. ns-1`` (rendered as strings unless
-    ``sort_names`` is given) and the k-th declaration becomes operation
-    ``op<k>`` unless ``op_names`` is given.
-    """
-    if ns < 0:
-        raise SignatureError("number of sorts must be nonnegative")
-    if sort_names is None:
-        sort_names = tuple(str(i) for i in range(ns))
-    elif len(sort_names) != ns:
-        raise SignatureError(f"expected {ns} sort names, got {len(sort_names)}")
-    if op_names is None:
-        op_names = tuple(f"op{k}" for k in range(len(decls)))
-    elif len(op_names) != len(decls):
-        raise SignatureError(f"expected {len(decls)} operation names, got {len(op_names)}")
-
-    def resolve(i: int) -> SortId:
-        if not 0 <= i < ns:
-            raise SignatureError(f"sort index {i} out of range 0..{ns - 1}")
-        return sort_names[i]
-
-    ops = []
-    for nm, (arity_idx, result_idx) in zip(op_names, decls):
-        ops.append((nm, [resolve(i) for i in arity_idx], resolve(result_idx)))
-    return make_signature(sort_names, ops)
-
-
-def make_signature_single_sorted(
-    arities: Sequence[int],
-    names: Sequence[OpId] | None = None,
-    sort: SortId = "u",
-) -> Signature:
-    """Signature with one sort; the k-th operation takes ``arities[k]``
-    arguments of that sort and returns it."""
-    decls = [([0] * n, 0) for n in arities]
-    return make_signature_simple(1, decls, sort_names=[sort], op_names=names)
-
-
-class VarSpec(Frozen):
-    """Finite set of variables, each with a sort from a base signature.
-
-    ``len(vs)`` is the number of variables, not of fields:
-    ``tuple(vs)`` is still ``(vars, sorts)``."""
-
-    _fields = ("vars", "sorts")
-
-    def __new__(cls, vars: tuple[VarId, ...], sorts: tuple[SortId, ...]):
-        return tuple.__new__(cls, (vars, sorts))
-
-    @cached_property
-    def _sort_by_var(self) -> dict[VarId, SortId]:
-        return dict(zip(self.vars, self.sorts))
-
-    def is_var(self, v: VarId) -> bool:
-        return v in self.vars  # a tuple: no hash, so any name
-
-    def sort_of(self, v: VarId) -> SortId:
-        try:
-            return self._sort_by_var[v]
-        except (KeyError, TypeError):  # not a variable, or not hashable
-            raise SignatureError(f"unknown variable {v!r}") from None
-
-    def items(self) -> Iterator[tuple[VarId, SortId]]:
-        return iter(zip(self.vars, self.sorts))
-
-    def __len__(self) -> int:
-        return len(self.vars)
-
-
-def make_varspec(
-    sig: Signature,
-    decls: Mapping[VarId, SortId] | Iterable[tuple[VarId, SortId]],
-) -> VarSpec:
-    """Declare variables with sorts taken from ``sig``."""
-    pairs = list(decls.items()) if isinstance(decls, Mapping) else list(decls)
-    names = [v for v, _ in pairs]
-    if len(set(names)) != len(names):
-        raise SignatureError("duplicate variable names")
-    for v, s in pairs:
-        if not sig.is_sort(s):
-            raise SignatureError(f"variable {v!r} has unknown sort {s!r}")
-    return VarSpec(tuple(names), tuple(s for _, s in pairs))
-
-
-def _check_var_clash(sig: Signature, vs: VarSpec) -> None:
-    clash = [v for v in vs.vars if sig.is_op(v)]
-    if clash:
-        raise SignatureError(f"variable names collide with operations: {clash}")
-
-
-def vsignature(sig: Signature, vs: VarSpec) -> Signature:
-    """Extend ``sig`` with one nullary operation per variable.
-
-    Base operations keep their declarations; variable names must not
-    collide with operation names, which keeps the two halves of the
-    extended symbol set disjoint and recoverable.
-    """
-    _check_var_clash(sig, vs)
-    return Signature(
-        sig.sorts,
-        sig.ops + vs.vars,
-        sig.arities + ((),) * len(vs.vars),
-        sig.results + vs.sorts,
-    )
-
-
-def extends_by_constants(vsig: Signature, sig: Signature) -> bool:
-    """Whether ``vsig`` is ``sig`` extended by nullary symbols only, as
-    ``vsignature`` extends it by variables: the same sorts, then the
-    operations of ``sig`` in the same order with the same arities and
-    results, then nothing but constants."""
-    n = len(sig.ops)
-    return (
-        vsig.sorts == sig.sorts
-        and vsig.ops[:n] == sig.ops
-        and vsig.arities[:n] == sig.arities
-        and vsig.results[:n] == sig.results
-        and not any(vsig.arities[n:])
-    )
-
-
-def is_vsignature(vsig: Signature, sig: Signature, vs: VarSpec) -> bool:
-    """Whether ``vsig == vsignature(sig, vs)``, decided without building
-    the extended signature; raises the same ``SignatureError`` on a name
-    clash."""
-    _check_var_clash(sig, vs)
-    return (
-        vsig.sorts == sig.sorts
-        and vsig.ops == sig.ops + vs.vars
-        and vsig.arities == sig.arities + ((),) * len(vs.vars)
-        and vsig.results == sig.results + vs.sorts
-    )
+__getattr__, __dir__ = _lazy(globals(), {
+    **dict.fromkeys(("make_signature_simple", "make_signature_single_sorted"), "shorthand"),
+    **dict.fromkeys(("VarSpec", "extends_by_constants", "is_vsignature", "make_varspec", "vsignature"), "varspec"),
+})

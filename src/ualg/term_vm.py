@@ -31,9 +31,9 @@ Every term has passed the machine.  A ``Term`` is a ``Frozen`` value,
 the tuple (signature, symbols, sort): equal and hash equal over those
 three fields.  The public constructor ``Term(...)`` runs the machine
 through ``term_from_syms`` and rejects a non-term or a term of another
-sort.  The private ``_term`` trusts its arguments and builds the same
-tuple in one ``tuple.__new__`` call, which ``term_from_syms``,
-``build_term``, ``term_decompose`` and ``enumerate_terms`` write out
+sort.  The private ``terms._term`` trusts its arguments and builds the
+same tuple in one ``tuple.__new__`` call, which ``term_from_syms``,
+``term_decompose``, ``enumerate_terms`` and ``build_term`` write out
 in place of the call.  Both are used only where the machine has
 checked the symbols or construction joins checked terms: those four,
 ``term_fold`` and ``FreeAlgebra.varterm``.  So no consumer of a
@@ -41,25 +41,31 @@ term checks it again, and a value machine never meets a sequence that
 is not a term.
 
 The same machine, run on values in place of sorts, is how a term is
-consumed: ``term_fold`` and ``depth`` make one right-to-left pass over
-the symbols with a list as the value stack.  A symbol pops the values of
-its arguments (the first argument on top) and pushes its own, so no pass
-recurses or decomposes, and a term's depth is bounded by memory alone,
-not by the interpreter's recursion limit.  ``term_decompose`` remains as
-the inverse of ``build_term``: one left-to-right pass over the symbols
-after the head, counting the sorts each argument still has to produce,
-finds where each argument but the last ends; the last is the rest.
+consumed: ``depth`` here and ``terms.term_fold`` make one right-to-left
+pass over the symbols with a list as the value stack.  A symbol pops the
+values of its arguments (the first argument on top) and pushes its own,
+so no pass recurses or decomposes, and a term's depth is bounded by
+memory alone, not by the interpreter's recursion limit.
+``term_decompose`` is the inverse of ``terms.build_term``: one
+left-to-right pass over the symbols after the head, counting the sorts
+each argument still has to produce, finds where each argument but the
+last ends; the last is the rest.
 
 ``enumerate_terms`` builds each term from terms it has already built,
 so it concatenates their symbols without checking them again.
+
+No command line builds a term from terms or folds one, so
+``build_term`` and ``term_fold`` live in ``terms``; they stay
+importable from here, and their first use loads that module (PEP 562).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import product
 from operator import length_hint
 
+from . import _lazy
 from .signature import Frozen, OpId, Signature, SignatureError, SortId
 
 
@@ -200,19 +206,6 @@ class Term(Frozen):
 _new = tuple.__new__
 
 
-def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
-    """The trusted constructor: the tuple of the three fields, without the
-    machine run of ``Term(...)``.
-
-    Only for a tuple ``syms`` that the machine has checked to be a term of
-    ``sort`` over ``signature``, or that construction keeps one: the
-    callers are ``term_fold`` and ``FreeAlgebra.varterm``, and
-    ``term_from_syms``, ``build_term``, ``term_decompose`` and
-    ``enumerate_terms`` write out its one ``_new`` call.
-    """
-    return _new(Term, (signature, syms, sort))
-
-
 def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
     """Validate a raw symbol sequence and package it as a term.
 
@@ -235,52 +228,6 @@ def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
 def parse_term(sig: Signature, text: str) -> Term:
     """Parse the whitespace-separated text form; inverse of ``Term.text``."""
     return term_from_syms(sig, text.split())
-
-
-def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
-    """Apply ``nm`` to argument terms matching its arity.
-
-    The result is ``nm`` followed by the argument sequences in order; it
-    is a valid term by construction and is not re-validated.  Up to two
-    arguments are read by unpacking each term as its tuple (signature,
-    symbols, sort), and the symbols are one concatenation.
-    """
-    try:
-        arity, res = sig.decl[nm]
-    except (KeyError, TypeError):  # not an operation, or not hashable
-        raise SignatureError(f"unknown operation {nm!r}") from None
-    k = len(arity)
-    if len(args) != k:
-        raise TermError(f"{nm!r} expects {k} argument(s), got {len(args)}")
-    if k == 2:
-        (a_sig, a, a_sort), (b_sig, b, b_sort) = args
-        if (
-            (a_sig is not sig and a_sig != sig) or a_sort != arity[0]
-            or (b_sig is not sig and b_sig != sig) or b_sort != arity[1]
-        ):
-            _reject_arguments(sig, nm, args, arity)
-        return _new(Term, (sig, (nm,) + a + b, res))
-    if k == 1:
-        ((a_sig, a, a_sort),) = args
-        if (a_sig is not sig and a_sig != sig) or a_sort != arity[0]:
-            _reject_arguments(sig, nm, args, arity)
-        return _new(Term, (sig, (nm,) + a, res))
-    syms = [nm]
-    for a, want in zip(args, arity):
-        if (a.signature is not sig and a.signature != sig) or a.sort != want:
-            _reject_arguments(sig, nm, args, arity)
-        syms += a.syms
-    return _new(Term, (sig, tuple(syms), res))
-
-
-def _reject_arguments(sig: Signature, nm: OpId, args: Sequence[Term], arity: tuple[SortId, ...]) -> None:
-    """Raise for the first argument of ``build_term`` over another
-    signature or of the wrong sort, in that order per argument."""
-    for i, (a, want) in enumerate(zip(args, arity)):
-        if a.signature is not sig and a.signature != sig:
-            raise TermError(f"argument {i} of {nm!r} belongs to a different signature")
-        if a.sort != want:
-            raise TermError(f"argument {i} of {nm!r} has sort {a.sort!r}, expected {want!r}")
 
 
 def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
@@ -321,46 +268,6 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
     if arity:
         args.append(_new(Term, (sig, syms[i:], arity[-1])))
     return nm, tuple(args)
-
-
-def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[object, ...]], object], t: Term) -> object:
-    """Structural fold over a term, by one run of the value machine.
-
-    ``step`` runs once per subterm, after its arguments, last subterm
-    first.  Each stack entry is the ``(end, value)`` of a finished
-    subterm; a subterm's first argument starts right after its head and
-    each next one where the previous ends, so ``step`` still receives
-    its argument terms.  Satisfies the unfolding law
-    ``term_fold(step, build_term(sig, nm, v)) ==
-    step(nm, v, tuple(term_fold(step, a) for a in v))``.
-    """
-    sig, syms = t.signature, t.syms
-    decl = sig.decl
-    stack: list[tuple[int, object]] = []
-    push, pop = stack.append, stack.pop
-    for i in range(len(syms) - 1, -1, -1):
-        nm = syms[i]
-        arity = decl[nm][0]
-        k = len(arity)
-        if k == 0:
-            push((i + 1, step(nm, (), ())))
-        elif k == 1:
-            end, v = pop()
-            push((end, step(nm, (_term(sig, syms[i + 1 : end], arity[0]),), (v,))))
-        elif k == 2:
-            mid, v = pop()
-            end, w = pop()
-            args = (_term(sig, syms[i + 1 : mid], arity[0]), _term(sig, syms[mid:end], arity[1]))
-            push((end, step(nm, args, (v, w))))
-        else:
-            entries = stack[: -k - 1 : -1]
-            del stack[-k:]
-            args, start = [], i + 1
-            for (end, _), s in zip(entries, arity):
-                args.append(_term(sig, syms[start:end], s))
-                start = end
-            push((end, step(nm, tuple(args), tuple([e[1] for e in entries]))))
-    return stack[-1][1]
 
 
 def depth(t: Term) -> int:
@@ -435,3 +342,6 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
             for t, res in produced:
                 if res == sort:
                     yield t
+
+
+__getattr__, __dir__ = _lazy(globals(), dict.fromkeys(("build_term", "term_fold"), "terms"))

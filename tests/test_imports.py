@@ -1,8 +1,13 @@
 """The package's import diet: lazy exports, and the modules a command
 line loads beyond a bare interpreter.  A well-formed command line loads
-no ``argparse``, and only the commands that check something load the
-model checker."""
+no ``argparse``, only the commands that check something load the model
+checker, and ``term`` and ``enumerate`` load none of the code they never
+run; every name that moved out of their modules stays importable from
+where it was."""
 
+import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +19,7 @@ import pytest
 import ualg
 
 SRC = str(Path(ualg.__file__).resolve().parent.parent)
+ROOT = Path(SRC).parent
 SIG = str(resources.files("ualg") / "data" / "monoid_signature.json")
 ALG = str(resources.files("ualg") / "data" / "monoid_z3.json")
 EQS = str(resources.files("ualg") / "data" / "monoid_equations.json")
@@ -73,11 +79,35 @@ def test_the_checker_stays_importable_from_algebra():
         algebra.nosuch
 
 
+# The modules that hold what ``term`` and ``enumerate`` never run.
+MOVED_TO = ("ualg.algebra_io", "ualg.commands", "ualg.shorthand", "ualg.terms", "ualg.varspec")
+
+# The names each module of the term path re-exports, with the module
+# that defines them now.
+MOVED = {
+    "ualg.jsonio": dict.fromkeys((
+        "algebra_from_obj", "algebra_to_obj", "assignment_from_obj", "dump_json", "eqspec_from_obj",
+        "eqspec_to_obj", "hom_maps_from_obj", "load_algebra", "load_assignment", "load_eqspec", "load_hom_maps",
+        "resolve_assignment", "signature_to_obj", "varspec_from_obj",
+    ), "ualg.algebra_io"),
+    "ualg.signature": {
+        **dict.fromkeys(("make_signature_simple", "make_signature_single_sorted"), "ualg.shorthand"),
+        **dict.fromkeys(
+            ("VarSpec", "extends_by_constants", "is_vsignature", "make_varspec", "vsignature"), "ualg.varspec"
+        ),
+    },
+    "ualg.term_vm": dict.fromkeys(("build_term", "term_fold"), "ualg.terms"),
+    "ualg.cli": dict.fromkeys(
+        ("build_parser", "cmd_check_eqs", "cmd_check_hom", "cmd_eval", "cmd_examples"), "ualg.commands"
+    ),
+}
+
+
 def test_term_check_loads_no_algebra_equations_or_dataclasses():
     out, added = added_modules("term", "check", "--sig", SIG, "mul e e")
     assert out == ["sort: u"]
     assert {"ualg.cli", "ualg.jsonio", "ualg.signature", "ualg.term_vm"} <= added
-    for name in ("ualg.algebra", "ualg.equations", "ualg.free_algebra", "ualg.examples", "dataclasses"):
+    for name in ("ualg.algebra", "ualg.equations", "ualg.free_algebra", "ualg.examples", "dataclasses", *MOVED_TO):
         assert name not in added
 
 
@@ -87,8 +117,91 @@ def test_enumerate_loads_no_algebra_or_free_algebra():
     assert enumerate_terms is ualg.enumerate_terms
     out, added = added_modules("enumerate", "--sig", SIG, "--sort", "u", "--max-depth", "2")
     assert out == ["e", "mul e e", "count: 2"]
-    for name in ("ualg.algebra", "ualg.free_algebra", "ualg.equations", "ualg.examples", "dataclasses"):
+    for name in ("ualg.algebra", "ualg.free_algebra", "ualg.equations", "ualg.examples", "dataclasses", *MOVED_TO):
         assert name not in added
+
+
+def imported_names(*paths):
+    """Per ``ualg`` module, the names that ``from ualg.<module> import``
+    statements in the Python files under ``paths`` import."""
+    names = {}
+    for path in paths:
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ualg."):
+                    names.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_imported_name_resolves_where_it_was():
+    # what the benchmark, the data script and the tests import from the
+    # term path's modules, and every name that moved out of them
+    wanted = imported_names(ROOT / "bench", ROOT / "scripts" / "make_data.py", ROOT / "tests")
+    assert set(MOVED["ualg.jsonio"]) & wanted["ualg.jsonio"]  # the scan sees the moved names
+    for module in MOVED:
+        old = importlib.import_module(module)
+        for name in wanted.get(module, set()) | set(MOVED[module]):
+            value = getattr(old, name)
+            assert name in dir(old), (module, name)
+            if name in MOVED[module]:
+                new = importlib.import_module(MOVED[module][name])
+                assert value is getattr(new, name), (module, name)
+                assert value.__module__ == new.__name__, (module, name)
+            else:
+                assert name in vars(old), (module, name)
+        namespace = {}
+        exec(f"from {module} import {', '.join(sorted(MOVED[module]))}", namespace)
+        assert all(namespace[name] is getattr(old, name) for name in MOVED[module])
+        with pytest.raises(AttributeError, match="nosuch"):
+            old.nosuch
+    # the package exports a moved name from its new module: the same object
+    for module, moved in MOVED.items():
+        for name in set(moved) & set(ualg.__all__):
+            assert getattr(ualg, name) is getattr(importlib.import_module(module), name), name
+
+
+def code_lines_of(files):
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sum(module.code_lines(Path(f)) for f in files)
+
+
+# ``python -m ualg`` with the given arguments, after which the files of
+# the loaded ``ualg`` modules, and ``ualg/__main__.py``, are printed.
+RUN_MAIN = (
+    "import runpy, sys\n"
+    "sys.argv[0], code = 'ualg', 0\n"
+    "try:\n"
+    "    runpy.run_module('ualg', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as stop:\n"
+    "    code = stop.code\n"
+    "import ualg\n"
+    "files = {m.__file__ for n, m in sys.modules.items() if n == 'ualg' or n.startswith('ualg.')}\n"
+    "files.add(ualg.__file__.replace('__init__.py', '__main__.py'))\n"
+    "print(*sorted(files), sep='\\n')\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("term", "check", "--sig", SIG, "mul e e"), ("enumerate", "--sig", SIG, "--sort", "u", "--max-depth", "3")],
+    ids=lambda argv: argv[0],
+)
+def test_the_term_path_compiles_at_most_650_code_lines(argv):
+    proc = python("-c", RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    files = [line for line in proc.stdout.splitlines() if line.endswith(".py")]
+    names = {Path(f).name for f in files}
+    assert names == {"__init__.py", "__main__.py", "cli.py", "jsonio.py", "signature.py", "term_vm.py"}
+    assert code_lines_of(files) <= 650
+
+
+def test_the_moved_code_loads_neither_typing_nor_dataclasses():
+    proc = python("-S", "-c", "import sys; import " + ", ".join(MOVED_TO) + "; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert not {"typing", "dataclasses"} & set(proc.stdout.split())
 
 
 def test_eval_loads_no_equations_or_examples():
