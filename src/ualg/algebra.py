@@ -50,26 +50,37 @@ class _Op:
     the result carrier.  ``padded`` is the rows as bytes, padded to a
     256-byte translate table, or None when an index of this table can
     exceed a byte; ``small`` tells whether, besides, every position fits
-    a byte.  A binary table above 256 positions builds ``runs(j)`` on
-    first use."""
+    a byte.  ``probe`` is its entry in the probe form that
+    ``modelcheck._probe`` runs: a constant's index twice, as the pair it
+    pushes, with None, and otherwise the rows with ``dims[1]`` for a
+    binary table and with the dims after the first for any other.
 
-    __slots__ = ("rows", "dims", "padded", "small", "_runs")
+    ``derived`` keeps what is read off the table on first use: for a
+    binary table above 256 positions, ``runs(j)`` under the key ``j``,
+    and under ``(j, c)`` the table that ``modelcheck._planned`` folds
+    with argument ``j`` fixed at the index ``c``, one argument less.  So
+    every plan over the table shares them: at most one fold per argument
+    and index of the table, each a ``d``-th of its positions for that
+    argument's carrier of ``d`` elements."""
+
+    __slots__ = ("rows", "dims", "padded", "small", "probe", "derived")
 
     def __init__(self, rows: list[int], dims: tuple[int, ...], width: int):
         self.rows, self.dims = rows, dims
+        self.probe = (rows, dims[1]) if len(dims) == 2 else (rows, dims[1:]) if dims else ((rows[0], rows[0]), None)
         wide = max((*dims, width)) > _BYTE
         self.padded = None if wide else bytes(rows).ljust(_BYTE, b"\0")
         self.small = not wide and len(rows) <= _BYTE
-        self._runs = [None, None]
+        self.derived = {}
 
     def runs(self, j: int) -> list[bytes]:
         """Per index of the other argument, the translate table that
         sends argument ``j`` of this binary table to the result."""
-        rows = self._runs[j]
+        rows = self.derived.get(j)
         if rows is None:
             free, other = (self.dims[1], 1) if j == 0 else (1, self.dims[1])
             d = self.dims[j] * free
-            rows = self._runs[j] = [
+            rows = self.derived[j] = [
                 self.padded[x * other : x * other + d : free].ljust(_BYTE, b"\0") for x in range(self.dims[1 - j])
             ]
         return rows

@@ -6,7 +6,9 @@ run the bundled example structures.
 
 Exit codes are a stable contract: 0 when the command succeeds and any
 checked property holds, 1 when a checked property fails, 2 for usage or
-input errors.  Output is byte-deterministic for identical inputs.
+input errors.  A process whose stdout was closed ends with 141, and an
+interrupted one with 130, both quietly (``run``).  Output is
+byte-deterministic for identical inputs.
 
 A subcommand imports what it runs when it runs: ``term`` and
 ``enumerate`` load only ``signature``, ``term_vm`` and ``jsonio``.  The
@@ -173,6 +175,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:  # stdout was closed: not an input error, and run ends quietly
+        raise
     except (OSError, json.JSONDecodeError, ValueError) as err:
         # covers format, signature, term, binding and algebra errors
         print(f"error: {err}", file=sys.stderr)
@@ -183,6 +187,16 @@ def run():
     """The process entry point, of ``python -m ualg`` and of the ``ualg``
     script: exit with the code of ``main`` on the command line, or with
     the usage error ``argparse`` raises.
+
+    Two ends lie outside the 0/1/2 contract, and neither prints anything.
+    A closed stdout, as when a reader such as ``head`` stops reading,
+    exits with 141, the status a shell shows for a process that
+    ``SIGPIPE`` ended; stdout goes to ``os.devnull`` first, as the
+    ``signal`` module's documentation advises, so that the flush at
+    shutdown cannot fail on it again.  An interrupt (Ctrl-C)
+    exits with 130, the shell's status for ``SIGINT``.  An ``OSError``
+    from an input file stays an input error, exit 2, reported by
+    ``main``.
 
     Before it exits it moves every live object to the collector's
     permanent generation (``gc.freeze``), so the full collections that
@@ -197,9 +211,15 @@ def run():
     holds at that point.
     """
     import gc
+    import os
 
     try:
         code = main()
+    except KeyboardInterrupt:
+        code = 130
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     finally:
         gc.freeze()
     sys.exit(code)

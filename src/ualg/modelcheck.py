@@ -8,16 +8,17 @@ Exhaustive checks run machine programs on columns of carrier indices:
 one step per symbol, last first, a slot of the assignment tuples or an
 index table.  ``first_difference`` returns the lexicographically first
 index tuple of the slot carriers' product on which two programs differ.
-It runs each program once over the first two tuples together, with
-every value a pair of indices, one per tuple.  Then one machine runs
-both programs once per block of at most ``_MAX_BLOCK`` tuples: once the
-product passes that cap, the leading slots are looped over in Python,
-each a single index, and the trailing slots are columns over the block,
-kept per size pattern of the block.  A value is a scalar index or such
-a column, ``bytes`` while every index fits a byte and a list above
-that.  The blocks run a plan of both programs, which depends on the
-programs, the sizes and the cut into blocks alone, so ``holds`` keeps
-it with each compiled equation.  On ``bytes`` columns, a step whose
+It runs each program's probe form once over the first two tuples
+together, with every value a pair of indices, one per tuple.  Then one
+machine runs both programs once per block of at most ``_MAX_BLOCK``
+tuples: once the product passes that cap, the leading slots are looped
+over in Python, each a single index, and the trailing slots are columns
+over the block, kept per size pattern of the block.  A value is a
+scalar index or such a column, ``bytes`` while every index fits a byte
+and a list above that.  The probe forms and the plan of both programs
+depend on the programs, the sizes and the block cap alone, so ``holds``
+keeps them with each compiled equation.  The plan folds each constant
+into the table that reads it.  On ``bytes`` columns, a step whose
 arguments are all slots of the block is one translate of a kept column
 of table positions; when the positions are the identity, it is the
 table's own rows.  A step with one column among its arguments is one
@@ -65,20 +66,23 @@ class _Equations(dict):
 
     A compiled equation is both programs, the slot sizes with each
     variable that does not occur at 1, the slots of the variables that
-    occur, which label a counterexample, and the plan ``first_difference``
-    runs its blocks by, made for the cut into blocks at compile time
-    (``_plan``).  A missing key is compiled and kept; past
-    ``_KEPT_EQUATIONS`` the oldest entry goes first.  An entry holds the
-    two programs and the two planned ones, of one pointer per symbol, and
-    per step fed by slots only a key of its slots and sizes, but no
-    column: the position column it reads stays in ``_positions``'s
-    bounded store, and a step at the identity positions pushes its
-    table's rows, at most 256 bytes or the table's own.  That is about
-    45 bytes per symbol of both sides, plus about 600 bytes with three
-    variables (measured with ``tracemalloc`` on CPython 3.11, on random
-    monoid terms).  So a full record of equations of s symbols keeps
-    about ``_KEPT_EQUATIONS * (45 * s + 600)`` bytes: 260 KiB for laws
-    of 10 symbols such as associativity, 2.8 MiB at 250 symbols."""
+    occur, which label a counterexample, and the plan made for the block
+    cap at compile time (``_plan``).  A missing key is compiled and kept;
+    past ``_KEPT_EQUATIONS`` the oldest entry goes first.  An entry holds
+    the two programs, their probe forms and the two planned programs, of
+    one pointer per symbol (a probe form's entries are shared), and per
+    step fed by slots only a key of its slots and sizes, but no column:
+    the position column it reads stays in ``_positions``'s bounded
+    store, and a step at the identity positions pushes its table's rows,
+    at most 256 bytes or the table's own.  A folded constant's table is
+    kept by the table it came from (``_Op.derived``).  That is about 51
+    bytes per symbol of both sides, plus about 600 bytes with three
+    variables, and 38 per symbol with one constant in eight symbols
+    (measured with ``tracemalloc`` on CPython 3.11.7, on random monoid
+    equations of 10 to 126 symbols).  So a full record of equations of s
+    symbols keeps at most about ``_KEPT_EQUATIONS * (51 * s + 600)``
+    bytes: 280 KiB for laws of 10 symbols such as associativity, 3.3 MiB
+    at 250 symbols."""
 
     __slots__ = ("vsig", "varspec", "lookup", "sizes", "slots")
 
@@ -93,32 +97,32 @@ class _Equations(dict):
         if len(self) >= _KEPT_EQUATIONS:
             self.pop(next(iter(self)), None)  # another thread may have dropped it
         slots = tuple(slot for slot in self.slots if slot[0] in occurring)
-        self[key] = compiled = lhs, rhs, sizes, slots, _plan(lhs, rhs, sizes, _cut(sizes))
+        self[key] = compiled = lhs, rhs, sizes, slots, _plan(lhs, rhs, sizes)
         return compiled
 
 
-def _probe(program: Program, last: int) -> tuple[int, int]:
+def _probe(form: tuple) -> tuple[int, int]:
     """The index of a compiled term at the first two tuples of the
-    product at once, as a pair: every slot is 0 in both but slot
-    ``last``, which is 1 in the second.  A binary step, the common one,
-    unpacks both argument pairs at once; any other loops over its
-    dimensions."""
+    product at once, as a pair, from its probe form (``_plan``): per
+    step ``(rows, d)``.  With ``d`` None, a slot or a constant, ``rows``
+    is the pair to push; a binary step, the common one, unpacks both
+    argument pairs at once with its second dimension ``d``; any other
+    takes its first argument's pair and loops over ``d``, the dims after
+    the first."""
     stack: list[tuple[int, int]] = []
     push, pop = stack.append, stack.pop
-    for step in program:
-        if step.__class__ is int:
-            push((0, 1) if step == last else (0, 0))
-            continue
-        rows, dims = step.rows, step.dims
-        if len(dims) == 2:
-            (a, b), (x, y), d = pop(), pop(), dims[1]
+    for rows, d in form:
+        if d is None:
+            push(rows)
+        elif d.__class__ is int:
+            (a, b), (x, y) = pop(), pop()
             push((rows[a * d + x], rows[b * d + y]))
-            continue
-        a = b = 0
-        for d in dims:
-            x, y = pop()
-            a, b = a * d + x, b * d + y
-        push((rows[a], rows[b]))
+        else:
+            a, b = pop()
+            for m in d:
+                x, y = pop()
+                a, b = a * m + x, b * m + y
+            push((rows[a], rows[b]))
     return stack[-1]
 
 
@@ -127,25 +131,34 @@ def _probe(program: Program, last: int) -> tuple[int, int]:
 _BYTES = [bytes((x,)) for x in range(_BYTE)]
 
 
-def _cut(sizes: tuple[int, ...]) -> int:
-    """The number of leading slots looped over in Python, so that the
-    block of the trailing ones holds at most ``_MAX_BLOCK`` tuples."""
+# A slot's entry in a probe form: its pair of indices at the first two
+# tuples, the second for the last slot of size above 1.
+_SLOTS = (((0, 0), None), ((0, 1), None))
+
+
+def _plan(lhs: Program, rhs: Program, sizes: tuple[int, ...]) -> tuple:
+    """``(lead, wide, lhs, rhs, last, lprobe, rprobe, cap)``: how both
+    programs run over the first two tuples of the product and over its
+    blocks, made for the block cap ``cap``, ``_MAX_BLOCK`` at the time.
+
+    ``last`` is the last slot of size above 1, or -1, and each program's
+    probe form, which ``_probe`` runs, has per step its ``_Op.probe`` or,
+    for a slot, its pair from ``_SLOTS``.  ``lead`` is the number of
+    leading slots looped over in Python, so that the block of the
+    trailing ones holds at most ``cap`` tuples.  ``wide`` tells whether
+    columns are lists, because a slot or a table's index passes a byte;
+    then the programs run as they are, and otherwise each as
+    ``_planned`` makes it.  The plan depends on the programs, the sizes
+    and the cap alone."""
+    last = max([i for i, m in enumerate(sizes) if m > 1], default=-1)
+    probes = [tuple(_SLOTS[s == last] if s.__class__ is int else s.probe for s in p) for p in (lhs, rhs)]
     n, lead = prod(sizes), 0
     while n > _MAX_BLOCK:
         n //= sizes[lead]
         lead += 1
-    return lead
-
-
-def _plan(lhs: Program, rhs: Program, sizes: tuple[int, ...], lead: int) -> tuple:
-    """``(lead, wide, lhs, rhs)``: how both programs run over the blocks
-    behind ``lead`` leading slots.  ``wide`` tells whether columns are
-    lists, because a slot or a table's index passes a byte; then the
-    programs run as they are, and otherwise each as ``_planned`` makes
-    it.  The plan depends on the programs, the sizes and the cut alone."""
     if max(sizes, default=0) > _BYTE or None in [s.padded for s in (*lhs, *rhs) if s.__class__ is _Op]:
-        return lead, True, lhs, rhs
-    return lead, False, _planned(lhs, sizes, lead), _planned(rhs, sizes, lead)
+        return lead, True, lhs, rhs, last, *probes, _MAX_BLOCK
+    return lead, False, _planned(lhs, sizes, lead), _planned(rhs, sizes, lead), last, *probes, _MAX_BLOCK
 
 
 def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
@@ -171,7 +184,10 @@ def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
     A value's mask has the bit of each slot it reads; the leading slots
     and the slots of size 1 are indices in every block, so they have
     none, and a value that reads no slot of the block is an index, not a
-    column."""
+    column.  A constant is pushed nowhere: its mask is ``-1 - c`` for
+    its index ``c``, and the step that reads it runs as its table's part
+    at ``c``, one argument less, which the table keeps (``_Op.derived``);
+    a program whose value is a constant ends with it as a table."""
     block, masks, planned = sizes[lead:], [], []
     for step in program:
         if step.__class__ is int:
@@ -181,6 +197,15 @@ def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
         k = len(step.dims)
         args = masks[len(masks) - k :][::-1]  # first argument first
         del masks[len(masks) - k :]
+        while min(args, default=0) < 0:  # a constant argument, folded into a smaller table
+            j = args.index(min(args))
+            s, d, c = prod(step.dims[j + 1 :]), step.dims[j], -1 - args.pop(j)
+            rows = bytes([r for o in range(c * s, len(step.rows), d * s or 1) for r in step.rows[o : o + s]])
+            step = step.derived.setdefault((j, c), _Op(rows, step.dims[:j] + step.dims[j + 1 :], _BYTE))
+        k = len(args)
+        if not k:  # a constant, pushed nowhere: the step that reads it folds it
+            masks.append(-1 - step.rows[0])
+            continue
         mask = 0
         for m in args:
             mask |= m
@@ -197,6 +222,8 @@ def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
                 step = (step, j, prod(sizes[cut + 1 :]), args[j] & -args[j] > 1 << cut)
         masks.append(mask)
         planned.append(step)
+    if masks[-1] < 0:  # the program's value is a constant
+        planned.append(_Op([-1 - masks[-1]], (), _BYTE))
     return tuple(planned)
 
 
@@ -282,15 +309,17 @@ _KEPT = 32
 
 
 @lru_cache(maxsize=_KEPT)
-def _slot_columns(sizes: tuple[int, ...]) -> tuple[bytes | int, ...]:
-    """The entries of the slots of a block over ``sizes``, each at most
-    256: the index 0 for a slot of size 1, else a ``bytes`` column with
-    the slot's index at each tuple of their lexicographic product.
+def _slot_columns(sizes: tuple[int, ...], wide: bool = False) -> tuple[bytes | list | int, ...]:
+    """The entries of the slots of a block over ``sizes``: the index 0
+    for a slot of size 1, else a column with the slot's index at each
+    tuple of their lexicographic product, ``bytes`` when every size is at
+    most 256 and a list when ``wide``.
 
-    They depend on the sizes alone, so the last ``_KEPT`` size patterns
-    keep theirs, and every call and block over the same sizes shares
-    them; ``bytes`` cannot change.  A pattern keeps one column of
-    ``prod(sizes)`` bytes per slot of size above 1.  A block has at most
+    ``bytes`` columns depend on the sizes alone, so the last ``_KEPT``
+    size patterns keep theirs, and every call and block over the same
+    sizes shares them; ``bytes`` cannot change.  List columns are built
+    per call (``_slot_columns.__wrapped__``).  A pattern keeps one column
+    of ``prod(sizes)`` bytes per slot of size above 1.  A block has at most
     ``_MAX_BLOCK`` = 65,536 tuples, so at most 16 such slots: at worst
     1 MiB per pattern and 32 MiB in all.  Z mod 14 with three variables
     keeps 8 KiB."""
@@ -300,7 +329,10 @@ def _slot_columns(sizes: tuple[int, ...]) -> tuple[bytes | int, ...]:
         if m == 1:  # index 0 at every tuple
             cols.append(0)
             continue
-        col = bytes(range(m)) if inner == 1 else b"".join([_BYTES[x] * inner for x in range(m)])
+        if wide:
+            col = [x for x in range(m) for _ in range(inner)]
+        else:
+            col = bytes(range(m)) if inner == 1 else b"".join([_BYTES[x] * inner for x in range(m)])
         cols.append(col * outer)
         outer *= m
     return tuple(cols)
@@ -345,24 +377,25 @@ def first_difference(
     in sizes)`` on which two compiled terms differ, or None when they agree
     on all of them.
 
-    The first two tuples are built directly: all zeros, then a 1 at the
-    last slot of size above 1.  Each program runs once over both
-    (``_probe``), so an early difference costs little; a product of one
-    tuple passes it twice.  Then the product is cut into blocks of at
-    most ``_MAX_BLOCK`` tuples: the leading slots are looped over in
-    Python, each a single index, and both terms run once per block on
-    columns over the trailing slots (``_packed_run``); a slot of size 1
-    is the index 0 throughout.  Columns are ``bytes`` while every index
-    fits a byte, and lists above that.  The ``bytes`` slot columns
-    depend on the block's sizes alone and come from ``_slot_columns``,
-    which keeps them for the last ``_KEPT`` size patterns; list columns
-    are built per call.  The blocks run the programs of a plan
-    (``_plan``): whether columns are lists, and on ``bytes`` each
-    program with its slot-fed steps and its binary steps above 256
-    positions rewritten (``_planned``).  A caller that keeps the plan of
-    its programs and sizes hands it in, as ``holds`` does with the plan
-    its compiled equation keeps, and ``check_hom`` with its own; a plan
-    made for another cut into blocks, or none, is made for this call.
+    Both programs run as a plan (``_plan``) says.  A caller that keeps
+    the plan of its programs and sizes hands it in, as ``holds`` does
+    with the plan its compiled equation keeps, and ``check_hom`` with
+    its own; a plan made for another block cap, or none, is made for
+    this call first.  The first two tuples are all zeros, then a 1 at
+    the last slot of size above 1.  Each program's probe form runs once
+    over both (``_probe``), so an early difference costs little; a
+    product of one tuple passes it twice.  Then the product is cut into
+    blocks of at most ``_MAX_BLOCK`` tuples: the leading slots are
+    looped over in Python, each a single index, and both terms run once
+    per block on columns over the trailing slots (``_packed_run``); a
+    slot of size 1 is the index 0 throughout.  Columns are ``bytes``
+    while every index fits a byte, and lists above that.  The ``bytes``
+    slot columns depend on the block's sizes alone and come from
+    ``_slot_columns``, which keeps them for the last ``_KEPT`` size
+    patterns; list columns are built per call.  The blocks run the
+    programs of the plan: as they are on lists, and on ``bytes`` with
+    constants folded, slot-fed steps and binary steps above 256
+    positions rewritten (``_planned``).
     The first block whose two result columns differ gives the answer: on
     ``bytes``, the first differing byte is read off the bit length of
     their XOR, and a list is scanned.
@@ -371,10 +404,10 @@ def first_difference(
     n = prod(sizes)
     if not n:  # a carrier is empty
         return None
-    last = len(sizes) - 1
-    while last >= 0 and sizes[last] == 1:
-        last -= 1
-    (a, b), (c, d) = _probe(lhs, last), _probe(rhs, last)
+    if plan is None or plan[7] != _MAX_BLOCK:  # none, or one made for another block cap
+        plan = _plan(lhs, rhs, sizes)
+    lead, wide, lhs, rhs, last, lprobe, rprobe, _ = plan
+    (a, b), (c, d) = _probe(lprobe), _probe(rprobe)
     t = (0,) * len(sizes)
     if a != c:
         return t
@@ -382,23 +415,9 @@ def first_difference(
         return (*t[:last], 1, *t[last + 1 :])
     if n <= 2:
         return None
-    lead = _cut(sizes)
-    if plan is None or plan[0] != lead:
-        plan = _plan(lhs, rhs, sizes, lead)
-    _, wide, lhs, rhs = plan
     block = sizes[lead:]
     n = prod(block)
-    if wide:  # list columns, built per call
-        env, outer = [0] * lead, 1
-        for m in block:
-            if m == 1:  # index 0 at every tuple
-                env.append(0)
-                continue
-            inner = n // (outer * m)
-            env.append([x for x in range(m) for _ in range(inner)] * outer)
-            outer *= m
-    else:
-        env = [0] * lead + [*_slot_columns(block)]
+    env = [0] * lead + [*(_slot_columns.__wrapped__(block, True) if wide else _slot_columns(block))]
     for t in product(*map(range, sizes[:lead])) if lead else [()]:
         env[:lead] = t
         a, b = _packed_run(lhs, env, n), _packed_run(rhs, env, n)
@@ -425,6 +444,10 @@ class HomVerdict(Frozen):
 
     def __new__(cls, ok: bool, counterexample: tuple[OpId, tuple[object, ...]] | None = None):
         return tuple.__new__(cls, (ok, counterexample))
+
+
+# The verdict of every map that is a homomorphism; a failing one is built as a tuple.
+_IS_HOM = HomVerdict(True)
 
 
 def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> HomVerdict:
@@ -456,7 +479,11 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     ``f_src``'s own argument positions, so on ``bytes`` columns the left
     side is ``f_src``'s rows sent through ``h_r``, one translate, while
     the product fits one block; ``check_hom`` hands ``first_difference``
-    that plan.  A constant's law compares two indices.
+    that plan, with the right side's probe form built in the loop that
+    builds the programs and the left side's as one pair, ``h_r`` of
+    ``f_src``'s positions 0 and 1.  A constant's law compares two
+    indices.  Every map that is a homomorphism gets one shared
+    ``HomVerdict(True)``.
     """
     if isinstance(maps, Hom):
         maps = maps.maps
@@ -500,17 +527,23 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
         f, g, h = src._steps[nm], dst._steps[nm], send[res]
         if not arity:  # a constant: two indices
             if h.rows[f.rows[0]] != g.rows[0]:
-                return HomVerdict(False, (nm, ()))
+                return tuple.__new__(HomVerdict, (False, (nm, ())))
             continue
-        lhs, rhs = [*range(len(arity) - 1, -1, -1), f, h], []  # programs run the last symbol first
+        # programs run the last symbol first; rform is the right one's probe form
+        lhs, rhs, rform, last = [*range(len(arity) - 1, -1, -1), f, h], [], [], -1
         for i in lhs[:-2]:
+            last = i if last < 0 and f.dims[i] > 1 else last
             rhs += i, send[arity[i]]
+            rform += _SLOTS[i == last], rhs[-1].probe
         rhs.append(g)
-        plan = None  # list columns: first_difference plans
-        if f.padded is not None and g.padded is not None:  # so every map's too
-            # over one block, the product itself, f_src's positions are the identity
-            plan = 0, False, (f.padded[: len(f.rows)], h), rhs if g.small else _planned(rhs, f.dims, 0)
+        plan = None  # list columns or more than one block: first_difference plans
+        if f.padded is not None and g.padded is not None and len(f.rows) <= _MAX_BLOCK:  # so every map's too
+            # over one block, the product itself, f_src's positions are the identity; at
+            # the first two tuples they are 0 and 1, or 0 twice in a product of one
+            lprobe = ((h.rows[f.rows[0]], h.rows[f.rows[last >= 0]]), None),
+            planned = (f.padded[: len(f.rows)], h), rhs if g.small else _planned(rhs, f.dims, 0)
+            plan = 0, False, *planned, last, lprobe, (*rform, g.probe), _MAX_BLOCK
         found = first_difference(lhs, rhs, f.dims, plan)
         if found is not None:
-            return HomVerdict(False, (nm, tuple(src.elements(a)[i] for a, i in zip(arity, found))))
-    return HomVerdict(True)
+            return tuple.__new__(HomVerdict, (False, (nm, tuple(src.elements(a)[i] for a, i in zip(arity, found)))))
+    return _IS_HOM

@@ -4,23 +4,31 @@ and the 0/1/2 exit code contract.
 Every command line that ``run`` and ``run_quiet`` pass is matched twice: by the fast match
 of ``cli._match``, and by the ``argparse`` parser that ``build_parser``
 builds from the same table; the match either declines or gives the
-parser's namespace.  Help texts and usage errors are golden too."""
+parser's namespace, on those and on command lines Hypothesis draws from
+the grammar's words and edge tokens.  Help texts and usage errors are
+golden too, and so are the two ends of a process outside the contract:
+a closed stdout and an interrupt."""
 
 import copy
 import functools
+import gc
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ualg.cli import _match, build_parser, main
+import ualg
+from ualg.cli import COMMANDS, _match, build_parser, main
 from ualg.jsonio import load_algebra, load_json, load_signature
 from ualg.signature import make_varspec, vsignature
 from ualg.term_vm import parse_term
@@ -681,6 +689,50 @@ def test_the_fast_match_leaves_every_other_command_line_to_argparse():
         assert matched(argv) is None, argv
 
 
+# The words of the grammar, and tokens at the edges of what the match and
+# argparse read alike: empty, a lone dash, the end of options, an inline
+# flag value, signed, underscored and non-ASCII digits, and a NUL.
+GRAMMAR_WORDS = sorted(
+    {word for words in COMMANDS for word in words}
+    | {flag for _, _, flags, _ in COMMANDS.values() for flag, *_ in flags}
+    | {choice for _, _, _, positionals in COMMANDS.values() for *_, choices in positionals for choice in choices or ()}
+)
+EDGE_TOKENS = ["", "-", "--", "--sig=x", "+2", "1_0", "\u0663", "\0", "-h"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command's words, its required flags and some of the others,
+    each with a value, one token per positional, in any order, and up to
+    two tokens put in anywhere; every value and token a grammar word or
+    an edge token."""
+    words = draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, flags, positionals = COMMANDS[words]
+    tokens = GRAMMAR_WORDS + EDGE_TOKENS
+    # a value is three times as likely to be a token that no flag reads
+    token = st.sampled_from(3 * [t for t in tokens if not t.startswith("-")] + tokens)
+    parts = [[flag, draw(token)] for flag, required, *_ in flags if required or draw(st.booleans())]
+    parts += [[draw(token)] for _ in positionals]
+    rest = [word for part in draw(st.permutations(parts)) for word in part]
+    for _ in range(draw(st.integers(0, 2))):
+        rest.insert(draw(st.integers(0, len(rest))), draw(token))
+    return [*words, *rest]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_the_fast_match_declines_or_agrees_with_argparse(argv):
+    fast = _match(argv)
+    if fast is None:
+        return
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            slow = parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"the match accepts what argparse refuses: {argv!r}\n{err.getvalue()}") from None
+    assert vars(fast) == vars(slow), argv
+
+
 def test_an_int_that_int_refuses_is_left_to_argparse():
     # past the interpreter's limit on int digits, int() raises ValueError;
     # the match declines, and argparse words the usage error
@@ -774,6 +826,44 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "term", "check", "--sig", "/nonexistent.json", "e")
     assert code == 2
     assert err != ""
+
+
+# -- the ends of a process outside the contract --------------------------------------
+
+def test_a_closed_stdout_ends_quietly():
+    # the reader takes one line of an enumeration of about 110 MB and closes
+    # the pipe: the process exits 141, with nothing on stderr, at shutdown too
+    src = str(Path(ualg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ualg", "enumerate", "--sig", data("bool_signature.json"), "--sort", "u", "--max-depth", "4"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"bot\n"
+    assert (code, err) == (141, b"")
+
+
+def test_an_interrupt_ends_with_130_and_an_input_error_with_2(monkeypatch, capsys):
+    from ualg import cli
+
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # run freezes the collector of the process it ends
+    monkeypatch.setattr(cli, "main", interrupted)
+    with pytest.raises(SystemExit) as stop:
+        cli.run()
+    assert stop.value.code == 130
+    assert capsys.readouterr() == ("", "")
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(sys, "argv", ["ualg", "term", "check", "--sig", "/nonexistent.json", "e"])
+    with pytest.raises(SystemExit) as stop:
+        cli.run()
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno 2]")
 
 
 # -- malformed input files -------------------------------------------------------

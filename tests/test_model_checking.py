@@ -258,15 +258,16 @@ ONE_VARS = make_varspec(ONE, [("x", "u"), ("y", "u"), ("z", "u"), ("w", "u")])
 ONE_VSIG = vsignature(ONE, ONE_VARS)
 
 
-def one_sorted(n, f=lambda a, b: 3 * a + b + 1, k=lambda a: a * a, h=lambda a, b, c: a + 2 * b + 4 * c):
-    """``ONE`` on the indices 0 .. n - 1, each table's values taken mod n."""
+def one_sorted(n, f=lambda a, b: 3 * a + b + 1, k=lambda a: a * a, h=lambda a, b, c: a + 2 * b + 4 * c, c=0):
+    """``ONE`` on the indices 0 .. n - 1, each table's values and the
+    constant taken mod n."""
     labels = tuple(map(str, range(n)))
     idx = range(n)
     tables = {
         "f": {(labels[a], labels[b]): labels[f(a, b) % n] for a in idx for b in idx},
         "k": {(labels[a],): labels[k(a) % n] for a in idx},
         "h": {(labels[a], labels[b], labels[c]): labels[h(a, b, c) % n] for a in idx for b in idx for c in idx},
-        "c": {(): labels[0]},
+        "c": {(): labels[c % n]},
     }
     return FiniteAlgebra(ONE, {"u": labels}, tables)
 
@@ -503,6 +504,81 @@ def test_first_difference_probe_matches_brute_force():
         assert case in seen, case
 
 
+def test_probe_forms_match_brute_force(monkeypatch):
+    # the plan of two programs over ONE, with binary, unary, ternary and
+    # constant steps, keeps a probe form per program: run by _probe, each
+    # gives its side's indices at the first two tuples of the product, and
+    # first_difference with the plan, whose blocks run every constant
+    # folded into the table that reads it, meets brute force; so does a
+    # plan made for another block cap, which first_difference makes again
+    rng = random.Random(96)
+    shapes = [
+        (0, 4, 4, 4), (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2), (1, 1, 3, 1),
+        (1, 4, 3, 4), (4, 1, 1, 3), (4, 3, 4, 1), (2, 3, 1, 1), (4, 4, 4, 4),
+    ]
+    texts = ["h x y z = h z y x", "k h c x w = f c k w", "h c c x = k x", "c = h c c c", "f k y z = h y c z"]
+    seen = set()
+    for _ in range(4):
+        algebra = one_sorted(
+            4,
+            f=lambda a, b: rng.randrange(4),
+            k=lambda a: rng.randrange(4),
+            h=lambda a, b, c: rng.randrange(4),
+            c=rng.randrange(1, 4),
+        )
+        labels = algebra.elements("u")
+        equations = [one_equation(t) for t in texts] + [random_equation(rng, ONE_VSIG, "u", i) for i in range(8)]
+        for equation in equations:
+            lhs, rhs = program(algebra, equation.lhs), program(algebra, equation.rhs)
+            for sizes in shapes:
+                want = brute_first_difference(algebra, equation, sizes)
+                plan = modelcheck._plan(lhs, rhs, sizes)
+                first_two = list(product(*map(range, sizes)))[:2]
+                for side, form in ((equation.lhs, plan[5]), (equation.rhs, plan[6])):
+                    values = [
+                        labels.index(oracle_eval(algebra, dict(zip(ONE_VARS.vars, map(labels.__getitem__, t))), side))
+                        for t in first_two
+                    ]
+                    if values:  # a product of one tuple probes it twice
+                        assert modelcheck._probe(form) == (values[0], values[-1]), (sizes, equation)
+                assert first_difference(lhs, rhs, sizes, plan) == want, (sizes, equation)
+                monkeypatch.setattr(modelcheck, "_MAX_BLOCK", 3)
+                assert first_difference(lhs, rhs, sizes, plan) == want, (sizes, equation)
+                monkeypatch.undo()
+                seen.add(None if want is None else min(list(product(*map(range, sizes))).index(want), 2))
+    assert seen == {None, 0, 1, 2}
+
+
+def test_check_hom_on_constants_unary_and_ternary_operations(monkeypatch):
+    # maps between algebras over ONE, on carriers of 1 to 4 elements: each
+    # table is a projection, which every map keeps, or drawn at random, so
+    # that the law may fail at f, k, h or the constant c; every verdict is the
+    # oracle's, through the plan check_hom makes and, with the block cap
+    # at 3, through the one first_difference makes
+    rng = random.Random(97)
+    found = set()
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        kept = [rng.random() < 0.6 for _ in range(3)]
+
+        def draw(size):
+            return one_sorted(
+                size,
+                f=(lambda a, b: a) if kept[0] else lambda a, b: rng.randrange(size),
+                k=(lambda a: a) if kept[1] else lambda a: rng.randrange(size),
+                h=(lambda a, b, c: b) if kept[2] else lambda a, b, c: rng.randrange(size),
+            )
+
+        src, dst = draw(n), draw(m)
+        image = [rng.randrange(m) for _ in range(n)]
+        for cap in (modelcheck._MAX_BLOCK, 3):
+            monkeypatch.setattr(modelcheck, "_MAX_BLOCK", cap)
+            want = assert_hom_as_oracle(image, src, dst)
+        monkeypatch.undo()
+        found.add(None if want is None else want[0])
+    assert found == {None, "f", "k", "h", "c"}
+
+
 def test_check_hom_on_a_broken_constant():
     # every element goes to "a", which mul keeps, but the constant e goes
     # to "a" where the target's e is "b": the law fails on the one tuple,
@@ -670,7 +746,7 @@ def test_holds_on_steps_fed_by_slots_only(monkeypatch):
         for equation, vs in equations:
             assert_holds_as_oracle(monkeypatch, algebra, equation, vs)
             holds(algebra, equation, vs)  # the record keeps its plan
-            planned = algebra._equations[equation.lhs.syms, equation.rhs.syms][-1][2:]  # lhs and rhs
+            planned = algebra._equations[equation.lhs.syms, equation.rhs.syms][-1][2:4]  # lhs and rhs
             kinds.update((n, type(step).__name__, len(step) if type(step) is tuple else 0)
                          for program in planned for step in program)
     # kept position columns up to 256 positions, the identity at every size
