@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare the benchmark on a base commit and on the working tree.
 
-    python3 scripts/ab.py --workload modelcheck --seed 1 [--base HEAD] [--pairs 10] [--json PATH]
-    python3 scripts/ab.py --pytest tests/test_x.py::test_y [--base HEAD] [--pairs 10] [--json PATH]
+    python3 scripts/ab.py --workload modelcheck --seed 1 [--base HEAD] [--pairs 10]
+    python3 scripts/ab.py --pytest tests/test_x.py::test_y [--base HEAD] [--pairs 10]
 
 Both sides run from fresh copies in a temporary directory: the base
 commit extracted with ``git archive``, and the working tree this script
@@ -23,9 +23,8 @@ in at least nine tenths of the pairs, and medians further apart than
 the base IQR.  The bound reads ``unresolved`` when the base runs spread
 wider than the bound and not every work run beats every base run.  The
 last line is a JSON object with every run's metrics, per side, and the
-summary of each metric (``summarize``); ``--json PATH`` writes the same
-object to a file.  The exit status is 1 when a run is not correct or
-has a failed input.
+summary of each metric (``summarize``).  The exit status is 1 when a
+run is not correct or has a failed input.
 
 With ``--pytest NODEID`` each run is one ``python -m pytest NODEID`` in
 its tree, with the tree's ``src`` first on ``PYTHONPATH``, and the one
@@ -221,7 +220,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="the workload's seed")
     parser.add_argument("--base", default="HEAD", help="the commit to compare against (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--json", metavar="PATH", help="also write the final JSON object to this file")
     args = parser.parse_args(argv)
     if args.workload and args.seed is None:
         parser.error("--workload needs --seed")
@@ -252,10 +250,7 @@ def main(argv=None) -> int:
     bad = [(side, i + 1) for side, rs in runs.items() for i, r in enumerate(rs)
            if r.get("correct") is not True or r.get("failed") != 0]
     print("every run correct with failed 0" if not bad else f"runs not correct or with failures: {bad}")
-    final = json.dumps(results(metrics, runs))
-    print(final)
-    if args.json:
-        Path(args.json).write_text(final + "\n", encoding="utf-8")
+    print(json.dumps(results(metrics, runs)))
     return 1 if bad else 0
 
 

@@ -73,10 +73,6 @@ class EqVerdict(Frozen):
         return tuple.__new__(cls, (holds, counterexample))
 
 
-# The verdict of every equation that holds; a failing one is built as a tuple.
-_HOLDS = EqVerdict(True)
-
-
 def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     """Decide an equation over a finite algebra by exhausting assignments.
 
@@ -104,10 +100,8 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     ``_KEPT_EQUATIONS`` equations and drops the oldest first;
     ``modelcheck._Equations`` gives its worst-case memory.  The table pays
     only when the same equation is checked again under the same pair.
-    Every verdict that holds is one shared ``EqVerdict(True)``, which
-    cannot change.  An algebra that is not a ``FiniteAlgebra`` cannot be
-    enumerated: ``holds_sampled`` searches one that can sample its
-    elements.
+    An algebra that is not a ``FiniteAlgebra`` cannot be enumerated:
+    ``holds_sampled`` searches one that can sample its elements.
     """
     if not isinstance(algebra, FiniteAlgebra):
         raise EquationError(
@@ -125,8 +119,8 @@ def holds(algebra: FiniteAlgebra, eq: Equation, varspec: VarSpec) -> EqVerdict:
     lhs, rhs, sizes, slots, plan = record[eq.lhs.syms, eq.rhs.syms]
     found = first_difference(lhs, rhs, sizes, plan)
     if found is None:
-        return _HOLDS
-    return tuple.__new__(EqVerdict, (False, {v: carrier[found[i]] for i, v, carrier in slots}))
+        return EqVerdict(True)
+    return EqVerdict(False, {v: carrier[found[i]] for i, v, carrier in slots})
 
 
 class EqReport(Frozen):

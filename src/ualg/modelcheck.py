@@ -200,8 +200,10 @@ def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
         while min(args, default=0) < 0:  # a constant argument, folded into a smaller table
             j = args.index(min(args))
             s, d, c = prod(step.dims[j + 1 :]), step.dims[j], -1 - args.pop(j)
-            rows = bytes([r for o in range(c * s, len(step.rows), d * s or 1) for r in step.rows[o : o + s]])
-            step = step.derived.setdefault((j, c), _Op(rows, step.dims[:j] + step.dims[j + 1 :], _BYTE))
+            if (j, c) not in step.derived:  # folded once per table, argument and index
+                rows = bytes([r for o in range(c * s, len(step.rows), d * s or 1) for r in step.rows[o : o + s]])
+                step.derived[j, c] = _Op(rows, step.dims[:j] + step.dims[j + 1 :], _BYTE)
+            step = step.derived[j, c]
         k = len(args)
         if not k:  # a constant, pushed nowhere: the step that reads it folds it
             masks.append(-1 - step.rows[0])
@@ -308,34 +310,38 @@ def _packed_run(program: Program, env: list, n: int):
 _KEPT = 32
 
 
-@lru_cache(maxsize=_KEPT)
-def _slot_columns(sizes: tuple[int, ...], wide: bool = False) -> tuple[bytes | list | int, ...]:
+def _columns(sizes: tuple[int, ...], wide: bool) -> tuple[bytes | list | int, ...]:
     """The entries of the slots of a block over ``sizes``: the index 0
     for a slot of size 1, else a column with the slot's index at each
-    tuple of their lexicographic product, ``bytes`` when every size is at
-    most 256 and a list when ``wide``.
-
-    ``bytes`` columns depend on the sizes alone, so the last ``_KEPT``
-    size patterns keep theirs, and every call and block over the same
-    sizes shares them; ``bytes`` cannot change.  List columns are built
-    per call (``_slot_columns.__wrapped__``).  A pattern keeps one column
-    of ``prod(sizes)`` bytes per slot of size above 1.  A block has at most
-    ``_MAX_BLOCK`` = 65,536 tuples, so at most 16 such slots: at worst
-    1 MiB per pattern and 32 MiB in all.  Z mod 14 with three variables
-    keeps 8 KiB."""
+    tuple of their lexicographic product: a list when ``wide``, else
+    ``bytes``, which needs every size at most 256.  Built anew on every
+    call: ``first_difference`` builds list columns per call, and keeps
+    ``bytes`` ones through ``_slot_columns``."""
     n, outer, cols = prod(sizes), 1, []
     for m in sizes:
         inner = n // (outer * m)
         if m == 1:  # index 0 at every tuple
             cols.append(0)
             continue
-        if wide:
-            col = [x for x in range(m) for _ in range(inner)]
-        else:
-            col = bytes(range(m)) if inner == 1 else b"".join([_BYTES[x] * inner for x in range(m)])
+        col = [x for x in range(m) for _ in range(inner)] if wide else b"".join([_BYTES[x] * inner for x in range(m)])
         cols.append(col * outer)
         outer *= m
     return tuple(cols)
+
+
+@lru_cache(maxsize=_KEPT)
+def _slot_columns(sizes: tuple[int, ...]) -> tuple[bytes | int, ...]:
+    """The ``bytes`` slot columns of a block over ``sizes``, each size at
+    most 256 (``_columns``).
+
+    They depend on the sizes alone, so the last ``_KEPT`` size patterns
+    keep theirs, and every call and block over the same sizes shares
+    them; ``bytes`` cannot change.  A pattern keeps one column of
+    ``prod(sizes)`` bytes per slot of size above 1.  A block has at most
+    ``_MAX_BLOCK`` = 65,536 tuples, so at most 16 such slots: at worst
+    1 MiB per pattern and 32 MiB in all.  Z mod 14 with three variables
+    keeps 8 KiB."""
+    return _columns(sizes, False)
 
 
 # The number of position columns ``_positions`` keeps.
@@ -417,7 +423,7 @@ def first_difference(
         return None
     block = sizes[lead:]
     n = prod(block)
-    env = [0] * lead + [*(_slot_columns.__wrapped__(block, True) if wide else _slot_columns(block))]
+    env = [0] * lead + [*(_columns(block, True) if wide else _slot_columns(block))]
     for t in product(*map(range, sizes[:lead])) if lead else [()]:
         env[:lead] = t
         a, b = _packed_run(lhs, env, n), _packed_run(rhs, env, n)
@@ -444,10 +450,6 @@ class HomVerdict(Frozen):
 
     def __new__(cls, ok: bool, counterexample: tuple[OpId, tuple[object, ...]] | None = None):
         return tuple.__new__(cls, (ok, counterexample))
-
-
-# The verdict of every map that is a homomorphism; a failing one is built as a tuple.
-_IS_HOM = HomVerdict(True)
 
 
 def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> HomVerdict:
@@ -482,8 +484,7 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     that plan, with the right side's probe form built in the loop that
     builds the programs and the left side's as one pair, ``h_r`` of
     ``f_src``'s positions 0 and 1.  A constant's law compares two
-    indices.  Every map that is a homomorphism gets one shared
-    ``HomVerdict(True)``.
+    indices.
     """
     if isinstance(maps, Hom):
         maps = maps.maps
@@ -527,7 +528,7 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
         f, g, h = src._steps[nm], dst._steps[nm], send[res]
         if not arity:  # a constant: two indices
             if h.rows[f.rows[0]] != g.rows[0]:
-                return tuple.__new__(HomVerdict, (False, (nm, ())))
+                return HomVerdict(False, (nm, ()))
             continue
         # programs run the last symbol first; rform is the right one's probe form
         lhs, rhs, rform, last = [*range(len(arity) - 1, -1, -1), f, h], [], [], -1
@@ -536,8 +537,8 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
             rhs += i, send[arity[i]]
             rform += _SLOTS[i == last], rhs[-1].probe
         rhs.append(g)
-        plan = None  # list columns or more than one block: first_difference plans
-        if f.padded is not None and g.padded is not None and len(f.rows) <= _MAX_BLOCK:  # so every map's too
+        plan = None  # list columns, an empty product or more than one block: first_difference plans
+        if f.padded is not None and g.padded is not None and 0 < len(f.rows) <= _MAX_BLOCK:  # so every map's too
             # over one block, the product itself, f_src's positions are the identity; at
             # the first two tuples they are 0 and 1, or 0 twice in a product of one
             lprobe = ((h.rows[f.rows[0]], h.rows[f.rows[last >= 0]]), None),
@@ -545,5 +546,5 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
             plan = 0, False, *planned, last, lprobe, (*rform, g.probe), _MAX_BLOCK
         found = first_difference(lhs, rhs, f.dims, plan)
         if found is not None:
-            return tuple.__new__(HomVerdict, (False, (nm, tuple(src.elements(a)[i] for a, i in zip(arity, found)))))
-    return _IS_HOM
+            return HomVerdict(False, (nm, tuple(src.elements(a)[i] for a, i in zip(arity, found))))
+    return HomVerdict(True)

@@ -1,8 +1,7 @@
 """The arithmetic of ``scripts/ab.py`` on fixed samples: quartiles, wins
 with ties, the bound and the claim rule, over even and odd numbers of
 pairs; for ``--pytest``, a test's duration read off a JUnit XML report
-and compared without a bound; and the final JSON object, which
-``--json`` writes to a file, over runs that stand in for the benchmark's."""
+and compared without a bound; and the final JSON line, over runs that stand in for the benchmark's."""
 
 import json
 import sys
@@ -110,7 +109,7 @@ def test_a_test_duration_has_no_bound_but_may_claim_a_gain():
     assert row.split()[0] == "duration_s" and row.split()[-2:] == ["-", "yes"]
 
 
-def test_json_writes_every_run_and_each_metric_summary(monkeypatch, tmp_path, capsys):
+def test_the_last_line_holds_every_run_and_each_metric_summary(monkeypatch, capsys):
     # three pairs whose runs stand in for bench/run.py: nothing is extracted or run
     values = iter([100.0, 110.0, 104.0, 112.0, 102.0, 120.0])  # base, work, work, base, base, work
     monkeypatch.setattr(ab, "extract", lambda rev, dest: None)
@@ -122,10 +121,8 @@ def test_json_writes_every_run_and_each_metric_summary(monkeypatch, tmp_path, ca
         return {"correct": True, "failed": 0, "metrics": {name: {"value": v} for name in names}}
 
     monkeypatch.setattr(ab, "run", run)
-    path = tmp_path / "ab.json"
-    assert ab.main(["--workload", "modelcheck", "--seed", "1", "--pairs", "3", "--json", str(path)]) == 0
-    written = json.loads(path.read_text(encoding="utf-8"))
-    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == written
+    assert ab.main(["--workload", "modelcheck", "--seed", "1", "--pairs", "3"]) == 0
+    written = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert [r["ops_per_s"] for r in written["base"]] == [100.0, 112.0, 102.0]
     assert [r["ops_per_s"] for r in written["work"]] == [110.0, 104.0, 120.0]
     ops = written["summary"]["ops_per_s"]

@@ -186,6 +186,18 @@ def test_check_hom_constant_one_fails():
     assert maps["u"][z2.op(nm, *args)] != z2.op(nm, *(maps["u"][x] for x in args))
 
 
+def test_check_hom_holds_vacuously_over_an_empty_carrier():
+    # p: w -> u reads an empty carrier, so its law holds over no argument tuple
+    sig = make_signature(["u", "w"], [("e", [], "u"), ("p", ["w"], "u"), ("q", ["u"], "u")])
+    algebra = FiniteAlgebra(
+        sig, {"u": ("0", "1"), "w": ()}, {"e": {(): "0"}, "p": {}, "q": {("0",): "1", ("1",): "0"}}
+    )
+    identity = {"u": {"0": "0", "1": "1"}, "w": {}}
+    assert check_hom(identity, algebra, algebra) == HomVerdict(True)
+    collapse = {"u": {"0": "0", "1": "0"}, "w": {}}  # h(q 0) = 0 but q h(0) = 1
+    assert check_hom(collapse, algebra, algebra) == HomVerdict(False, ("q", ("0",)))
+
+
 def test_check_hom_rejects_sort_incompatible_map():
     z2 = additive_mod_algebra(2)
     with pytest.raises(AlgebraError, match="no map for sort"):
