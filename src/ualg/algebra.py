@@ -93,6 +93,8 @@ class Algebra:
     terms); nothing here assumes they can be enumerated.
     """
 
+    _symbols = None  # no table: evaluate runs in fold order, through op
+
     def __init__(self, signature: Signature, ops: Mapping[OpId, Callable[..., object]]):
         missing = [nm for nm in signature.ops if nm not in ops]
         if missing:

@@ -6,9 +6,10 @@ run the bundled example structures.
 
 Exit codes are a stable contract: 0 when the command succeeds and any
 checked property holds, 1 when a checked property fails, 2 for usage or
-input errors.  A process whose stdout was closed ends with 141, and an
-interrupted one with 130, both quietly (``run``).  Output is
-byte-deterministic for identical inputs.
+input errors and for a command that runs out of memory.  A process
+whose stdout was closed ends with 141, and an interrupted one with 130,
+both quietly (``run``).  Output is byte-deterministic for identical
+inputs.
 
 A subcommand imports what it runs when it runs: ``term`` and
 ``enumerate`` load only ``signature``, ``term_vm`` and ``jsonio``.  The
@@ -181,6 +182,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # covers format, signature, term, binding and algebra errors
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:  # reported below, once the frames that held the memory are gone
+        pass
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def run():

@@ -102,42 +102,38 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
     """
     if t.signature is not algebra._term_signature:
         algebra._accept_terms(t.signature)
-    if isinstance(algebra, FiniteAlgebra):
+    table = algebra._symbols
+    if table is not None:
+        # one right-to-left pass on a stack of carrier indices: a variable
+        # pushes the index of its label, an operation pops its argument
+        # indices (the first on top) and pushes the row they select; the
+        # branches go by how often a term over variables takes them
+        stack: list[int] = []
+        push, pop = stack.append, stack.pop
         try:
-            return _run_on_indices(algebra, assignment, t)
+            for nm in reversed(t.syms):
+                k, rows, stride = table[nm]
+                if k == 2:
+                    push(rows[pop() * stride + pop()])
+                elif k < 0:  # a variable: rows is its carrier's index
+                    push(rows[assignment[nm]])
+                elif k == 0:
+                    push(rows[0])
+                elif k == 1:
+                    push(rows[pop()])
+                else:
+                    pos = pop()
+                    for d in stride[1:]:
+                        pos = pos * d + pop()
+                    push(rows[pos])
         except (KeyError, TypeError):  # replayed below, outside this handler
             pass
-    return _evaluate_in_fold_order(algebra, assignment, t)
-
-
-def _run_on_indices(algebra: FiniteAlgebra, assignment: Assignment, t: Term) -> object:
-    """One right-to-left pass on a stack of carrier indices: a variable
-    pushes the index of its label, an operation pops its argument
-    indices (the first on top) and pushes the row they select.  Only the
-    final index is mapped back to a label.  The symbol table is the one
-    ``FiniteAlgebra._accept_terms`` built for the term's signature."""
-    table = algebra._symbols
-    stack: list[int] = []
-    push, pop = stack.append, stack.pop
-    for nm in reversed(t.syms):
-        k, rows, stride = table[nm]
-        if k == 2:
-            push(rows[pop() * stride + pop()])
-        elif k == 1:
-            push(rows[pop()])
-        elif k == 0:
-            push(rows[0])
-        elif k < 0:  # a variable: rows is its carrier's index
-            push(rows[assignment[nm]])
         else:
-            pos = pop()
-            for d in stride[1:]:
-                pos = pos * d + pop()
-            push(rows[pos])
-    top = t.syms[0]
-    if top in algebra._steps:
-        return algebra.carriers[t.signature.decl[top][1]][stack[-1]]
-    return assignment[top]  # a lone variable evaluates to its binding as given
+            # the loop ends on the top symbol; only its index becomes a label
+            if k < 0:
+                return assignment[nm]  # a lone variable evaluates to its binding as given
+            return algebra.carriers[t.signature.decl[nm][1]][stack[-1]]
+    return _evaluate_in_fold_order(algebra, assignment, t)
 
 
 def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -> object:
@@ -147,10 +143,10 @@ def _evaluate_in_fold_order(algebra: Algebra, assignment: Assignment, t: Term) -
     so this builds no label view."""
     decl = algebra.signature.decl
     op = algebra._op_on_rows if isinstance(algebra, FiniteAlgebra) else algebra.op
-    nargs = t.signature.nargs
+    steps = t.signature.height_steps
     frames: list[tuple[OpId, int, list[object]]] = []  # (symbol, arity, argument values so far)
     for nm in t.syms:
-        k = nargs[nm]
+        k = 1 - steps[nm]
         if k:
             frames.append((nm, k, []))
             continue

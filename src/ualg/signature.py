@@ -121,16 +121,10 @@ class Signature(Frozen):
         return tuple.__hash__(self)
 
     @cached_property
-    def nargs(self) -> dict[OpId, int]:
-        """Number of arguments of each operation: how many values a machine
-        step pops."""
-        return {nm: len(self.arities[i]) for i, nm in enumerate(self.ops)}
-
-    @cached_property
     def height_steps(self) -> dict[OpId, int]:
         """The ``1 - k`` of each operation of ``k`` arguments: how a step
         changes the height of a stack, which is all a run over a single
-        sort keeps."""
+        sort keeps, and how a value machine reads ``k``."""
         return {nm: 1 - len(a) for nm, a in zip(self.ops, self.arities)}
 
     @cached_property

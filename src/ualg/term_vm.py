@@ -107,6 +107,26 @@ class ExecReport(Frozen):
         return None
 
 
+def _height(steps: dict[OpId, int], syms: tuple[OpId, ...] | list[OpId], h: int) -> int | ExecReport:
+    """Execute ``syms``, last symbol first, on a one-sorted stack of
+    height ``h``: the final height, or the report of the first failure.
+
+    A step of ``k`` arguments adds ``1 - k`` (``steps``, the signature's
+    ``height_steps``) and has underflowed when the height drops below 1.
+    The run counts no positions: a failure's is read off how many
+    symbols the reversed iterator of a tuple or a list still holds.
+    """
+    rest = reversed(syms)
+    for nm in rest:
+        try:
+            h += steps[nm]
+        except (KeyError, TypeError):  # not an operation, or not hashable
+            return ExecReport(None, len(syms) - 1 - length_hint(rest), "unknown symbol")
+        if h < 1:
+            return ExecReport(None, len(syms) - 1 - length_hint(rest), "stack underflow")
+    return h
+
+
 def _run(sig: Signature, syms: tuple[OpId, ...] | list[OpId], st: list[SortId]) -> ExecReport | None:
     """Execute ``syms``, last symbol first, on ``st`` (top last) in place.
 
@@ -115,26 +135,16 @@ def _run(sig: Signature, syms: tuple[OpId, ...] | list[OpId], st: list[SortId]) 
 
     When the signature has one sort and every entry of ``st`` is that
     sort, no step can meet a wrong sort, so the run keeps the stack as
-    its height ``h`` alone: a step of ``k`` arguments adds ``1 - k``
-    (``Signature.height_steps``) and has underflowed when ``h`` drops
-    below 1.  The run counts no positions: a failure's is read off how
-    many symbols the reversed iterator of a tuple or a list still holds.
-    Otherwise a step compares the top of the list with the symbol's
-    reversed arity in one slice, so the reason of a failure is worked
-    out only once a step has failed.  Both give the same report and the
-    same final stack.
+    its height alone (``_height``).  Otherwise a step compares the top
+    of the list with the symbol's reversed arity in one slice, so the
+    reason of a failure is worked out only once a step has failed.  Both
+    give the same report and the same final stack.
     """
     sorts = sig.sorts
     if len(sorts) == 1 and (not st or st.count(sorts[0]) == len(st)):
-        steps, h = sig.height_steps, len(st)
-        rest = reversed(syms)
-        for nm in rest:
-            try:
-                h += steps[nm]
-            except (KeyError, TypeError):  # not an operation, or not hashable
-                return ExecReport(None, len(syms) - 1 - length_hint(rest), "unknown symbol")
-            if h < 1:
-                return ExecReport(None, len(syms) - 1 - length_hint(rest), "stack underflow")
+        h = _height(sig.height_steps, syms, len(st))
+        if h.__class__ is ExecReport:
+            return h
         st[:] = sorts * h
         return None
     steps = sig.sort_steps
@@ -209,20 +219,29 @@ _new = tuple.__new__
 def term_from_syms(sig: Signature, syms: Sequence[OpId]) -> Term:
     """Validate a raw symbol sequence and package it as a term.
 
-    The machine runs once.  A sequence with an unknown symbol is rejected
-    for the leftmost one, whatever the run met first; any other failure
-    is worded from the run's failure report or, when every symbol ran,
-    from the residual stack.
+    The machine runs once, over a one-sorted signature as a height alone.
+    A sequence with an unknown symbol is rejected for the leftmost one,
+    whatever the run met first; any other failure is worded from the
+    run's failure report or, when every symbol ran, from the residual
+    stack.
     """
     syms = tuple(syms)
-    st: list[SortId] = []
-    failure = _run(sig, syms, st)
-    if failure is None and len(st) == 1:
-        return _new(Term, (sig, syms, st[0]))
+    sorts = sig.sorts
+    if len(sorts) == 1:
+        h = _height(sig.height_steps, syms, 0)
+        if h == 1:
+            return _new(Term, (sig, syms, sorts[0]))
+        failure = h if h.__class__ is ExecReport else ExecReport(sorts * h)
+    else:
+        st: list[SortId] = []
+        failure = _run(sig, syms, st)
+        if failure is None and len(st) == 1:
+            return _new(Term, (sig, syms, st[0]))
+        failure = failure or ExecReport(tuple(reversed(st)))
     for nm in syms:
         if not sig.is_op(nm):
             raise UnknownSymbolError(f"unknown symbol {nm!r}")
-    raise TermError((failure or ExecReport(tuple(reversed(st)))).error())
+    raise TermError(failure.error())
 
 
 def parse_term(sig: Signature, text: str) -> Term:
@@ -248,8 +267,6 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
     nm = syms[0]
     arity = sig.decl[nm][0]
     k = len(arity)
-    if k == 1:
-        return nm, (_new(Term, (sig, syms[1:], arity[0])),)
     steps = sig.height_steps
     if k == 2:
         i, pending = 1, 1
@@ -257,6 +274,8 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
             pending -= steps[syms[i]]
             i += 1
         return nm, (_new(Term, (sig, syms[1:i], arity[0])), _new(Term, (sig, syms[i:], arity[1])))
+    if k == 1:
+        return nm, (_new(Term, (sig, syms[1:], arity[0])),)
     args = []
     i = 1
     for want in arity[:-1]:
@@ -272,22 +291,22 @@ def term_decompose(t: Term) -> tuple[OpId, tuple[Term, ...]]:
 
 def depth(t: Term) -> int:
     """Height of the term tree; a bare constant has depth 1."""
-    nargs = t.signature.nargs
+    steps = t.signature.height_steps
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     for nm in reversed(t.syms):
-        k = nargs[nm]
-        if k == 1:
-            stack[-1] += 1
-        elif k == 2:
+        step = steps[nm]  # 1 - k for k arguments
+        if step == 1:
+            push(1)
+        elif step == -1:
             d, top = pop(), stack[-1]
             stack[-1] = (d if d > top else top) + 1
-        elif k:
-            d = max(stack[-k:]) + 1
-            del stack[-k:]
+        elif not step:
+            stack[-1] += 1
+        else:  # the top 1 - step values are the arguments
+            d = max(stack[step - 1 :]) + 1
+            del stack[step - 1 :]
             push(d)
-        else:
-            push(1)
     return stack[-1]
 
 
@@ -295,9 +314,10 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
     """All terms of ``sort`` with depth at most ``max_depth``.
 
     Deterministic order: by depth, then operation order, then argument
-    combinations with the leftmost argument varying slowest.  The final
-    depth level is streamed, so enumerating one deep level does not
-    retain it.
+    combinations with the leftmost argument varying slowest.  Every term
+    below the last level is kept, of every sort, as argument material;
+    the last level is streamed, and only its operations of ``sort`` run,
+    so enumerating one deep level does not retain it.
     """
     if not sig.is_sort(sort):
         raise SignatureError(f"unknown sort {sort!r}")
@@ -305,11 +325,13 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
     # for argument selection
     pools: dict[SortId, tuple[list[tuple[OpId, ...]], list[int]]] = {s: ([], []) for s in sig.sorts}
 
-    def level(d: int) -> Iterator[tuple[Term, SortId]]:
+    def level(d: int, results: tuple[SortId, ...]) -> Iterator[Term]:
         for nm, arity, res in zip(sig.ops, sig.arities, sig.results):
+            if res not in results:
+                continue
             if d == 1:
                 if not arity:
-                    yield _new(Term, (sig, (nm,), res)), res
+                    yield _new(Term, (sig, (nm,), res))
                 continue
             if not arity or not all(pools[a][0] for a in arity):
                 continue
@@ -322,26 +344,22 @@ def enumerate_terms(sig: Signature, sort: SortId, max_depth: int) -> Iterator[Te
             if len(arity) == 2:
                 for (a, b), deps in zip(combos, depths):
                     if d - 1 in deps:
-                        yield _new(Term, (sig, head + a + b, res)), res
+                        yield _new(Term, (sig, head + a + b, res))
                 continue
             for combo, deps in zip(combos, depths):
                 if d - 1 in deps:
-                    yield _new(Term, (sig, sum(combo, head), res)), res
+                    yield _new(Term, (sig, sum(combo, head), res))
 
-    for d in range(1, max_depth + 1):
-        if d == max_depth:
-            for t, res in level(d):
-                if res == sort:
-                    yield t
-        else:
-            produced = list(level(d))
-            for t, res in produced:
-                syms, depths = pools[res]
-                syms.append(t.syms)
-                depths.append(d)
-            for t, res in produced:
-                if res == sort:
-                    yield t
+    for d in range(1, max_depth):
+        produced = list(level(d, sig.sorts))
+        for _, syms, res in produced:
+            kept, depths = pools[res]
+            kept.append(syms)
+            depths.append(d)
+        for t in produced:
+            if t[2] == sort:
+                yield t
+    yield from level(max_depth, (sort,))
 
 
 __getattr__, __dir__ = _lazy(globals(), dict.fromkeys(("build_term", "term_fold"), "terms"))

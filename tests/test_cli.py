@@ -866,6 +866,25 @@ def test_an_interrupt_ends_with_130_and_an_input_error_with_2(monkeypatch, capsy
     assert out == "" and err.startswith("error: [Errno 2]")
 
 
+def test_running_out_of_memory_is_exit_2_with_one_line(monkeypatch, capsys):
+    # a simulated MemoryError after the first term: never exhaust real memory
+    from ualg import cli
+
+    def enumerate_terms(sig, sort, max_depth):
+        yield parse_term(sig, "bot")
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_terms", enumerate_terms)
+    argv = ["enumerate", "--sig", data("bool_signature.json"), "--sort", "u", "--max-depth", "5"]
+    assert run(capsys, *argv) == (2, "bot\n", "error: out of memory\n")
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setattr(sys, "argv", ["ualg", *argv])
+    with pytest.raises(SystemExit) as stop:
+        cli.run()
+    assert stop.value.code == 2
+    assert capsys.readouterr() == ("bot\n", "error: out of memory\n")
+
+
 # -- malformed input files -------------------------------------------------------
 
 def write(tmp_path, name, obj):

@@ -1,6 +1,6 @@
 import random
 from functools import partial
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +291,26 @@ def test_enumerate_terms_all_valid():
     for t in enumerate_terms(BOOL, "u", 3):
         assert t.sort == "u"
         assert depth(t) <= 3
+
+
+def test_enumerate_terms_streams_its_last_level(monkeypatch):
+    # the 786 bool terms of depth <= 3 are kept; the 1,853,390 of depth 4
+    # are built one per step, so taking 1000 terms builds 1000, and a
+    # budget stops a run that builds the last level before yielding it
+    import ualg.term_vm as term_vm
+
+    built = []
+
+    def new(cls, fields):
+        built.append(fields)
+        if len(built) > 1000:
+            raise AssertionError("the last level is built before it is yielded")
+        return tuple.__new__(cls, fields)
+
+    monkeypatch.setattr(term_vm, "_new", new)
+    terms = list(islice(enumerate_terms(BOOL, "u", 4), 1000))
+    assert len(built) == 1000
+    assert [depth(t) for t in terms[785:787]] == [3, 4]
 
 
 def test_enumerate_rejects_unknown_sort():

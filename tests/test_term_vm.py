@@ -243,12 +243,18 @@ def test_forged_terms_stop_at_construction():
 def test_term_from_syms_runs_the_machine_once(monkeypatch):
     import ualg.term_vm as term_vm
 
-    run, calls = term_vm._run, []
-    monkeypatch.setattr(term_vm, "_run", lambda *a: calls.append(a) or run(*a))
-    for text in ["mul e e", "mul", "e e", "", "mul q e", "foo mul"]:
+    # the machine has two entries: _height runs a one-sorted signature,
+    # _run any other, and a call may enter it once in all
+    calls = []
+    for name in ("_run", "_height"):
+        entry = getattr(term_vm, name)
+        monkeypatch.setattr(term_vm, name, lambda *a, _entry=entry: calls.append(a) or _entry(*a))
+    cases = [(MONOID, text) for text in ["mul e e", "mul", "e e", "", "mul q e", "foo mul"]]
+    cases += [(MIXED, text) for text in ["p c g e", "p c", "c c", "", "p c q", "foo c"]]
+    for sig, text in cases:
         calls.clear()
         try:
-            term_from_syms(MONOID, text.split())
+            term_from_syms(sig, text.split())
         except TermError:
             pass
         assert len(calls) == 1, text

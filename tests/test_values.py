@@ -213,7 +213,9 @@ def test_a_pickled_term_runs_the_machine_once(monkeypatch):
 
     t = parse_term(VSIG, "mul e mul x y")
     data = pickle.dumps(t)
-    run, calls = term_vm._run, []
-    monkeypatch.setattr(term_vm, "_run", lambda *a: calls.append(a) or run(*a))
+    calls = []
+    for name in ("_run", "_height"):  # the machine's two entries
+        entry = getattr(term_vm, name)
+        monkeypatch.setattr(term_vm, name, lambda *a, _entry=entry: calls.append(a) or _entry(*a))
     assert pickle.loads(data) == t
     assert len(calls) == 1
