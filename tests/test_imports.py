@@ -98,8 +98,8 @@ def test_algebra_lists_the_checker_before_its_first_use():
 # The modules that hold what ``term`` and ``enumerate`` never run.
 MOVED_TO = ("ualg.algebra_io", "ualg.commands", "ualg.shorthand", "ualg.terms", "ualg.varspec")
 
-# The names each module of the term path re-exports, with the module
-# that defines them now.
+# The names each module re-exports from the module that defines them
+# now: the term path's modules, and ``free_algebra``'s ``build_term``.
 MOVED = {
     "ualg.jsonio": dict.fromkeys((
         "algebra_from_obj", "algebra_to_obj", "assignment_from_obj", "dump_json", "eqspec_from_obj",
@@ -116,6 +116,7 @@ MOVED = {
     "ualg.cli": dict.fromkeys(
         ("build_parser", "cmd_check_eqs", "cmd_check_hom", "cmd_eval", "cmd_examples"), "ualg.commands"
     ),
+    "ualg.free_algebra": {"build_term": "ualg.terms"},
 }
 
 

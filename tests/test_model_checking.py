@@ -727,10 +727,10 @@ def test_holds_on_steps_fed_by_slots_only(monkeypatch):
     # A step whose arguments are all slots reads a kept column of table
     # positions: slots out of order (f y x), one slot twice (f x x), and
     # blocks with slots of size 1 for variables that do not occur (y in
-    # f z x).  With x and y alone, f x y is over the whole block, whose
-    # positions are f's own; on 17 elements f has 289 positions, too many
-    # for a position column, but f x y is still f's own rows.  Each verdict is the oracle's, at the block cap and at a
-    # cap of 3, which cuts the product again after the plan was kept.
+    # f z x), and f x y over the whole block, whose positions are f's own.
+    # On 17 elements f has 289 positions, too many for a position column,
+    # so no step reads one.  Each verdict is the oracle's, at the block cap
+    # and at a cap of 3, which cuts the product again after the plan was kept.
     rng = random.Random(93)
     xy = make_varspec(PAIR, [("x", "u"), ("y", "u")])
     texts = [
@@ -749,8 +749,8 @@ def test_holds_on_steps_fed_by_slots_only(monkeypatch):
             planned = algebra._equations[equation.lhs.syms, equation.rhs.syms][-1][2:4]  # lhs and rhs
             kinds.update((n, type(step).__name__, len(step) if type(step) is tuple else 0)
                          for program in planned for step in program)
-    # kept position columns up to 256 positions, the identity at every size
-    assert {(5, "tuple", 2), (16, "tuple", 2), (5, "bytes", 0), (16, "bytes", 0), (17, "bytes", 0)} <= kinds
+    # kept position columns up to 256 positions, and none above
+    assert {(5, "tuple", 2), (16, "tuple", 2)} <= kinds
     assert (17, "tuple", 2) not in kinds
 
 
